@@ -229,7 +229,7 @@ def _strong_coupling_factor(K: int) -> TrigPolynomial:
 
 def _even_rho(mu: float, amplitude: float, K: int) -> float:
     rho = mu * amplitude ** (2 * K - 2)
-    if rho <= -1.0:
+    if not rho > -1.0:
         raise NoPeriodicMotion(
             f"rho = mu*A^(2K-2) = {rho!r} must exceed -1 for periodic motion"
         )
@@ -349,7 +349,7 @@ def turning_points(model: OscillatorModel) -> TurningPoints:
 
 def _check_rho(rho: float) -> float:
     rho = float(rho)
-    if rho <= -1.0:
+    if not rho > -1.0:
         raise NoPeriodicMotion(f"rho must exceed -1 for periodic motion, got {rho!r}")
     return rho
 
@@ -382,7 +382,7 @@ def duffing_period_series(rho: float, order: int) -> float:
 def duffing_exact_period(rho: float) -> float:
     """Exact period 4/sqrt(1+rho) K(rho/(2(1+rho))) via the AGM oracle."""
     rho = float(rho)
-    if rho <= -1.0:
+    if not rho > -1.0:
         raise DomainError(f"exact period requires rho > -1, got {rho!r}")
     return 4.0 / math.sqrt(1.0 + rho) * elliptic_k(rho / (2.0 * (1.0 + rho)))
 
@@ -446,7 +446,7 @@ def sextic_wl_period(rho: float) -> float:
     comparison value only.
     """
     rho = float(rho)
-    if rho <= -1.0:
+    if not rho > -1.0:
         raise DomainError(f"requires rho > -1, got {rho!r}")
     inner = 4096.0 + 5120.0 * rho + 925.0 * rho * rho
     outer = 80.0 + 50.0 * rho + math.sqrt(inner)
@@ -462,7 +462,7 @@ def sextic_t4(rho: float) -> float:
     and by term-by-term agreement with sextic_series(rho, 4).
     """
     rho = float(rho)
-    if rho <= -1.6:
+    if not rho > -1.6:
         raise DomainError(f"requires rho > -8/5, got {rho!r}")
     numerator = (
         6097185.0 * rho**4
@@ -523,7 +523,7 @@ def sextic_exact_period(rho: float) -> float:
     dtheta / sqrt(1 + rho/(rho+3) (cos^2 + cos^4)).
     """
     rho = float(rho)
-    if rho <= -1.0:
+    if not rho > -1.0:
         raise DomainError(f"requires rho > -1, got {rho!r}")
     ratio = rho / (rho + 3.0)
 

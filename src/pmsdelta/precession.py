@@ -69,7 +69,8 @@ class OrbitParams:
 
     @property
     def semilatus_rectum(self) -> float:
-        return 2.0 / (self.z_plus + self.z_minus)
+        """a(1 - epsilon^2), equal to 2/(z+ + z-) and still defined for a = inf."""
+        return self.a * (1.0 - self.epsilon**2)
 
     @property
     def L(self) -> float:

@@ -9,8 +9,12 @@ moments.  The reference frequency omega is a free parameter; picking it so the
 partial sum is stationary (equivalently, so the last retained term vanishes)
 is what makes the truncated series accurate.
 
-Everything in this module is exact-coefficient arithmetic on polynomials in
-cos(theta): no numerical quadrature happens here.
+The moments are theta-means of Delta^n.  Delta^n is a polynomial of degree
+deg(Delta)*n in cos(theta), and the trapezoid rule on m equispaced nodes over
+[0, pi] is exact for every cos(k theta) with k < 2m (Trefethen and Weideman,
+SIAM Review 56 (2014) 385).  So Delta is sampled once on enough nodes, its
+powers are elementwise products of the samples, and each mean is exact up to
+rounding, with no cancellation between monomial coefficients.
 """
 
 from __future__ import annotations
@@ -240,23 +244,38 @@ def delta_of(spec: IntegrandSpec) -> TrigPolynomial:
     return spec.factor.scaled(1.0 / spec.omega**2).shifted(-1.0)
 
 
-def _moment_term(delta_power: TrigPolynomial, n: int, omega: float) -> float:
-    return half_binomial(n) * delta_power.integral() / omega
+def _series_terms(spec: IntegrandSpec, order: int) -> np.ndarray:
+    """Terms I_0..I_N from Delta sampled on the trapezoid nodes theta_j = j pi/m.
+
+    m = deg(Delta)*N//2 + 1 makes the rule exact for Delta^n, n <= N.  The
+    mean (p_0/2 + p_1 + ... + p_(m-1) + p_m/2)/m of all-ones samples is
+    exactly 1.0, so I_0 is pi/omega to the last bit.
+    """
+    if order < 0:
+        raise DomainError("expansion order must be >= 0")
+    if order > MAX_ORDER:
+        raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
+    delta = delta_of(spec)
+    m = delta.degree * order // 2 + 1
+    samples = delta.evaluate(np.linspace(0.0, math.pi, m + 1))
+    powers = np.empty((order + 1, m + 1))
+    powers[0] = 1.0
+    powers[1:] = samples
+    np.cumprod(powers, axis=0, out=powers)
+    means = (0.5 * (powers[:, 0] + powers[:, -1]) + powers[:, 1:-1].sum(axis=1)) / m
+    weights = [half_binomial(n) * math.pi for n in range(order + 1)]
+    return np.asarray(weights) * means / spec.omega
 
 
 def term(spec: IntegrandSpec, n: int) -> float:
     """n-th series term: (-1/2 choose n)/omega times the moment of Delta^n.
 
-    Exact in the sense that the only roundoff is coefficient arithmetic;
-    no quadrature is involved.  term(spec, 0) is pi/omega for every spec.
+    Shares the sampled engine with expand(); term(spec, 0) is pi/omega for
+    every spec.  Orders above MAX_ORDER are refused.
     """
     if n < 0:
         raise DomainError("term requires n >= 0")
-    delta = delta_of(spec)
-    power = TrigPolynomial([1.0])
-    for _ in range(n):
-        power = power * delta
-    return _moment_term(power, n, spec.omega)
+    return float(_series_terms(spec, n)[-1])
 
 
 def _kahan_sums(terms: Sequence[float]) -> tuple[float, ...]:
@@ -275,20 +294,11 @@ def _kahan_sums(terms: Sequence[float]) -> tuple[float, ...]:
 def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     """All terms and partial sums through the requested order.
 
-    Powers of Delta are built incrementally, so the cost is one polynomial
-    multiply per order.  Orders above MAX_ORDER are refused.
+    Delta is sampled once and all its powers come from one cumulative product
+    over the samples, so the cost is O(N^2 deg(Delta)) flops in a handful of
+    array operations.  Orders above MAX_ORDER are refused.
     """
-    if order < 0:
-        raise DomainError("expansion order must be >= 0")
-    if order > MAX_ORDER:
-        raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
-    delta = delta_of(spec)
-    terms = []
-    power = TrigPolynomial([1.0])
-    for n in range(order + 1):
-        terms.append(_moment_term(power, n, spec.omega))
-        if n < order:
-            power = power * delta
+    terms = _series_terms(spec, order).tolist()
     return SeriesExpansion(
         omega=spec.omega, terms=tuple(terms), partial_sums=_kahan_sums(terms)
     )
@@ -364,43 +374,20 @@ def pms_solve(
     return root
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Maximum value of f on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
-
-
-_BALANCE_GRID = np.linspace(0.0, math.pi, 2048)
-
-
 def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
-    """(max, min) of the polynomial over [0, pi]: dense grid plus local polish."""
-    values = poly.evaluate(_BALANCE_GRID)
-    step = _BALANCE_GRID[1]
+    """(max, min) of the polynomial over [0, pi].
 
-    def polish(idx: int, sign: float) -> float:
-        lo = max(_BALANCE_GRID[idx] - step, 0.0)
-        hi = min(_BALANCE_GRID[idx] + step, math.pi)
-        return sign * _golden_max(
-            lambda th: sign * float(poly.evaluate(th)), lo, hi, 1e-12
-        )
-
-    hi_val = polish(int(np.argmax(values)), 1.0)
-    lo_val = polish(int(np.argmin(values)), -1.0)
-    return hi_val, lo_val
+    In c = cos(theta) the polynomial lives on [-1, 1], so its extrema sit at
+    c = +-1 or at a real root of its derivative.  Real parts of every
+    derivative root are kept as candidates: a spurious one is still a point of
+    [-1, 1], and a double root that the eigenvalue solver splits into a
+    near-real pair is not lost.
+    """
+    coeffs = np.asarray(poly.coeffs)
+    roots = np.polynomial.polynomial.polyroots(coeffs[1:] * np.arange(1, coeffs.size))
+    nodes = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
+    values = np.polynomial.polynomial.polyval(nodes, coeffs)
+    return float(values.max()), float(values.min())
 
 
 def kappa_balance(

@@ -191,6 +191,12 @@ def test_precession_command_units(capsys):
     assert float(grab(out_a, "a_c")) == float(grab(out_r, "a_c"))
 
 
+def test_precession_infinite_axis_is_newtonian_limit(capsys):
+    code, out, err = run_cli(capsys, "precession", "--a", "inf")
+    assert code == 0 and err == ""
+    assert out.startswith("series=0\nexact=0\n")
+
+
 def test_precession_gm_from_mass_product(capsys):
     code, out, _ = run_cli(
         capsys, "precession", "--a", "300", "--mass", "1.97e30",

@@ -11,6 +11,7 @@ from pmsdelta.errors import (
     DivergentExpansion,
     DomainError,
     NoPeriodicMotion,
+    PmsDeltaError,
 )
 from pmsdelta.oracle import elliptic_k
 from pmsdelta.oscillators import (
@@ -204,6 +205,36 @@ def test_even_power_kappa_values():
     assert even_power_kappa_pms(5) == pytest.approx(63.0 / 128.0, rel=1e-15)
     assert even_power_kappa_balanced(3) == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert even_power_kappa_balanced(5) == pytest.approx(0.6, abs=1e-9)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_even_power_kappa_balanced_closed_form(K):
+    closed = (K + 1) / (2 * K)
+    assert abs(even_power_kappa_balanced(K) - closed) <= math.ulp(closed)
+
+
+NAN_RHO_CALLS = [
+    (duffing_period_series, (math.nan, 4)),
+    (sextic_series, (math.nan, 4)),
+    (duffing_omega_pms, (math.nan,)),
+    (duffing_exact_period, (math.nan,)),
+    (duffing_nayfeh_series, (math.nan, 4)),
+    (virial_omega_check, (math.nan,)),
+    (sextic_wl_period, (math.nan,)),
+    (sextic_t4, (math.nan,)),
+    (sextic_exact_period, (math.nan,)),
+    (even_power_series, (3, math.nan, 0.625, 4)),
+    (even_power_exact_period, (3, math.nan)),
+    (turning_points, (OscillatorModel.duffing(math.nan, 1.0),)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in NAN_RHO_CALLS]
+)
+def test_nan_rho_raises(fn, args):
+    with pytest.raises(PmsDeltaError):
+        fn(*args)
 
 
 def test_even_power_strong_coupling_k2_matches_elliptic():

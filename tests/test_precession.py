@@ -26,6 +26,7 @@ def test_orbit_params_derived_quantities():
     # 1/L = (z+ + z-)/2 = a(1 - eps^2) inverted.
     assert orbit.semilatus_rectum == pytest.approx(100.0 * 0.75, rel=1e-14)
     assert orbit.L == orbit.semilatus_rectum
+    assert OrbitParams(GM=1.0, a=math.inf, epsilon=0.5).semilatus_rectum == math.inf
 
 
 def test_orbit_params_validation():

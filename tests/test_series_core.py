@@ -1,6 +1,7 @@
 """Checks for the expansion engine: moments, terms, stationarity, balancing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pmsdelta.series_core import (
     MAX_ORDER,
     IntegrandSpec,
     TrigPolynomial,
+    _extrema,
     cos_moment,
     delta_of,
     expand,
@@ -192,7 +194,60 @@ def test_expand_order_limits():
         expand(spec, -1)
     with pytest.raises(OrderTooHigh):
         expand(spec, MAX_ORDER + 1)
+    with pytest.raises(OrderTooHigh):
+        term(spec, MAX_ORDER + 1)
     assert expand(spec, MAX_ORDER).order == MAX_ORDER
+
+
+def even_power_spec(big_k, rho, kappa):
+    """Even-power spec at unit amplitude with omega^2 = (1 + kappa rho)/2.
+
+    rho = inf gives the strong-coupling problem scaled by 1/rho.
+    """
+    if math.isinf(rho):
+        coeffs = [1.0 / (2 * big_k) if k % 2 == 0 else 0.0 for k in range(2 * big_k - 1)]
+        omega_sq = kappa / 2.0
+    else:
+        coeffs = [rho / (2 * big_k) if k % 2 == 0 else 0.0 for k in range(2 * big_k - 1)]
+        coeffs[0] += 0.5
+        omega_sq = (1.0 + kappa * rho) / 2.0
+    return IntegrandSpec(-1.0, 1.0, TrigPolynomial(coeffs), math.sqrt(omega_sq))
+
+
+def mpmath_term(spec, n):
+    """hb(n) pi/omega times the theta-mean of Delta^n, at 50 digits.
+
+    Uses the same float coefficients and omega as the package, and the
+    trapezoid rule on m = deg*n//2 + 1 intervals, which is exact for the
+    polynomial Delta^n.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c) for c in reversed(spec.factor.coeffs)]
+        omega = mpmath.mpf(spec.omega)
+        m = spec.factor.degree * n // 2 + 1
+        total = mpmath.mpf(0)
+        for j in range(m + 1):
+            delta = mpmath.polyval(coeffs, mpmath.cos(mpmath.pi * j / m)) / omega**2 - 1
+            total += delta**n / (2 if j in (0, m) else 1)
+        hb = Fraction((-1) ** n * math.comb(2 * n, n), 4**n)
+        return hb.numerator * mpmath.pi * total / (hb.denominator * m * omega)
+
+
+HIGH_ORDER_CASES = {
+    "K5-strong-balanced": (5, math.inf, 0.6),
+    "K3-rho-0.9-pms": (3, -0.9, 0.625),
+    "K2-rho-0.9-pms": (2, -0.9, 0.75),
+}
+
+
+@pytest.mark.parametrize("order", [32, 48, 64])
+@pytest.mark.parametrize("case", sorted(HIGH_ORDER_CASES))
+def test_high_order_terms_match_mpmath(case, order):
+    spec = even_power_spec(*HIGH_ORDER_CASES[case])
+    reference = mpmath_term(spec, order)
+    assert abs(term(spec, order) - reference) <= 1e-13 * abs(reference)
+    assert abs(expand(spec, order).terms[-1] - reference) <= 1e-13 * abs(reference)
 
 
 def test_omega_independence_of_limit():
@@ -274,6 +329,28 @@ def even_power_deviation(big_k):
         return TrigPolynomial(coeffs).shifted(-1.0)
 
     return family
+
+
+def exact_value(poly, c):
+    """Polynomial value at c in rational arithmetic, rounded once."""
+    return float(sum(Fraction(a) * Fraction(c) ** k for k, a in enumerate(poly.coeffs)))
+
+
+def test_extrema_cos2theta_profile():
+    poly = TrigPolynomial.from_harmonics([0.0, 0.0, 0.3])  # 0.3 cos(2 theta)
+    hi, lo = _extrema(poly)
+    assert hi == exact_value(poly, 1.0)
+    assert lo == exact_value(poly, 0.0)
+    assert (hi, lo) == pytest.approx((0.3, -0.3), abs=1e-16)
+
+
+def test_extrema_k5_strong_coupling_at_kappa_06():
+    poly = even_power_deviation(5)(0.6)
+    hi, lo = _extrema(poly)
+    # Extremes at theta = 0 (c = 1) and theta = pi/2 (c = 0).
+    assert abs(hi - exact_value(poly, 1.0)) <= math.ulp(hi)
+    assert lo == exact_value(poly, 0.0)
+    assert (hi, lo) == pytest.approx((2.0 / 3.0, -2.0 / 3.0), abs=1e-15)
 
 
 def test_kappa_balance_k5():
