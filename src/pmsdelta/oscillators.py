@@ -17,19 +17,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-import numpy as np
-
 from .errors import (
     BarrierCrossed,
     DivergentExpansion,
     DomainError,
-    NonPositiveMean,
     NoPeriodicMotion,
 )
 from .oracle import elliptic_k, integrate
 from .series_core import (
     IntegrandSpec,
     TrigPolynomial,
+    _pair_sum,
+    _reference_integral,
+    delta_of,
     expand,
     half_binomial,
     kappa_balance,
@@ -96,12 +96,9 @@ class OscillatorModel:
     @classmethod
     def even_power(cls, K: int, mu: float, amplitude: float) -> "OscillatorModel":
         """V(x) = x^2/2 + mu x^(2K)/(2K) at the given amplitude."""
-        if int(K) != K or K < 2:
-            raise DomainError(f"even-power exponent K must be an integer >= 2, got {K!r}")
+        K = _check_exponent(K)
         _require_positive_amplitude(amplitude)
-        return cls(
-            "even_power", {"K": int(K), "mu": float(mu)}, amplitude=float(amplitude)
-        )
+        return cls("even_power", {"K": K, "mu": float(mu)}, amplitude=float(amplitude))
 
     @classmethod
     def cubic(cls, x_minus: float, x_plus: float) -> "OscillatorModel":
@@ -110,12 +107,7 @@ class OscillatorModel:
         The pair (x-, x+) fixes both the cubic strength mu and the energy:
         mu = -(3/2)(x- + x+)/(x+^2 + x+ x- + x-^2) and E = V at either end.
         """
-        x_minus, x_plus = float(x_minus), float(x_plus)
-        if not x_minus < 0.0 < x_plus:
-            raise DomainError(
-                f"cubic turning points must straddle the origin, got "
-                f"({x_minus!r}, {x_plus!r})"
-            )
+        x_minus, x_plus = _cubic_points(x_minus, x_plus)
         s = x_minus + x_plus
         sigma = x_plus**2 + x_plus * x_minus + x_minus**2
         mu = -1.5 * s / sigma
@@ -167,13 +159,10 @@ class OscillatorModel:
         """V(x) = 1 - cos(x), truncated at the given Taylor order in x."""
         if taylor_order not in (2, 4, 6):
             raise DomainError(f"taylor_order must be 2, 4 or 6, got {taylor_order!r}")
-        amplitude = float(amplitude)
-        if not 0.0 < amplitude < math.pi:
-            raise DomainError(
-                f"pendulum amplitude must lie in (0, pi), got {amplitude!r}"
-            )
         return cls(
-            "pendulum", {"taylor_order": int(taylor_order)}, amplitude=amplitude
+            "pendulum",
+            {"taylor_order": int(taylor_order)},
+            amplitude=_check_pendulum_amplitude(amplitude),
         )
 
 
@@ -206,6 +195,39 @@ def _require_positive_amplitude(amplitude: float) -> None:
         raise DomainError(f"amplitude must be positive, got {amplitude!r}")
 
 
+def _check_pendulum_amplitude(amplitude: float) -> float:
+    amplitude = float(amplitude)
+    if not 0.0 < amplitude < math.pi:
+        raise DomainError(
+            f"pendulum amplitude must lie in (0, pi), got {amplitude!r}"
+        )
+    return amplitude
+
+
+def _check_exponent(K: int) -> int:
+    if int(K) != K or K < 2:
+        raise DomainError(f"even-power exponent K must be an integer >= 2, got {K!r}")
+    return int(K)
+
+
+def _check_rho(rho: float) -> float:
+    """rho as a float, refused unless -1 < rho < inf.
+
+    rho = inf is the strong-coupling limit, which only the general even-power
+    entry points expand (as sqrt(rho) T); elsewhere inf would come out as NaN.
+    """
+    rho = float(rho)
+    if not rho > -1.0:
+        raise NoPeriodicMotion(f"rho must exceed -1 for periodic motion, got {rho!r}")
+    if rho == math.inf:
+        raise DomainError(
+            "rho = inf is the strong-coupling limit; use "
+            "even_power_series(K, math.inf, kappa, order) or "
+            "even_power_exact_period(K, math.inf) for sqrt(rho) T"
+        )
+    return rho
+
+
 def _even_factor(K: int, rho: float) -> TrigPolynomial:
     """Factor polynomial of V = x^2/2 + mu x^(2K)/(2K) at unit amplitude.
 
@@ -227,13 +249,11 @@ def _strong_coupling_factor(K: int) -> TrigPolynomial:
     return TrigPolynomial(coeffs)
 
 
-def _even_rho(mu: float, amplitude: float, K: int) -> float:
-    rho = mu * amplitude ** (2 * K - 2)
-    if not rho > -1.0:
-        raise NoPeriodicMotion(
-            f"rho = mu*A^(2K-2) = {rho!r} must exceed -1 for periodic motion"
-        )
-    return rho
+def _even_power_factor(K: int, rho: float) -> TrigPolynomial:
+    """_even_factor at finite rho; the strong-coupling profile at rho = inf."""
+    if rho == math.inf:
+        return _strong_coupling_factor(K)
+    return _even_factor(K, _check_rho(rho))
 
 
 def _pendulum_factor(amplitude: float, taylor_order: int) -> TrigPolynomial:
@@ -258,10 +278,11 @@ def _pendulum_factor(amplitude: float, taylor_order: int) -> TrigPolynomial:
 def _cubic_factor(x_minus: float, x_plus: float) -> tuple[TrigPolynomial, float]:
     """Factor polynomial in theta for the cubic family, plus the ratio xi.
 
-    Validates that the pair brackets single-well periodic motion: the third
-    zero of the cubic must lie outside [x-, x+], or equivalently the energy
-    must stay below the barrier top.
+    Validates that the pair brackets single-well periodic motion: the points
+    lie on either side of the origin, the third zero of the cubic lies
+    outside [x-, x+], and equivalently the energy stays below the barrier top.
     """
+    x_minus, x_plus = _cubic_points(x_minus, x_plus)
     s = x_minus + x_plus
     p = x_minus * x_plus
     sigma = x_plus**2 + x_plus * x_minus + x_minus**2
@@ -296,6 +317,16 @@ def _cubic_factor(x_minus: float, x_plus: float) -> tuple[TrigPolynomial, float]
     return factor, xi
 
 
+def _cubic_points(x_minus: float, x_plus: float) -> tuple[float, float]:
+    x_minus, x_plus = float(x_minus), float(x_plus)
+    if not x_minus < 0.0 < x_plus:
+        raise DomainError(
+            f"cubic turning points must straddle the origin, got "
+            f"({x_minus!r}, {x_plus!r})"
+        )
+    return x_minus, x_plus
+
+
 def _quartic_cubic_factor(
     a2: float, a3: float, a4: float, x_minus: float, x_plus: float
 ) -> TrigPolynomial:
@@ -316,7 +347,7 @@ def turning_points(model: OscillatorModel) -> TurningPoints:
     if model.family in _EVEN_FAMILY_EXPONENT or model.family == "even_power":
         K = _EVEN_FAMILY_EXPONENT.get(model.family) or int(model.params["K"])
         amplitude = model.amplitude
-        rho = _even_rho(model.params["mu"], amplitude, K)
+        rho = _check_rho(model.params["mu"] * amplitude ** (2 * K - 2))
         return TurningPoints(-amplitude, amplitude, _even_factor(K, rho), rho)
     if model.family == "cubic":
         x_minus, x_plus = model.params["x_minus"], model.params["x_plus"]
@@ -347,13 +378,6 @@ def turning_points(model: OscillatorModel) -> TurningPoints:
 # ---------------------------------------------------------------------------
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not rho > -1.0:
-        raise NoPeriodicMotion(f"rho must exceed -1 for periodic motion, got {rho!r}")
-    return rho
-
-
 def duffing_omega_pms(rho: float) -> float:
     """First-order stationary frequency sqrt((4 + 3 rho)/8)."""
     rho = _check_rho(rho)
@@ -373,17 +397,12 @@ def duffing_period_series(rho: float, order: int) -> float:
         raise DomainError("order must be >= 0")
     xi = rho / (4.0 + 3.0 * rho)
     prefactor = 4.0 * math.pi / math.sqrt(4.0 + 3.0 * rho)
-    return prefactor * math.fsum(
-        (-1.0) ** n * half_binomial(n) * half_binomial(2 * n) * xi ** (2 * n)
-        for n in range(order + 1)
-    )
+    return prefactor * _pair_sum(xi, order)
 
 
 def duffing_exact_period(rho: float) -> float:
     """Exact period 4/sqrt(1+rho) K(rho/(2(1+rho))) via the AGM oracle."""
-    rho = float(rho)
-    if not rho > -1.0:
-        raise DomainError(f"exact period requires rho > -1, got {rho!r}")
+    rho = _check_rho(rho)
     return 4.0 / math.sqrt(1.0 + rho) * elliptic_k(rho / (2.0 * (1.0 + rho)))
 
 
@@ -407,16 +426,13 @@ def duffing_nayfeh_series(rho: float, order: int) -> float:
 def duffing_b0(order: int) -> float:
     """Strong-coupling frequency coefficient b0 from the order-N partial sum.
 
-    b0^(N) = sqrt(3) / (2 sum_{j<=N} (-1/9)^j hb(j) hb(2j)); the sequence
-    converges geometrically to the pure-quartic limit 2 pi/(sqrt(mu) T).
+    b0^(N) = sqrt(3) / (2 sum_{j<=N} (-1/9)^j hb(j) hb(2j)), the quartic pair
+    sum at xi = 1/3; the sequence converges geometrically to the pure-quartic
+    limit 2 pi/(sqrt(mu) T).
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    total = math.fsum(
-        (-1.0 / 9.0) ** j * half_binomial(j) * half_binomial(2 * j)
-        for j in range(order + 1)
-    )
-    return math.sqrt(3.0) / (2.0 * total)
+    return math.sqrt(3.0) / (2.0 * _pair_sum(1.0 / 3.0, order))
 
 
 def virial_omega_check(rho: float) -> tuple[float, float]:
@@ -445,9 +461,7 @@ def sextic_wl_period(rho: float) -> float:
     T = 24 pi / sqrt(80 + 50 rho + sqrt(4096 + 5120 rho + 925 rho^2));
     comparison value only.
     """
-    rho = float(rho)
-    if not rho > -1.0:
-        raise DomainError(f"requires rho > -1, got {rho!r}")
+    rho = _check_rho(rho)
     inner = 4096.0 + 5120.0 * rho + 925.0 * rho * rho
     outer = 80.0 + 50.0 * rho + math.sqrt(inner)
     return 24.0 * math.pi / math.sqrt(outer)
@@ -462,8 +476,8 @@ def sextic_t4(rho: float) -> float:
     and by term-by-term agreement with sextic_series(rho, 4).
     """
     rho = float(rho)
-    if not rho > -1.6:
-        raise DomainError(f"requires rho > -8/5, got {rho!r}")
+    if not -1.6 < rho < math.inf:
+        raise DomainError(f"requires -8/5 < rho < inf, got {rho!r}")
     numerator = (
         6097185.0 * rho**4
         + 37821440.0 * rho**3
@@ -522,9 +536,7 @@ def sextic_exact_period(rho: float) -> float:
     T = 2 sqrt(3)/sqrt(rho+3) * integral over [0, pi] of
     dtheta / sqrt(1 + rho/(rho+3) (cos^2 + cos^4)).
     """
-    rho = float(rho)
-    if not rho > -1.0:
-        raise DomainError(f"requires rho > -1, got {rho!r}")
+    rho = _check_rho(rho)
     ratio = rho / (rho + 3.0)
 
     def integrand(theta: float) -> float:
@@ -538,12 +550,6 @@ def sextic_exact_period(rho: float) -> float:
 # ---------------------------------------------------------------------------
 # General even-power family (V = x^2/2 + mu x^(2K)/(2K))
 # ---------------------------------------------------------------------------
-
-
-def _check_exponent(K: int) -> int:
-    if int(K) != K or K < 2:
-        raise DomainError(f"even-power exponent K must be an integer >= 2, got {K!r}")
-    return int(K)
 
 
 def even_power_kappa_pms(K: int) -> float:
@@ -575,13 +581,9 @@ def even_power_kappa_balanced(K: int) -> float:
 
 
 def _even_power_spec(K: int, rho: float, kappa: float) -> IntegrandSpec:
-    if math.isinf(rho) and rho > 0:
-        factor = _strong_coupling_factor(K)
-        omega_sq = kappa / 2.0
-    else:
-        rho = _check_rho(rho)
-        factor = _even_factor(K, rho)
-        omega_sq = (1.0 + kappa * rho) / 2.0
+    factor = _even_power_factor(K, rho)
+    # At rho = inf the factor is R/rho, so the reference omega^2 is too.
+    omega_sq = kappa / 2.0 if rho == math.inf else (1.0 + kappa * rho) / 2.0
     if omega_sq <= 0.0:
         raise DomainError(
             f"omega^2 = (1 + kappa rho)/2 = {omega_sq!r} must be positive"
@@ -598,12 +600,15 @@ def even_power_series(K: int, rho: float, kappa: float, order: int) -> float:
     c0^(N) = lim sqrt(rho) T.  Emits a DivergentExpansion warning when the
     deviation polynomial reaches magnitude 1 somewhere on [0, pi], in which
     case the partial sums are not expected to converge.
+
+    Every cos^(2j) coefficient of Delta with j >= 1 carries the sign of rho
+    (all are positive at rho = inf), so Delta is monotone in cos^2(theta) and
+    max |Delta| is exact from its values at cos^2 = 0 and cos^2 = 1.
     """
     K = _check_exponent(K)
     spec = _even_power_spec(K, rho, kappa)
-    deviation = spec.factor.scaled(1.0 / spec.omega**2).shifted(-1.0)
-    grid = np.linspace(0.0, math.pi, 2048)
-    max_dev = float(np.max(np.abs(deviation.evaluate(grid))))
+    coeffs = delta_of(spec).coeffs
+    max_dev = max(abs(coeffs[0]), abs(math.fsum(coeffs)))
     if max_dev >= 1.0:
         warnings.warn(
             f"max |Delta| = {max_dev:.6f} >= 1 at kappa = {kappa!r}: "
@@ -622,17 +627,7 @@ def even_power_exact_period(K: int, rho: float) -> float:
     g = sum_{j<K} cos^(2j).
     """
     K = _check_exponent(K)
-    if math.isinf(rho) and rho > 0:
-        factor = _strong_coupling_factor(K)
-    else:
-        rho = _check_rho(rho)
-        factor = _even_factor(K, rho)
-
-    def integrand(theta: float) -> float:
-        return 1.0 / math.sqrt(float(factor.evaluate(theta)))
-
-    result = integrate(integrand, 0.0, math.pi, abs_tol=1e-13)
-    return math.sqrt(2.0) * result.value
+    return math.sqrt(2.0) * _reference_integral(_even_power_factor(K, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -650,40 +645,15 @@ def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    x_minus, x_plus = float(x_minus), float(x_plus)
-    if not x_minus < 0.0 < x_plus:
-        raise DomainError(
-            f"cubic turning points must straddle the origin, got "
-            f"({x_minus!r}, {x_plus!r})"
-        )
     factor, xi = _cubic_factor(x_minus, x_plus)
     omega = pms_first_order(factor)
-    return (
-        math.sqrt(2.0)
-        * math.pi
-        / omega
-        * math.fsum(
-            (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
-            for j in range(order + 1)
-        )
-    )
+    return math.sqrt(2.0) * math.pi / omega * _pair_sum(xi, order)
 
 
 def cubic_exact_period(x_minus: float, x_plus: float) -> float:
     """Exact cubic-well period: sqrt(2) times the quadrature of 1/sqrt(R)."""
-    x_minus, x_plus = float(x_minus), float(x_plus)
-    if not x_minus < 0.0 < x_plus:
-        raise DomainError(
-            f"cubic turning points must straddle the origin, got "
-            f"({x_minus!r}, {x_plus!r})"
-        )
     factor, _ = _cubic_factor(x_minus, x_plus)
-
-    def integrand(theta: float) -> float:
-        return 1.0 / math.sqrt(float(factor.evaluate(theta)))
-
-    result = integrate(integrand, 0.0, math.pi, abs_tol=1e-13)
-    return math.sqrt(2.0) * result.value
+    return math.sqrt(2.0) * _reference_integral(factor)
 
 
 def quartic_cubic_pms(
@@ -693,23 +663,19 @@ def quartic_cubic_pms(
 
     Returns (omega, T0, T2): the first-order stationary frequency, the
     zeroth-order period sqrt(2) pi/omega, and the second-order period
-    sqrt(2) (I0 + I2) from the generic expansion.
+    sqrt(2) (I0 + I2) from the generic expansion.  A factor with no positive
+    mean, or one that is not positive between the turning points, raises
+    NoPeriodicMotion.
     """
     model = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus)
-    points = turning_points(model)
-    grid = np.linspace(0.0, math.pi, 512)
-    if not np.all(points.factor.evaluate(grid) > 0.0):
-        raise NoPeriodicMotion(
-            "factor polynomial is not positive between the turning points"
-        )
     try:
-        omega = pms_first_order(points.factor)
-    except NonPositiveMean as exc:
+        spec = turning_points(model).spec_at()
+    except DomainError as exc:
         raise NoPeriodicMotion(str(exc)) from exc
-    series = expand(points.spec_at(omega), 2)
+    series = expand(spec, 2)
     t0 = math.sqrt(2.0) * series.partial_sums[0]
     t2 = math.sqrt(2.0) * series.value
-    return omega, t0, t2
+    return spec.omega, t0, t2
 
 
 def quartic_cubic_exact_period(
@@ -717,13 +683,7 @@ def quartic_cubic_exact_period(
 ) -> float:
     """Exact period of the quartic-cubic potential by adaptive quadrature."""
     model = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus)
-    points = turning_points(model)
-
-    def integrand(theta: float) -> float:
-        return 1.0 / math.sqrt(float(points.factor.evaluate(theta)))
-
-    result = integrate(integrand, 0.0, math.pi, abs_tol=1e-13)
-    return math.sqrt(2.0) * result.value
+    return math.sqrt(2.0) * _reference_integral(turning_points(model).factor)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +693,7 @@ def quartic_cubic_exact_period(
 
 def pendulum_exact(amplitude: float) -> float:
     """Exact pendulum period 4 K(sin^2(A/2)) via the AGM oracle."""
-    amplitude = float(amplitude)
-    if not 0.0 < amplitude < math.pi:
-        raise DomainError(
-            f"pendulum amplitude must lie in (0, pi), got {amplitude!r}"
-        )
+    amplitude = _check_pendulum_amplitude(amplitude)
     return 4.0 * elliptic_k(math.sin(0.5 * amplitude) ** 2)
 
 

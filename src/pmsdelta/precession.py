@@ -20,8 +20,8 @@ from .errors import (
     DomainError,
     ThirdRootInsideInterval,
 )
-from .oracle import find_root, integrate
-from .series_core import TrigPolynomial, half_binomial
+from .oracle import find_root
+from .series_core import TrigPolynomial, _pair_sum, _reference_integral
 
 __all__ = [
     "OrbitParams",
@@ -117,11 +117,7 @@ def precession_series(orbit: OrbitParams, order: int) -> float:
             DivergentExpansion,
             stacklevel=2,
         )
-    total = math.fsum(
-        (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
-        for j in range(order + 1)
-    )
-    return 2.0 * math.pi * (total / omega - 1.0)
+    return 2.0 * math.pi * (_pair_sum(xi, order) / omega - 1.0)
 
 
 def precession_exact(orbit: OrbitParams) -> float:
@@ -142,12 +138,7 @@ def precession_exact(orbit: OrbitParams) -> float:
             f"{orbit.a!r} is below the critical value for GM = {orbit.GM!r}, "
             f"eccentricity {orbit.epsilon!r}"
         )
-
-    def integrand(theta: float) -> float:
-        return 1.0 / math.sqrt(float(factor.evaluate(theta)))
-
-    result = integrate(integrand, 0.0, math.pi, abs_tol=1e-13)
-    return 2.0 * result.value - 2.0 * math.pi
+    return 2.0 * _reference_integral(factor) - 2.0 * math.pi
 
 
 def critical_semimajor_axis(GM: float, epsilon: float) -> float:

@@ -20,7 +20,6 @@ rounding, with no cancellation between monomial coefficients.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .errors import (
     OrderTooHigh,
     ToleranceNotMet,
 )
-from .oracle import find_root
+from .oracle import find_root, integrate
 
 __all__ = [
     "MAX_ORDER",
@@ -178,8 +177,11 @@ class IntegrandSpec:
                      substitution, as a TrigPolynomial.
     omega:           reference frequency of the harmonic comparison term.
     regular:         when True (default) the factor is checked to be strictly
-                     positive on a dense theta grid; pass False for integrals
-                     that are knowingly evaluated outside that regime.
+                     positive on a 512-point theta grid; pass False for
+                     integrals that are knowingly evaluated outside that
+                     regime.  This is the package's one generic positivity
+                     check: the families build their specs here rather than
+                     sampling the factor again.
     """
 
     x_minus: float
@@ -304,6 +306,34 @@ def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     )
 
 
+def _pair_sum(xi: float, order: int) -> float:
+    """Pair sum sum_{j<=order} (-1)^j hb(j) hb(2j) xi^(2j).
+
+    It is the series for Delta = xi cos(k theta): the theta-mean of cos^(2j)
+    is (-1)^j hb(j) and odd powers average to zero, so only even terms
+    survive, and pair j is the Delta-order-2j term times omega/pi.  The
+    quartic, cubic and precession families all reduce to it at their
+    stationary frequencies.
+    """
+    return math.fsum(
+        (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
+        for j in range(order + 1)
+    )
+
+
+def _reference_integral(factor: TrigPolynomial) -> float:
+    """Integral of dtheta/sqrt(R(theta)) over [0, pi] by the independent oracle.
+
+    This is the exact value every expansion of the same factor converges to;
+    the caller guarantees that R stays positive on [0, pi].
+    """
+
+    def integrand(theta: float) -> float:
+        return 1.0 / math.sqrt(float(factor.evaluate(theta)))
+
+    return integrate(integrand, 0.0, math.pi, abs_tol=1e-13).value
+
+
 def pms_derivative_check(spec: IntegrandSpec, order: int) -> float:
     """Analytic derivative of the order-N partial sum with respect to omega.
 
@@ -329,19 +359,6 @@ def pms_first_order(factor: TrigPolynomial) -> float:
     return math.sqrt(mean)
 
 
-def _pms_abs_tol() -> float:
-    raw = os.environ.get("PMS_ABS_TOL")
-    if raw is None:
-        return 1e-12
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"PMS_ABS_TOL must be a number, got {raw!r}") from exc
-    if value <= 0.0:
-        raise DomainError("PMS_ABS_TOL must be positive")
-    return value
-
-
 def pms_solve(
     spec_family: Callable[[float], IntegrandSpec],
     order: int,
@@ -352,8 +369,7 @@ def pms_solve(
     spec_family maps a candidate omega to the corresponding IntegrandSpec.
     The bracket must straddle a sign change of the order-N term.  The root
     is refined to machine-adjacent floats and then required to satisfy
-    |I_N| < tol * pi/omega with tol = 1e-12 (override via the PMS_ABS_TOL
-    environment variable).
+    |I_N| < 1e-12 * pi/omega.
     """
     if order < 0 or order % 2 == 0:
         raise DomainError(f"stationarity is solved at odd orders, got {order}")
@@ -366,7 +382,7 @@ def pms_solve(
 
     root = find_root(last_term, lo, hi, tol=0.0)
     residual = abs(last_term(root))
-    ceiling = _pms_abs_tol() * math.pi / root
+    ceiling = 1e-12 * math.pi / root
     if residual > ceiling:
         raise ToleranceNotMet(
             f"|I_{order}| = {residual:.3e} at omega = {root!r} exceeds {ceiling:.3e}"
@@ -381,8 +397,10 @@ def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
     c = +-1 or at a real root of its derivative.  Real parts of every
     derivative root are kept as candidates: a spurious one is still a point of
     [-1, 1], and a double root that the eigenvalue solver splits into a
-    near-real pair is not lost.
+    near-real pair is not lost.  A constant has no derivative to solve.
     """
+    if poly.degree == 0:
+        return poly.coeffs[0], poly.coeffs[0]
     coeffs = np.asarray(poly.coeffs)
     roots = np.polynomial.polynomial.polyroots(coeffs[1:] * np.arange(1, coeffs.size))
     nodes = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))

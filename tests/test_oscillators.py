@@ -237,9 +237,53 @@ def test_nan_rho_raises(fn, args):
         fn(*args)
 
 
+# rho = inf is the strong-coupling limit; only the even-power entry points
+# expand it, everything else refuses it instead of returning NaN or inf.
+INF_RHO_CALLS = [
+    (duffing_period_series, (math.inf, 4)),
+    (sextic_series, (math.inf, 4)),
+    (duffing_omega_pms, (math.inf,)),
+    (duffing_exact_period, (math.inf,)),
+    (duffing_nayfeh_series, (math.inf, 4)),
+    (virial_omega_check, (math.inf,)),
+    (sextic_wl_period, (math.inf,)),
+    (sextic_t4, (math.inf,)),
+    (sextic_exact_period, (math.inf,)),
+    (turning_points, (OscillatorModel.duffing(math.inf, 1.0),)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in INF_RHO_CALLS]
+)
+def test_inf_rho_raises(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+def test_inf_rho_belongs_to_the_even_power_entry_points():
+    with pytest.raises(DomainError, match=r"even_power_series\(K, math.inf"):
+        duffing_period_series(math.inf, 4)
+    assert math.isfinite(even_power_series(3, math.inf, 0.625, 4))
+    assert math.isfinite(even_power_exact_period(3, math.inf))
+
+
 def test_even_power_strong_coupling_k2_matches_elliptic():
     c0 = even_power_exact_period(2, math.inf)
     assert c0 == pytest.approx(4.0 * elliptic_k(0.5), rel=1e-11)
+
+
+def test_even_power_divergence_warning_uses_exact_max_delta():
+    # K = 2, rho = -0.9: Delta peaks at theta = pi/2, which no even-sized
+    # equispaced grid over [0, pi] samples.  1 + kappa rho = 0.55/(2 +- 1e-7)
+    # puts that peak 1e-7 above or below 1.
+    above = (1.0 - 0.55 / (2.0 + 1e-7)) / 0.9
+    below = (1.0 - 0.55 / (2.0 - 1e-7)) / 0.9
+    with pytest.warns(DivergentExpansion):
+        even_power_series(2, -0.9, above, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        even_power_series(2, -0.9, below, 4)
 
 
 def test_even_power_k5_divergence_and_balance():
@@ -291,6 +335,14 @@ def test_quartic_cubic_pms_improves_with_order():
     print(f"quartic-cubic: T0 err {err0:.3e}, T2 err {err2:.3e}, exact {exact:.12f}")
     assert err2 < err0
     assert err2 < 1e-3
+
+
+@pytest.mark.parametrize("a4", [-0.3, -0.4])
+def test_quartic_cubic_pms_rejects_barrier_crossing(a4):
+    # R = 0.5 + a4 + a4 cos^2: negative at theta = 0 with a positive mean
+    # (a4 = -0.3), or with a negative mean (a4 = -0.4).
+    with pytest.raises(NoPeriodicMotion):
+        quartic_cubic_pms(0.5, 0.0, a4, -1.0, 1.0)
 
 
 def test_quartic_cubic_embeds_cubic_frequency():

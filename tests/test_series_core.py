@@ -310,15 +310,6 @@ def test_pms_solve_rejects_even_order_and_bad_bracket():
         pms_solve(lambda w: duffing_spec(1.0, w), 1, (2.0, 3.0))
 
 
-def test_pms_solve_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("PMS_ABS_TOL", "1e-6")
-    root = pms_solve(lambda w: duffing_spec(4.0, w), 1, (0.5, 3.0))
-    assert root == pytest.approx(math.sqrt(2.0), rel=1e-10)
-    monkeypatch.setenv("PMS_ABS_TOL", "not-a-number")
-    with pytest.raises(DomainError):
-        pms_solve(lambda w: duffing_spec(4.0, w), 1, (0.5, 3.0))
-
-
 def even_power_deviation(big_k):
     """Strong-coupling deviation family for V ~ x^(2K): Delta = g/(K kappa) - 1."""
 
@@ -376,6 +367,13 @@ def test_kappa_balance_degenerate_case():
     with pytest.warns(AlreadyBalanced):
         kappa = kappa_balance(family, (0.2, 0.8))
     assert kappa == pytest.approx(0.5, abs=1e-15)
+
+
+def test_kappa_balance_constant_family():
+    # A constant Delta has no derivative roots; its extrema are the constant.
+    assert _extrema(TrigPolynomial([0.25])) == (0.25, 0.25)
+    kappa = kappa_balance(lambda k: TrigPolynomial([k - 0.5]), (0.0, 1.0))
+    assert kappa == 0.5
 
 
 def test_kappa_balance_no_sign_change():
