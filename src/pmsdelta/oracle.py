@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateFit,
     DomainError,
@@ -32,14 +30,32 @@ __all__ = [
     "fit_log_linear",
 ]
 
-# Embedded low/high order Gauss-Legendre pair, one panel evaluation each.
-# leggauss is machine-exact; 15 points integrate polynomials through degree 29.
-# Converted to plain floats so results stay native Python floats.
-_LOW_NODES, _LOW_WEIGHTS = (
-    tuple(map(float, arr)) for arr in np.polynomial.legendre.leggauss(7)
+# Embedded low/high order Gauss-Legendre pair, one panel evaluation each:
+# the nodes and weights of numpy.polynomial.legendre.leggauss(7) and (15),
+# which are machine-exact, written out so that importing the oracle does not
+# load numpy.  15 points integrate polynomials through degree 29.
+_LOW_NODES = (
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
 )
-_HIGH_NODES, _HIGH_WEIGHTS = (
-    tuple(map(float, arr)) for arr in np.polynomial.legendre.leggauss(15)
+_LOW_WEIGHTS = (
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+    0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+    0.12948496616886973,
+)
+_HIGH_NODES = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854,
+)
+_HIGH_WEIGHTS = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
 )
 _PANEL_COST = len(_LOW_NODES) + len(_HIGH_NODES)
 
@@ -169,11 +185,14 @@ def elliptic_k(m: float) -> float:
     """
     if not m < 1.0:
         raise DomainError(f"elliptic_k requires m < 1, got {m!r}")
-    x = 1.0
-    y = math.sqrt(1.0 - m)
+    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
+
+
+def _agm(x: float, y: float) -> float:
+    """Arithmetic-geometric mean of x, y > 0, iterated to 2 ulp agreement."""
     while abs(x - y) > 2.0 * math.ulp(x):
         x, y = 0.5 * (x + y), math.sqrt(x * y)
-    return math.pi / (2.0 * x)
+    return x
 
 
 def find_root(
@@ -240,6 +259,8 @@ def fit_log_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     beta (so the fitted line is -alpha - beta*n) and the RMS residual in
     ln space.  Raises DegenerateFit when every n coincides.
     """
+    import numpy as np
+
     if len(points) < 2:
         raise DomainError("need at least 2 points to fit")
     ns = np.array([float(n) for n, _ in points])

@@ -23,10 +23,11 @@ from .errors import (
     DomainError,
     NoPeriodicMotion,
 )
-from .oracle import elliptic_k, integrate
+from .oracle import _agm, elliptic_k, integrate
 from .series_core import (
     IntegrandSpec,
     TrigPolynomial,
+    _extrema,
     _pair_sum,
     _reference_integral,
     delta_of,
@@ -656,6 +657,27 @@ def cubic_exact_period(x_minus: float, x_plus: float) -> float:
     return math.sqrt(2.0) * _reference_integral(factor)
 
 
+def _quartic_cubic_spec(
+    a2: float, a3: float, a4: float, x_minus: float, x_plus: float
+) -> IntegrandSpec:
+    """First-order spec, or NoPeriodicMotion for a factor that is not positive.
+
+    The factor's minimum over [0, pi] is taken exactly: the spec's 512-node
+    grid alone misses a dip below zero between its nodes.
+    """
+    points = turning_points(OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus))
+    _, lowest = _extrema(points.factor)
+    if not lowest > 0.0:
+        raise BarrierCrossed(
+            f"factor falls to {lowest!r} between the turning points; "
+            "the particle crosses a barrier"
+        )
+    try:
+        return points.spec_at()
+    except DomainError as exc:
+        raise NoPeriodicMotion(str(exc)) from exc
+
+
 def quartic_cubic_pms(
     a2: float, a3: float, a4: float, x_minus: float, x_plus: float
 ) -> tuple[float, float, float]:
@@ -667,11 +689,7 @@ def quartic_cubic_pms(
     mean, or one that is not positive between the turning points, raises
     NoPeriodicMotion.
     """
-    model = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus)
-    try:
-        spec = turning_points(model).spec_at()
-    except DomainError as exc:
-        raise NoPeriodicMotion(str(exc)) from exc
+    spec = _quartic_cubic_spec(a2, a3, a4, x_minus, x_plus)
     series = expand(spec, 2)
     t0 = math.sqrt(2.0) * series.partial_sums[0]
     t2 = math.sqrt(2.0) * series.value
@@ -681,9 +699,12 @@ def quartic_cubic_pms(
 def quartic_cubic_exact_period(
     a2: float, a3: float, a4: float, x_minus: float, x_plus: float
 ) -> float:
-    """Exact period of the quartic-cubic potential by adaptive quadrature."""
-    model = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus)
-    return math.sqrt(2.0) * _reference_integral(turning_points(model).factor)
+    """Exact period of the quartic-cubic potential by adaptive quadrature.
+
+    Raises NoPeriodicMotion on the same inputs as quartic_cubic_pms.
+    """
+    spec = _quartic_cubic_spec(a2, a3, a4, x_minus, x_plus)
+    return math.sqrt(2.0) * _reference_integral(spec.factor)
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +713,13 @@ def quartic_cubic_exact_period(
 
 
 def pendulum_exact(amplitude: float) -> float:
-    """Exact pendulum period 4 K(sin^2(A/2)) via the AGM oracle."""
+    """Exact pendulum period 4 K(sin^2(A/2)) via the AGM oracle.
+
+    Computed as 2 pi / agm(1, cos(A/2)) (DLMF 19.8.5): the complementary
+    modulus cos(A/2) keeps its digits as A -> pi, where sin^2(A/2) rounds to 1.
+    """
     amplitude = _check_pendulum_amplitude(amplitude)
-    return 4.0 * elliptic_k(math.sin(0.5 * amplitude) ** 2)
+    return 2.0 * math.pi / _agm(1.0, math.cos(0.5 * amplitude))
 
 
 def pendulum_approx(amplitude: float, taylor_order: int, series_order: int) -> float:

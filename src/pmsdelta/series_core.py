@@ -24,9 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     AlreadyBalanced,
@@ -37,6 +35,9 @@ from .errors import (
     ToleranceNotMet,
 )
 from .oracle import find_root, integrate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_ORDER",
@@ -59,7 +60,13 @@ __all__ = [
 # polynomial degrees grow without buying accuracy at 64-bit precision.
 MAX_ORDER = 64
 
-_POSITIVITY_GRID = np.linspace(0.0, math.pi, 512)
+
+@lru_cache(maxsize=None)
+def _positivity_grid() -> "np.ndarray":
+    """512 theta nodes on [0, pi], built on first use: only specs need numpy."""
+    import numpy as np
+
+    return np.linspace(0.0, math.pi, 512)
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +129,23 @@ class TrigPolynomial:
         return self.coeffs == (0.0,)
 
     def evaluate(self, theta):
-        """Value at theta; accepts a scalar or an ndarray."""
+        """Value at theta; accepts a scalar or an ndarray.
+
+        A real scalar stays in pure Python: math.cos, then Horner's rule in
+        the order of numpy's polyval, so it gives the same bits as the array
+        path without numpy's per-call overhead.  A non-finite scalar raises
+        DomainError.
+        """
+        if isinstance(theta, (int, float)):
+            if not math.isfinite(theta):
+                raise DomainError(f"theta must be finite, got {theta!r}")
+            x = math.cos(theta)
+            value = 0.0
+            for c in reversed(self.coeffs):
+                value = c + value * x
+            return value
+        import numpy as np
+
         return np.polynomial.polynomial.polyval(np.cos(theta), self.coeffs)
 
     def integral(self) -> float:
@@ -155,16 +178,22 @@ class TrigPolynomial:
 
     def to_harmonics(self) -> tuple[float, ...]:
         """Coefficients a_k of the equivalent sum_k a_k cos(k theta)."""
+        import numpy as np
+
         return tuple(float(c) for c in np.polynomial.chebyshev.poly2cheb(self.coeffs))
 
     @classmethod
     def from_harmonics(cls, harmonics: Sequence[float]) -> "TrigPolynomial":
         """Build from coefficients of cos(k theta)."""
+        import numpy as np
+
         return cls(np.polynomial.chebyshev.cheb2poly(list(harmonics)))
 
 
 def trig_multiply(p: TrigPolynomial, q: TrigPolynomial) -> TrigPolynomial:
     """Product polynomial; plain coefficient convolution."""
+    import numpy as np
+
     return TrigPolynomial(np.convolve(p.coeffs, q.coeffs))
 
 
@@ -199,8 +228,8 @@ class IntegrandSpec:
         if not self.omega > 0.0:
             raise DomainError(f"omega must be positive, got {self.omega!r}")
         if self.regular:
-            values = self.factor.evaluate(_POSITIVITY_GRID)
-            if not np.all(values > 0.0):
+            values = self.factor.evaluate(_positivity_grid())
+            if not (values > 0.0).all():
                 raise DomainError(
                     "factor polynomial is not strictly positive on [0, pi]; "
                     "construct with regular=False to bypass"
@@ -246,7 +275,7 @@ def delta_of(spec: IntegrandSpec) -> TrigPolynomial:
     return spec.factor.scaled(1.0 / spec.omega**2).shifted(-1.0)
 
 
-def _series_terms(spec: IntegrandSpec, order: int) -> np.ndarray:
+def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
     """Terms I_0..I_N from Delta sampled on the trapezoid nodes theta_j = j pi/m.
 
     m = deg(Delta)*N//2 + 1 makes the rule exact for Delta^n, n <= N.  The
@@ -257,6 +286,8 @@ def _series_terms(spec: IntegrandSpec, order: int) -> np.ndarray:
         raise DomainError("expansion order must be >= 0")
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
+    import numpy as np
+
     delta = delta_of(spec)
     m = delta.degree * order // 2 + 1
     samples = delta.evaluate(np.linspace(0.0, math.pi, m + 1))
@@ -329,7 +360,7 @@ def _reference_integral(factor: TrigPolynomial) -> float:
     """
 
     def integrand(theta: float) -> float:
-        return 1.0 / math.sqrt(float(factor.evaluate(theta)))
+        return 1.0 / math.sqrt(factor.evaluate(theta))
 
     return integrate(integrand, 0.0, math.pi, abs_tol=1e-13).value
 
@@ -401,6 +432,8 @@ def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
     """
     if poly.degree == 0:
         return poly.coeffs[0], poly.coeffs[0]
+    import numpy as np
+
     coeffs = np.asarray(poly.coeffs)
     roots = np.polynomial.polynomial.polyroots(coeffs[1:] * np.arange(1, coeffs.size))
     nodes = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -240,6 +241,31 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("order,period\n")
+
+
+def test_scalar_commands_do_not_load_numpy():
+    # numpy is imported only by code that vectorizes; closed-form series,
+    # quadrature references and the precession table never reach it.
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import pmsdelta, pmsdelta.cli
+        for argv in (
+            "period duffing --rho 0.5 --order 6 --exact",
+            "period sextic --rho -0.9 --order 8 --exact",
+            "period cubic --x-minus -0.8 --x-plus 1.3 --order 10 --exact",
+            "precession --a 500",
+            "convergence precession",
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert pmsdelta.cli.main(argv.split()) == 0, argv
+        assert "numpy" not in sys.modules, "numpy was imported"
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_repeated_invocations_byte_identical():

@@ -12,7 +12,20 @@ from pmsdelta.errors import (
     NoSignChange,
     ToleranceNotMet,
 )
+from pmsdelta import oracle
 from pmsdelta.oracle import elliptic_k, find_root, fit_log_linear, integrate
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    for n, nodes, weights in (
+        (7, oracle._LOW_NODES, oracle._LOW_WEIGHTS),
+        (15, oracle._HIGH_NODES, oracle._HIGH_WEIGHTS),
+    ):
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(np.array(nodes).view(np.uint64), ref_nodes.view(np.uint64))
+        assert np.array_equal(
+            np.array(weights).view(np.uint64), ref_weights.view(np.uint64)
+        )
 
 
 def test_integrate_known_values():

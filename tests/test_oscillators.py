@@ -340,9 +340,20 @@ def test_quartic_cubic_pms_improves_with_order():
 @pytest.mark.parametrize("a4", [-0.3, -0.4])
 def test_quartic_cubic_pms_rejects_barrier_crossing(a4):
     # R = 0.5 + a4 + a4 cos^2: negative at theta = 0 with a positive mean
-    # (a4 = -0.3), or with a negative mean (a4 = -0.4).
+    # (a4 = -0.3), or with a negative mean (a4 = -0.4).  The exact period
+    # refuses the same inputs with the same error.
     with pytest.raises(NoPeriodicMotion):
         quartic_cubic_pms(0.5, 0.0, a4, -1.0, 1.0)
+    with pytest.raises(NoPeriodicMotion):
+        quartic_cubic_exact_period(0.5, 0.0, a4, -1.0, 1.0)
+
+
+def test_quartic_cubic_rejects_dip_between_grid_nodes():
+    # R = cos^2 - 1e-6 is negative only for |theta - pi/2| < 1e-3, which lies
+    # between two nodes of the 512-point positivity grid.
+    for fn in (quartic_cubic_pms, quartic_cubic_exact_period):
+        with pytest.raises(NoPeriodicMotion):
+            fn(-1.000001, 0.0, 1.0, -1.0, 1.0)
 
 
 def test_quartic_cubic_embeds_cubic_frequency():
@@ -364,6 +375,19 @@ def test_pendulum_exact():
         pendulum_exact(math.pi)
     with pytest.raises(DomainError):
         pendulum_exact(0.0)
+
+
+@pytest.mark.parametrize(
+    "amplitude", [0.3, 1.0, 2.0, 3.0, math.pi - 1e-6, math.pi - 1e-9]
+)
+def test_pendulum_exact_matches_mpmath(amplitude):
+    # Near pi, sin^2(A/2) rounds to 1; the complementary modulus cos(A/2)
+    # keeps the period to rounding.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(amplitude)
+        reference = float(4 * mpmath.ellipk(mpmath.sin(a / 2) ** 2))
+    assert pendulum_exact(amplitude) == pytest.approx(reference, rel=1e-14)
 
 
 def test_pendulum_taylor2_is_flat():

@@ -86,6 +86,23 @@ def test_trig_polynomial_basics():
     assert p.evaluate(0.3) == pytest.approx(1.0 + 2.0 * math.cos(0.3) ** 2, abs=1e-14)
 
 
+def test_scalar_evaluate_matches_array_path_bitwise():
+    # The scalar path (math.cos, Horner in Python) and numpy's polyval must
+    # agree to the bit, signed zeros included.
+    rng = np.random.default_rng(7)
+    theta = np.concatenate(([0.0, math.pi / 2.0, math.pi], rng.uniform(0.0, math.pi, 1000)))
+    for degree in range(13):
+        p = TrigPolynomial(rng.uniform(-2.0, 2.0, degree + 1))
+        scalar = np.array([p.evaluate(float(t)) for t in theta])
+        assert np.array_equal(scalar.view(np.uint64), p.evaluate(theta).view(np.uint64))
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_scalar_evaluate_rejects_non_finite_theta(theta):
+    with pytest.raises(DomainError):
+        TrigPolynomial([1.0, 0.5]).evaluate(theta)
+
+
 def test_harmonic_conversion_round_trip():
     # cos(2 theta) = 2 cos^2 theta - 1.
     p = TrigPolynomial.from_harmonics([0.0, 0.0, 1.0])
