@@ -18,7 +18,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence, TextIO
+from functools import partial
+from typing import Callable, Sequence, TextIO
 
 from .analysis import (
     ConvergenceStudy,
@@ -87,12 +88,14 @@ def _study_payload(study: ConvergenceStudy) -> dict:
 # ---------------------------------------------------------------- period --
 
 
-def _period_rows(args: argparse.Namespace) -> tuple[list[float], float]:
-    orders = range(args.order + 1)
+def _period_functions(args: argparse.Namespace) -> tuple[Callable, Callable]:
+    """(order -> series value, () -> oracle value) for the requested model."""
     if args.model == "duffing":
-        return [duffing_period_series(args.rho, n) for n in orders], duffing_exact_period(args.rho)
+        return (partial(duffing_period_series, args.rho),
+                partial(duffing_exact_period, args.rho))
     if args.model == "sextic":
-        return [sextic_series(args.rho, n) for n in orders], sextic_exact_period(args.rho)
+        return (partial(sextic_series, args.rho),
+                partial(sextic_exact_period, args.rho))
     if args.model == "even-power":
         K = args.exponent
         if args.kappa == "pms":
@@ -101,21 +104,23 @@ def _period_rows(args: argparse.Namespace) -> tuple[list[float], float]:
             kappa = even_power_kappa_balanced(K)
         else:
             kappa = float(args.kappa)
-        values = [even_power_series(K, args.rho, kappa, n) for n in orders]
-        return values, even_power_exact_period(K, args.rho)
+        return (partial(even_power_series, K, args.rho, kappa),
+                partial(even_power_exact_period, K, args.rho))
     if args.model == "cubic":
-        values = [cubic_series(args.x_minus, args.x_plus, n) for n in orders]
-        return values, cubic_exact_period(args.x_minus, args.x_plus)
+        return (partial(cubic_series, args.x_minus, args.x_plus),
+                partial(cubic_exact_period, args.x_minus, args.x_plus))
     if args.model == "pendulum":
-        values = [pendulum_approx(args.amplitude, args.taylor, n) for n in orders]
-        return values, pendulum_exact(args.amplitude)
+        return (partial(pendulum_approx, args.amplitude, args.taylor),
+                partial(pendulum_exact, args.amplitude))
     raise DomainError(f"unknown model {args.model!r}")
 
 
 def cmd_period(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise DomainError("order must be >= 0")
-    values, exact = _period_rows(args)
+    series, oracle = _period_functions(args)
+    values = [series(n) for n in range(args.order + 1)]
+    exact = oracle() if args.exact else None
     if args.format == "json":
         payload = {
             "model": args.model,

@@ -63,7 +63,3 @@ class DegenerateFit(PmsDeltaError):
 
 class DivergentExpansion(UserWarning):
     """max |Delta| >= 1: the expansion is outside its guaranteed-convergence region."""
-
-
-class AlreadyBalanced(UserWarning):
-    """The Delta family is balanced for every parameter value in the bracket."""

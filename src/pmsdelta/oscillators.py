@@ -27,13 +27,13 @@ from .oracle import _agm, elliptic_k, integrate
 from .series_core import (
     IntegrandSpec,
     TrigPolynomial,
+    _check_order,
     _extrema,
     _pair_sum,
     _reference_integral,
     delta_of,
     expand,
     half_binomial,
-    kappa_balance,
     pms_first_order,
 )
 
@@ -242,19 +242,16 @@ def _even_factor(K: int, rho: float) -> TrigPolynomial:
     return TrigPolynomial(coeffs)
 
 
-def _strong_coupling_factor(K: int) -> TrigPolynomial:
-    """Rho -> infinity factor, scaled by 1/rho: g(theta)/(2K)."""
-    coeffs = [0.0] * (2 * K - 1)
-    for j in range(K):
-        coeffs[2 * j] = 1.0 / (2.0 * K)
-    return TrigPolynomial(coeffs)
-
-
 def _even_power_factor(K: int, rho: float) -> TrigPolynomial:
-    """_even_factor at finite rho; the strong-coupling profile at rho = inf."""
-    if rho == math.inf:
-        return _strong_coupling_factor(K)
-    return _even_factor(K, _check_rho(rho))
+    """_even_factor at finite rho; at rho = inf the factor scaled by 1/rho.
+
+    That strong-coupling profile is g(theta)/(2K), g = sum_{j<K} cos^(2j).
+    """
+    if rho != math.inf:
+        return _even_factor(K, _check_rho(rho))
+    coeffs = [0.0] * (2 * K - 1)
+    coeffs[::2] = [1.0 / (2.0 * K)] * K
+    return TrigPolynomial(coeffs)
 
 
 def _pendulum_factor(amplitude: float, taylor_order: int) -> TrigPolynomial:
@@ -320,9 +317,9 @@ def _cubic_factor(x_minus: float, x_plus: float) -> tuple[TrigPolynomial, float]
 
 def _cubic_points(x_minus: float, x_plus: float) -> tuple[float, float]:
     x_minus, x_plus = float(x_minus), float(x_plus)
-    if not x_minus < 0.0 < x_plus:
+    if not -math.inf < x_minus < 0.0 < x_plus < math.inf:
         raise DomainError(
-            f"cubic turning points must straddle the origin, got "
+            f"cubic turning points must be finite and straddle the origin, got "
             f"({x_minus!r}, {x_plus!r})"
         )
     return x_minus, x_plus
@@ -394,8 +391,7 @@ def duffing_period_series(rho: float, order: int) -> float:
     the full expansion truncated at Delta-order 2*order.
     """
     rho = _check_rho(rho)
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _check_order(order)
     xi = rho / (4.0 + 3.0 * rho)
     prefactor = 4.0 * math.pi / math.sqrt(4.0 + 3.0 * rho)
     return prefactor * _pair_sum(xi, order)
@@ -415,8 +411,7 @@ def duffing_nayfeh_series(rho: float, order: int) -> float:
     this sum fails to converge although the motion is perfectly periodic.
     """
     rho = _check_rho(rho)
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _check_order(order)
     kappa = rho / (2.0 * (1.0 + rho))
     prefactor = 2.0 * math.pi / math.sqrt(1.0 + rho)
     return prefactor * math.fsum(
@@ -431,8 +426,7 @@ def duffing_b0(order: int) -> float:
     sum at xi = 1/3; the sequence converges geometrically to the pure-quartic
     limit 2 pi/(sqrt(mu) T).
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _check_order(order)
     return math.sqrt(3.0) / (2.0 * _pair_sum(1.0 / 3.0, order))
 
 
@@ -522,8 +516,7 @@ def sextic_series(rho: float, order: int) -> float:
     of the factor polynomial.
     """
     rho = _check_rho(rho)
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _check_order(order)
     xi = rho / (3.0 * (5.0 * rho + 8.0))
     prefactor = 4.0 * math.sqrt(2.0) * math.pi / math.sqrt(5.0 * rho + 8.0)
     return prefactor * math.fsum(
@@ -566,19 +559,15 @@ def even_power_kappa_pms(K: int) -> float:
 def even_power_kappa_balanced(K: int) -> float:
     """Kappa at which the deviation polynomial has extrema of equal size.
 
-    Independent of rho for this family; found by the generic balancing
-    search on the strong-coupling deviation.  Equals (K+1)/(2K), which keeps
-    max |Delta| = (K-1)/(K+1) strictly below 1 for every K.
+    With omega^2 = (1 + kappa rho)/2, Delta = rho (g/K - kappa)/(1 + kappa rho)
+    for g = sum_{j<K} cos^(2j) theta.  Delta is linear in g, and g is monotone
+    in cos^2 theta, from g = 1 at theta = pi/2 to g = K at theta = 0.  Setting
+    Delta(g = 1) = -Delta(g = K) gives kappa = (K+1)/(2K) for every rho.  Then
+    max |Delta| = |rho| (K-1)/(2K + (K+1) rho) is below 1 for every rho > -1
+    and tends to (K-1)/(K+1) at rho = inf.
     """
     K = _check_exponent(K)
-    profile = _strong_coupling_factor(K)
-
-    def family(kappa: float) -> TrigPolynomial:
-        return profile.scaled(2.0 / kappa).shifted(-1.0)
-
-    lo = 1.0 / K  # Delta(pi/2) > 0: imbalance positive
-    hi = 1.0  # Delta <= 0 everywhere: imbalance negative
-    return kappa_balance(family, (lo, hi))
+    return (K + 1) / (2 * K)
 
 
 def _even_power_spec(K: int, rho: float, kappa: float) -> IntegrandSpec:
@@ -644,8 +633,7 @@ def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     as the quartic family.  Odd expansion terms vanish identically at the
     stationary frequency, so `order` counts pairs.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _check_order(order)
     factor, xi = _cubic_factor(x_minus, x_plus)
     omega = pms_first_order(factor)
     return math.sqrt(2.0) * math.pi / omega * _pair_sum(xi, order)
@@ -731,8 +719,7 @@ def pendulum_approx(amplitude: float, taylor_order: int, series_order: int) -> f
     first-order stationary frequency.  Truncation at order 2 gives 2 pi for
     every amplitude; order 4 is the quartic family with mu = -1/6.
     """
-    if series_order < 0:
-        raise DomainError("series_order must be >= 0")
+    _check_order(series_order)
     model = OscillatorModel.pendulum(amplitude, taylor_order)
     points = turning_points(model)
     omega = pms_first_order(points.factor)

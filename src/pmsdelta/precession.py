@@ -21,7 +21,7 @@ from .errors import (
     ThirdRootInsideInterval,
 )
 from .oracle import find_root
-from .series_core import TrigPolynomial, _pair_sum, _reference_integral
+from .series_core import TrigPolynomial, _check_order, _pair_sum, _reference_integral
 
 __all__ = [
     "OrbitParams",
@@ -106,8 +106,7 @@ def precession_series(orbit: OrbitParams, order: int) -> float:
     leading formula 2 pi (1/omega - 1); a circular orbit has xi = 0 and the
     series terminates there exactly.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _check_order(order)
     omega = _omega(orbit)
     denom = 3.0 * orbit.GM * (orbit.z_plus + orbit.z_minus) - 1.0
     xi = orbit.GM * (orbit.z_plus - orbit.z_minus) / denom

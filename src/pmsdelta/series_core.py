@@ -20,20 +20,12 @@ rounding, with no cancellation between monomial coefficients.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import (
-    AlreadyBalanced,
-    DomainError,
-    NonPositiveMean,
-    NoSignChange,
-    OrderTooHigh,
-    ToleranceNotMet,
-)
+from .errors import DomainError, NonPositiveMean, OrderTooHigh, ToleranceNotMet
 from .oracle import find_root, integrate
 
 if TYPE_CHECKING:
@@ -46,19 +38,25 @@ __all__ = [
     "SeriesExpansion",
     "half_binomial",
     "cos_moment",
-    "trig_multiply",
     "delta_of",
     "term",
     "expand",
     "pms_derivative_check",
     "pms_first_order",
     "pms_solve",
-    "kappa_balance",
 ]
 
 # Expansion orders beyond this are refused: the binomial weights and the
 # polynomial degrees grow without buying accuracy at 64-bit precision.
 MAX_ORDER = 64
+
+
+def _check_order(order: int) -> None:
+    """Refuse a negative expansion order, or one above MAX_ORDER."""
+    if order < 0:
+        raise DomainError("order must be >= 0")
+    if order > MAX_ORDER:
+        raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
 
 
 @lru_cache(maxsize=None)
@@ -109,10 +107,9 @@ class TrigPolynomial:
     """Finite expansion sum_k c_k cos^k(theta), an even function of theta.
 
     Coefficients are stored in the monomial cos^k basis because factor
-    functions of polynomial potentials arise there directly; use
-    to_harmonics / from_harmonics to move to the cos(k theta) basis.
-    Trailing zero coefficients are trimmed on construction, so the last
-    stored coefficient is nonzero unless this is the zero polynomial.
+    functions of polynomial potentials arise there directly.  Trailing zero
+    coefficients are trimmed on construction, so the last stored coefficient
+    is nonzero unless this is the zero polynomial.
     """
 
     coeffs: tuple[float, ...]
@@ -156,18 +153,6 @@ class TrigPolynomial:
         """Average over [0, pi]."""
         return self.integral() / math.pi
 
-    def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return trig_multiply(self, other)
-
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return TrigPolynomial(out)
-
     def scaled(self, factor: float) -> "TrigPolynomial":
         return TrigPolynomial([factor * c for c in self.coeffs])
 
@@ -175,26 +160,6 @@ class TrigPolynomial:
         out = list(self.coeffs)
         out[0] += constant
         return TrigPolynomial(out)
-
-    def to_harmonics(self) -> tuple[float, ...]:
-        """Coefficients a_k of the equivalent sum_k a_k cos(k theta)."""
-        import numpy as np
-
-        return tuple(float(c) for c in np.polynomial.chebyshev.poly2cheb(self.coeffs))
-
-    @classmethod
-    def from_harmonics(cls, harmonics: Sequence[float]) -> "TrigPolynomial":
-        """Build from coefficients of cos(k theta)."""
-        import numpy as np
-
-        return cls(np.polynomial.chebyshev.cheb2poly(list(harmonics)))
-
-
-def trig_multiply(p: TrigPolynomial, q: TrigPolynomial) -> TrigPolynomial:
-    """Product polynomial; plain coefficient convolution."""
-    import numpy as np
-
-    return TrigPolynomial(np.convolve(p.coeffs, q.coeffs))
 
 
 @dataclass(frozen=True)
@@ -204,20 +169,18 @@ class IntegrandSpec:
     x_minus, x_plus: the simple zeros bracketing the motion.
     factor:          R(theta), the smooth factor of Q after the cosine
                      substitution, as a TrigPolynomial.
-    omega:           reference frequency of the harmonic comparison term.
-    regular:         when True (default) the factor is checked to be strictly
-                     positive on a 512-point theta grid; pass False for
-                     integrals that are knowingly evaluated outside that
-                     regime.  This is the package's one generic positivity
-                     check: the families build their specs here rather than
-                     sampling the factor again.
+    omega:           reference frequency of the harmonic comparison term,
+                     positive and finite.
+
+    The factor is checked to be strictly positive on a 512-point theta grid.
+    This is the package's one generic positivity check: the families build
+    their specs here rather than sampling the factor again.
     """
 
     x_minus: float
     x_plus: float
     factor: TrigPolynomial
     omega: float
-    regular: bool = field(default=True)
 
     def __post_init__(self):
         if not self.x_minus < self.x_plus:
@@ -225,20 +188,10 @@ class IntegrandSpec:
                 f"turning points must satisfy x_minus < x_plus, "
                 f"got ({self.x_minus!r}, {self.x_plus!r})"
             )
-        if not self.omega > 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega!r}")
-        if self.regular:
-            values = self.factor.evaluate(_positivity_grid())
-            if not (values > 0.0).all():
-                raise DomainError(
-                    "factor polynomial is not strictly positive on [0, pi]; "
-                    "construct with regular=False to bypass"
-                )
-
-    @property
-    def R(self) -> TrigPolynomial:
-        """Alias for the factor polynomial."""
-        return self.factor
+        if not 0.0 < self.omega < math.inf:
+            raise DomainError(f"omega must be positive and finite, got {self.omega!r}")
+        if not (self.factor.evaluate(_positivity_grid()) > 0.0).all():
+            raise DomainError("factor polynomial is not strictly positive on [0, pi]")
 
     @property
     def midpoint(self) -> float:
@@ -249,7 +202,7 @@ class IntegrandSpec:
         return 0.5 * (self.x_plus - self.x_minus)
 
     def with_omega(self, omega: float) -> "IntegrandSpec":
-        return IntegrandSpec(self.x_minus, self.x_plus, self.factor, omega, self.regular)
+        return IntegrandSpec(self.x_minus, self.x_plus, self.factor, omega)
 
 
 @dataclass(frozen=True)
@@ -282,10 +235,7 @@ def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
     mean (p_0/2 + p_1 + ... + p_(m-1) + p_m/2)/m of all-ones samples is
     exactly 1.0, so I_0 is pi/omega to the last bit.
     """
-    if order < 0:
-        raise DomainError("expansion order must be >= 0")
-    if order > MAX_ORDER:
-        raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
+    _check_order(order)
     import numpy as np
 
     delta = delta_of(spec)
@@ -306,8 +256,6 @@ def term(spec: IntegrandSpec, n: int) -> float:
     Shares the sampled engine with expand(); term(spec, 0) is pi/omega for
     every spec.  Orders above MAX_ORDER are refused.
     """
-    if n < 0:
-        raise DomainError("term requires n >= 0")
     return float(_series_terms(spec, n)[-1])
 
 
@@ -344,8 +292,9 @@ def _pair_sum(xi: float, order: int) -> float:
     is (-1)^j hb(j) and odd powers average to zero, so only even terms
     survive, and pair j is the Delta-order-2j term times omega/pi.  The
     quartic, cubic and precession families all reduce to it at their
-    stationary frequencies.
+    stationary frequencies.  Pair indices above MAX_ORDER are refused.
     """
+    _check_order(order)
     return math.fsum(
         (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
         for j in range(order + 1)
@@ -440,37 +389,3 @@ def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
     values = np.polynomial.polynomial.polyval(nodes, coeffs)
     return float(values.max()), float(values.min())
 
-
-def kappa_balance(
-    family: Callable[[float], TrigPolynomial],
-    bracket: tuple[float, float],
-    tol: float = 1e-12,
-) -> float:
-    """Parameter value at which the deviation polynomial is balanced.
-
-    family maps kappa to Delta(theta; kappa); balanced means the maximum of
-    Delta over [0, pi] equals minus its minimum, which keeps |Delta| < 1
-    whenever either extremum does.  The imbalance max + min is driven to zero
-    by bracketing.  If the family is balanced across the whole bracket
-    (imbalance below tol at both ends), an AlreadyBalanced warning is issued
-    and the bracket midpoint is returned.
-    """
-
-    def imbalance(kappa: float) -> float:
-        hi, lo = _extrema(family(kappa))
-        return hi + lo
-
-    lo_k, hi_k = bracket
-    f_lo, f_hi = imbalance(lo_k), imbalance(hi_k)
-    if abs(f_lo) <= tol and abs(f_hi) <= tol:
-        warnings.warn(
-            "deviation polynomial is balanced for every kappa in the bracket",
-            AlreadyBalanced,
-            stacklevel=2,
-        )
-        return 0.5 * (lo_k + hi_k)
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoSignChange(
-            f"imbalance has the same sign at both bracket ends: {f_lo!r}, {f_hi!r}"
-        )
-    return find_root(imbalance, lo_k, hi_k, tol=0.0)

@@ -104,6 +104,37 @@ def test_period_invalid_rho_exits_2(capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize(
+    "model", [["sextic"], ["even-power", "--exponent", "3"]], ids=["sextic", "even-power"]
+)
+def test_period_without_exact_skips_the_oracle(capsys, model):
+    # The oracle cannot reach its tolerance this close to rho = -1; the
+    # series table alone does not need it.
+    code, out, err = run_cli(capsys, "period", *model, "--rho", "-0.9999999", "--order", "3")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert header == ["order", "period"]
+    assert len(rows) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["period", "even-power", "--exponent", "3", "--kappa", "inf"],
+        ["period", "even-power", "--exponent", "3", "--rho", "inf", "--kappa", "inf"],
+        ["period", "cubic", "--x-minus", "-1", "--x-plus", "inf"],
+        ["period", "duffing", "--order", "65"],
+        ["convergence", "duffing-b0", "--max-order", "65"],
+    ],
+    ids=["kappa-inf", "kappa-inf-rho-inf", "x-plus-inf", "order-65", "max-order-65"],
+)
+def test_non_finite_and_uncapped_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "\n" not in err.strip()
+
+
 def test_unknown_study_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["convergence", "nonsense-study"])

@@ -11,6 +11,7 @@ from pmsdelta.errors import (
     DivergentExpansion,
     DomainError,
     NoPeriodicMotion,
+    OrderTooHigh,
     PmsDeltaError,
 )
 from pmsdelta.oracle import elliptic_k
@@ -37,9 +38,11 @@ from pmsdelta.oscillators import (
     sextic_wl_period,
     turning_points,
     virial_omega_check,
+    _even_power_spec,
     _sextic_weight,
 )
-from pmsdelta.series_core import expand, pms_first_order
+from pmsdelta.precession import OrbitParams, precession_series
+from pmsdelta.series_core import MAX_ORDER, _extrema, delta_of, expand, pms_first_order
 
 
 def test_model_constructors_validate():
@@ -207,10 +210,20 @@ def test_even_power_kappa_values():
     assert even_power_kappa_balanced(5) == pytest.approx(0.6, abs=1e-9)
 
 
-@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize("K", range(2, 13))
 def test_even_power_kappa_balanced_closed_form(K):
-    closed = (K + 1) / (2 * K)
-    assert abs(even_power_kappa_balanced(K) - closed) <= math.ulp(closed)
+    assert even_power_kappa_balanced(K) == (K + 1) / (2 * K)
+
+
+@pytest.mark.parametrize("rho", [math.inf, 10.0, 0.5, -0.9])
+@pytest.mark.parametrize("K", range(2, 13))
+def test_even_power_kappa_balanced_equalizes_extrema(K, rho):
+    # Exact extrema of Delta: equal and opposite at the balanced kappa.
+    spec = _even_power_spec(K, rho, even_power_kappa_balanced(K))
+    hi, lo = _extrema(delta_of(spec))
+    assert abs(hi + lo) <= 4e-15
+    if rho == math.inf:
+        assert hi == pytest.approx((K - 1) / (K + 1), abs=2e-15)
 
 
 NAN_RHO_CALLS = [
@@ -259,6 +272,39 @@ INF_RHO_CALLS = [
 def test_inf_rho_raises(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+# Every closed form and engine entry point takes orders 0..MAX_ORDER; the
+# quartic, cubic and precession sums count pairs, with the same cap.
+ORDER_CALLS = [
+    (duffing_period_series, lambda n: (0.5, n)),
+    (duffing_nayfeh_series, lambda n: (0.5, n)),
+    (duffing_b0, lambda n: (n,)),
+    (sextic_series, lambda n: (0.5, n)),
+    (even_power_series, lambda n: (3, 0.5, 0.625, n)),
+    (cubic_series, lambda n: (-1.0, 1.2, n)),
+    (pendulum_approx, lambda n: (1.0, 6, n)),
+    (precession_series, lambda n: (OrbitParams(GM=1.0, a=500.0, epsilon=0.25), n)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in ORDER_CALLS]
+)
+def test_order_cap(fn, args):
+    assert math.isfinite(fn(*args(MAX_ORDER)))
+    with pytest.raises(OrderTooHigh):
+        fn(*args(MAX_ORDER + 1))
+    with pytest.raises(DomainError):
+        fn(*args(-1))
+
+
+def test_even_power_series_rejects_infinite_kappa():
+    # kappa = inf makes omega infinite, which would zero every term.
+    with pytest.raises(DomainError):
+        even_power_series(3, 1.0, math.inf, 4)
+    with pytest.raises(DomainError):
+        even_power_series(3, math.inf, math.inf, 4)
 
 
 def test_inf_rho_belongs_to_the_even_power_entry_points():
@@ -322,6 +368,15 @@ def test_cubic_rejections():
         cubic_series(0.5, 1.0, 4)
     with pytest.raises(DomainError):
         cubic_series(-1.0, 1.0, -1)
+
+
+def test_cubic_rejects_infinite_turning_points():
+    with pytest.raises(DomainError):
+        cubic_series(-1.0, math.inf, 3)
+    with pytest.raises(DomainError):
+        turning_points(OscillatorModel.cubic(-1.0, math.inf))
+    with pytest.raises(DomainError):
+        cubic_exact_period(-math.inf, 1.0)
 
 
 def test_quartic_cubic_pms_improves_with_order():

@@ -1,4 +1,4 @@
-"""Checks for the expansion engine: moments, terms, stationarity, balancing."""
+"""Checks for the expansion engine: moments, terms, stationarity, extrema."""
 
 import math
 from fractions import Fraction
@@ -6,13 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pmsdelta.errors import (
-    AlreadyBalanced,
-    DomainError,
-    NonPositiveMean,
-    NoSignChange,
-    OrderTooHigh,
-)
+from pmsdelta.errors import DomainError, NonPositiveMean, NoSignChange, OrderTooHigh
 from pmsdelta.oracle import elliptic_k, integrate
 from pmsdelta.series_core import (
     MAX_ORDER,
@@ -23,12 +17,10 @@ from pmsdelta.series_core import (
     delta_of,
     expand,
     half_binomial,
-    kappa_balance,
     pms_derivative_check,
     pms_first_order,
     pms_solve,
     term,
-    trig_multiply,
 )
 
 
@@ -65,15 +57,6 @@ def test_cos_moment_matches_quadrature(k):
     assert cos_moment(k) == pytest.approx(res.value, abs=1e-12)
 
 
-def test_trig_multiply():
-    one = TrigPolynomial([1.0])
-    cos1 = TrigPolynomial([0.0, 1.0])
-    assert trig_multiply(one, cos1).coeffs == (0.0, 1.0)
-    assert trig_multiply(cos1, cos1).coeffs == (0.0, 0.0, 1.0)
-    p = TrigPolynomial([1.0, 1.0])
-    assert (p * p).coeffs == (1.0, 2.0, 1.0)
-
-
 def test_trig_polynomial_basics():
     p = TrigPolynomial([1.0, 0.0, 2.0, 0.0])  # trailing zero trimmed
     assert p.coeffs == (1.0, 0.0, 2.0)
@@ -103,19 +86,6 @@ def test_scalar_evaluate_rejects_non_finite_theta(theta):
         TrigPolynomial([1.0, 0.5]).evaluate(theta)
 
 
-def test_harmonic_conversion_round_trip():
-    # cos(2 theta) = 2 cos^2 theta - 1.
-    p = TrigPolynomial.from_harmonics([0.0, 0.0, 1.0])
-    assert p.coeffs == pytest.approx((-1.0, 0.0, 2.0), abs=1e-15)
-    q = TrigPolynomial([0.25, -1.5, 0.0, 3.0])
-    back = TrigPolynomial.from_harmonics(q.to_harmonics())
-    assert back.coeffs == pytest.approx(q.coeffs, abs=1e-14)
-    theta = np.linspace(0.0, math.pi, 7)
-    harm = q.to_harmonics()
-    by_harmonics = sum(a * np.cos(k * theta) for k, a in enumerate(harm))
-    assert np.allclose(q.evaluate(theta), by_harmonics, atol=1e-14)
-
-
 def test_spec_validation():
     factor = TrigPolynomial([1.0])
     with pytest.raises(DomainError):
@@ -126,9 +96,16 @@ def test_spec_validation():
         IntegrandSpec(-1.0, 1.0, factor, 0.0)
     with pytest.raises(DomainError):
         IntegrandSpec(-1.0, 1.0, TrigPolynomial([-1.0, 0.0, 2.0]), 1.0)
-    # Same factor accepted once tagged as non-regular.
-    spec = IntegrandSpec(-1.0, 1.0, TrigPolynomial([-1.0, 0.0, 2.0]), 1.0, regular=False)
+    spec = IntegrandSpec(-1.0, 1.0, factor, 1.0)
     assert spec.half_width == 1.0 and spec.midpoint == 0.0
+
+
+@pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan, -1.0])
+def test_spec_requires_finite_positive_omega(omega):
+    with pytest.raises(DomainError):
+        IntegrandSpec(-1.0, 1.0, TrigPolynomial([1.0]), omega)
+    with pytest.raises(DomainError):
+        IntegrandSpec(-1.0, 1.0, TrigPolynomial([1.0]), 1.0).with_omega(omega)
 
 
 def test_delta_of():
@@ -140,7 +117,6 @@ def test_delta_of():
     # Quartic case at the stationary frequency: deviation is cos(2 theta)/7.
     dev = delta_of(duffing_spec(1.0))
     assert dev.coeffs == pytest.approx((-1.0 / 7.0, 0.0, 2.0 / 7.0), abs=1e-15)
-    assert dev.to_harmonics() == pytest.approx((0.0, 0.0, 1.0 / 7.0), abs=1e-15)
 
 
 def test_term_zeroth_is_pi_over_omega():
@@ -345,7 +321,7 @@ def exact_value(poly, c):
 
 
 def test_extrema_cos2theta_profile():
-    poly = TrigPolynomial.from_harmonics([0.0, 0.0, 0.3])  # 0.3 cos(2 theta)
+    poly = TrigPolynomial([-0.3, 0.0, 0.6])  # 0.3 cos(2 theta)
     hi, lo = _extrema(poly)
     assert hi == exact_value(poly, 1.0)
     assert lo == exact_value(poly, 0.0)
@@ -361,39 +337,7 @@ def test_extrema_k5_strong_coupling_at_kappa_06():
     assert (hi, lo) == pytest.approx((2.0 / 3.0, -2.0 / 3.0), abs=1e-15)
 
 
-def test_kappa_balance_k5():
-    family = even_power_deviation(5)
-    kappa_b = kappa_balance(family, (0.4, 0.9))
-    assert kappa_b == pytest.approx(0.6, abs=1e-10)
-    # Balanced: extrema of equal magnitude, both below 1.
-    grid = np.linspace(0.0, math.pi, 4001)
-    vals = family(kappa_b).evaluate(grid)
-    assert np.max(np.abs(vals)) == pytest.approx(2.0 / 3.0, abs=1e-9)
-    # The first-order stationary kappa overshoots: |Delta| tops 1.
-    kappa_pms = sum(math.comb(2 * j, j) / 4.0**j for j in range(5)) / 5.0
-    assert kappa_pms == pytest.approx(63.0 / 128.0, rel=1e-15)
-    vals_pms = family(kappa_pms).evaluate(grid)
-    assert np.max(np.abs(vals_pms)) > 1.0
-
-
-def test_kappa_balance_degenerate_case():
-    # Deviation proportional to cos(2 theta) is balanced for every kappa.
-    def family(kappa):
-        return TrigPolynomial.from_harmonics([0.0, 0.0, kappa / (1.0 + kappa)])
-
-    with pytest.warns(AlreadyBalanced):
-        kappa = kappa_balance(family, (0.2, 0.8))
-    assert kappa == pytest.approx(0.5, abs=1e-15)
-
-
 def test_kappa_balance_constant_family():
     # A constant Delta has no derivative roots; its extrema are the constant.
     assert _extrema(TrigPolynomial([0.25])) == (0.25, 0.25)
-    kappa = kappa_balance(lambda k: TrigPolynomial([k - 0.5]), (0.0, 1.0))
-    assert kappa == 0.5
 
-
-def test_kappa_balance_no_sign_change():
-    family = even_power_deviation(5)
-    with pytest.raises(NoSignChange):
-        kappa_balance(family, (0.7, 0.9))
