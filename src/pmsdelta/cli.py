@@ -10,6 +10,8 @@ stdout, so piped CSV stays clean.
 Exit codes: 0 on success, 2 when a precondition on the inputs is violated
 (one-line diagnostic on stderr), 3 when the requested orbit lies at or below
 the critical semimajor axis.
+A warning raised during a command, such as DivergentExpansion, is printed
+as one stderr line, "Category: message".
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from functools import partial
 from typing import Callable, Sequence, TextIO
 
@@ -323,20 +326,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One stderr line per warning, with no source path or quoted code."""
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ThirdRootInsideInterval, BeyondCritical) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 3
-    except PmsDeltaError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ThirdRootInsideInterval, BeyondCritical) as exc:
+            sys.stderr.write(f"{exc}\n")
+            return 3
+        except (PmsDeltaError, ValueError) as exc:
+            sys.stderr.write(f"{exc}\n")
+            return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -63,109 +62,6 @@ __all__ = [
     "pendulum_approx",
 ]
 
-_EVEN_FAMILY_EXPONENT = {"duffing": 2, "sextic": 3}
-
-
-@dataclass(frozen=True)
-class OscillatorModel:
-    """A potential family tag with its parameters.
-
-    family is one of "duffing", "sextic", "even_power", "cubic",
-    "quartic_cubic", "pendulum".  Exactly one of amplitude or energy is set:
-    the even families and the pendulum are parametrized by amplitude, the
-    cubic families by the energy implied by their turning points.  Use the
-    classmethod constructors rather than filling fields by hand.
-    """
-
-    family: str
-    params: Mapping[str, float]
-    amplitude: float | None = None
-    energy: float | None = None
-
-    @classmethod
-    def duffing(cls, mu: float, amplitude: float) -> "OscillatorModel":
-        """V(x) = x^2/2 + mu x^4/4 at the given amplitude."""
-        _require_positive_amplitude(amplitude)
-        return cls("duffing", {"mu": float(mu)}, amplitude=float(amplitude))
-
-    @classmethod
-    def sextic(cls, mu: float, amplitude: float) -> "OscillatorModel":
-        """V(x) = x^2/2 + mu x^6/6 at the given amplitude."""
-        _require_positive_amplitude(amplitude)
-        return cls("sextic", {"mu": float(mu)}, amplitude=float(amplitude))
-
-    @classmethod
-    def even_power(cls, K: int, mu: float, amplitude: float) -> "OscillatorModel":
-        """V(x) = x^2/2 + mu x^(2K)/(2K) at the given amplitude."""
-        K = _check_exponent(K)
-        _require_positive_amplitude(amplitude)
-        return cls("even_power", {"K": K, "mu": float(mu)}, amplitude=float(amplitude))
-
-    @classmethod
-    def cubic(cls, x_minus: float, x_plus: float) -> "OscillatorModel":
-        """V(x) = x^2/2 + mu x^3/3, parametrized by its turning points.
-
-        The pair (x-, x+) fixes both the cubic strength mu and the energy:
-        mu = -(3/2)(x- + x+)/(x+^2 + x+ x- + x-^2) and E = V at either end.
-        """
-        x_minus, x_plus = _cubic_points(x_minus, x_plus)
-        s = x_minus + x_plus
-        sigma = x_plus**2 + x_plus * x_minus + x_minus**2
-        mu = -1.5 * s / sigma
-        p = x_minus * x_plus
-        energy = p * p / (2.0 * sigma)
-        return cls(
-            "cubic",
-            {"mu": mu, "x_minus": x_minus, "x_plus": x_plus},
-            energy=energy,
-        )
-
-    @classmethod
-    def quartic_cubic(
-        cls, a2: float, a3: float, a4: float, x_minus: float, x_plus: float
-    ) -> "OscillatorModel":
-        """V(x) = a2 x^2 + a3 x^3 + a4 x^4 between the given turning points.
-
-        The two points must sit at equal potential; the shared value is the
-        energy of the motion.
-        """
-        x_minus, x_plus = float(x_minus), float(x_plus)
-        if not x_minus < x_plus:
-            raise DomainError("need x_minus < x_plus")
-
-        def v(x):
-            return a2 * x * x + a3 * x**3 + a4 * x**4
-
-        v_lo, v_hi = v(x_minus), v(x_plus)
-        scale = max(abs(v_lo), abs(v_hi), 1e-300)
-        if abs(v_lo - v_hi) > 1e-12 * scale:
-            raise DomainError(
-                f"turning points are not at equal potential: "
-                f"V(x_minus) = {v_lo!r}, V(x_plus) = {v_hi!r}"
-            )
-        return cls(
-            "quartic_cubic",
-            {
-                "a2": float(a2),
-                "a3": float(a3),
-                "a4": float(a4),
-                "x_minus": x_minus,
-                "x_plus": x_plus,
-            },
-            energy=0.5 * (v_lo + v_hi),
-        )
-
-    @classmethod
-    def pendulum(cls, amplitude: float, taylor_order: int) -> "OscillatorModel":
-        """V(x) = 1 - cos(x), truncated at the given Taylor order in x."""
-        if taylor_order not in (2, 4, 6):
-            raise DomainError(f"taylor_order must be 2, 4 or 6, got {taylor_order!r}")
-        return cls(
-            "pendulum",
-            {"taylor_order": int(taylor_order)},
-            amplitude=_check_pendulum_amplitude(amplitude),
-        )
-
 
 @dataclass(frozen=True)
 class TurningPoints:
@@ -191,17 +87,146 @@ class TurningPoints:
         return IntegrandSpec(self.x_minus, self.x_plus, self.factor, omega)
 
 
-def _require_positive_amplitude(amplitude: float) -> None:
-    if not amplitude > 0.0:
-        raise DomainError(f"amplitude must be positive, got {amplitude!r}")
+@dataclass(frozen=True)
+class OscillatorModel:
+    """A potential family's parameters with the motion they describe.
+
+    Each classmethod constructor checks every parameter and factors E - V
+    between the turning points once, into `points`, so a model that exists
+    always has a factor.  Exactly one of amplitude or energy is set: the even
+    families and the pendulum are parametrized by amplitude, the cubic
+    families by the energy implied by their turning points.
+    """
+
+    params: Mapping[str, float]
+    points: TurningPoints
+    amplitude: float | None = None
+    energy: float | None = None
+
+    @classmethod
+    def duffing(cls, mu: float, amplitude: float) -> "OscillatorModel":
+        """V(x) = x^2/2 + mu x^4/4 at the given amplitude."""
+        return cls.even_power(2, mu, amplitude)
+
+    @classmethod
+    def sextic(cls, mu: float, amplitude: float) -> "OscillatorModel":
+        """V(x) = x^2/2 + mu x^6/6 at the given amplitude."""
+        return cls.even_power(3, mu, amplitude)
+
+    @classmethod
+    def even_power(cls, K: int, mu: float, amplitude: float) -> "OscillatorModel":
+        """V(x) = x^2/2 + mu x^(2K)/(2K) at the given amplitude."""
+        K = _check_exponent(K)
+        mu, amplitude = float(mu), float(amplitude)
+        if not 0.0 < amplitude < math.inf:
+            raise DomainError(f"amplitude must be positive and finite, got {amplitude!r}")
+        try:
+            rho = mu * amplitude ** (2 * K - 2)
+        except OverflowError:
+            raise DomainError(
+                f"rho = mu A^(2K-2) overflows at mu = {mu!r}, A = {amplitude!r}"
+            ) from None
+        rho = _check_rho(rho)
+        points = TurningPoints(-amplitude, amplitude, _even_factor(K, rho), rho)
+        return cls({"K": K, "mu": mu}, points, amplitude=amplitude)
+
+    @classmethod
+    def cubic(cls, x_minus: float, x_plus: float) -> "OscillatorModel":
+        """V(x) = x^2/2 + mu x^3/3, parametrized by its turning points.
+
+        The pair (x-, x+) fixes both the cubic strength mu and the energy:
+        mu = -(3/2)(x- + x+)/(x+^2 + x+ x- + x-^2) and E = V at either end.
+        """
+        x_minus, x_plus = _cubic_points(x_minus, x_plus)
+        factor, _, mu, energy = _cubic_factor(x_minus, x_plus)
+        return cls(
+            {"mu": mu, "x_minus": x_minus, "x_plus": x_plus},
+            TurningPoints(x_minus, x_plus, factor),
+            energy=energy,
+        )
+
+    @classmethod
+    def quartic_cubic(
+        cls, a2: float, a3: float, a4: float, x_minus: float, x_plus: float
+    ) -> "OscillatorModel":
+        """V(x) = a2 x^2 + a3 x^3 + a4 x^4 between the given turning points.
+
+        The two points must sit at equal potential; the shared value is the
+        energy of the motion.  The factor's minimum over [0, pi] is taken
+        exactly, because a positivity grid misses a dip below zero between
+        its nodes: a factor that is not positive is a barrier crossing.
+        """
+        a2, a3, a4, x_minus, x_plus = map(float, (a2, a3, a4, x_minus, x_plus))
+        if not all(map(math.isfinite, (a2, a3, a4, x_minus, x_plus))):
+            raise DomainError("quartic-cubic coefficients and turning points must be finite")
+        if not x_minus < x_plus:
+            raise DomainError("need x_minus < x_plus")
+        try:
+            v_lo, v_hi = (a2 * x * x + a3 * x**3 + a4 * x**4 for x in (x_minus, x_plus))
+        except OverflowError:
+            v_lo = v_hi = math.inf
+        if not math.isfinite(v_lo + v_hi):
+            raise DomainError(
+                f"V overflows at the turning points ({x_minus!r}, {x_plus!r})"
+            )
+        scale = max(abs(v_lo), abs(v_hi), 1e-300)
+        if abs(v_lo - v_hi) > 1e-12 * scale:
+            raise DomainError(
+                f"turning points are not at equal potential: "
+                f"V(x_minus) = {v_lo!r}, V(x_plus) = {v_hi!r}"
+            )
+        s = x_minus + x_plus
+        p = x_minus * x_plus
+        b0 = a2 + a3 * s + a4 * (s * s - p)
+        b1 = a3 + a4 * s
+        m = 0.5 * s
+        h = 0.5 * (x_plus - x_minus)
+        factor = TrigPolynomial(
+            [b0 + b1 * m + a4 * m * m, (b1 + 2.0 * a4 * m) * h, a4 * h * h]
+        )
+        if not all(map(math.isfinite, factor.coeffs)):
+            raise DomainError("the factor polynomial overflows")
+        _, lowest = _extrema(factor)
+        if not lowest > 0.0:
+            raise BarrierCrossed(
+                f"factor falls to {lowest!r} between the turning points; "
+                "the particle crosses a barrier"
+            )
+        return cls(
+            {"a2": a2, "a3": a3, "a4": a4, "x_minus": x_minus, "x_plus": x_plus},
+            TurningPoints(x_minus, x_plus, factor),
+            energy=0.5 * (v_lo + v_hi),
+        )
+
+    @classmethod
+    def pendulum(cls, amplitude: float, taylor_order: int) -> "OscillatorModel":
+        """V(x) = 1 - cos(x), truncated at the given Taylor order in x.
+
+        Order 2 is the harmonic oscillator and order 4 the quartic family with
+        mu = -1/6, so both factor through _even_factor.
+        """
+        if taylor_order not in (2, 4, 6):
+            raise DomainError(f"taylor_order must be 2, 4 or 6, got {taylor_order!r}")
+        amplitude = _check_pendulum_amplitude(amplitude)
+        a2 = amplitude * amplitude
+        if taylor_order == 6:
+            rho = math.nan
+            c4, c6 = a2 / 24.0, a2 * a2 / 720.0
+            factor = TrigPolynomial([0.5 - c4 + c6, 0.0, c6 - c4, 0.0, c6])
+        else:
+            rho = 0.0 if taylor_order == 2 else -a2 / 6.0
+            factor = _even_factor(2, rho)
+        return cls(
+            {"taylor_order": int(taylor_order)},
+            TurningPoints(-amplitude, amplitude, factor, rho),
+            amplitude=amplitude,
+        )
 
 
 def _check_pendulum_amplitude(amplitude: float) -> float:
     amplitude = float(amplitude)
     if not 0.0 < amplitude < math.pi:
-        raise DomainError(
-            f"pendulum amplitude must lie in (0, pi), got {amplitude!r}"
-        )
+        raise DomainError(f"pendulum amplitude must lie in (0, pi), got {amplitude!r}")
     return amplitude
 
 
@@ -232,58 +257,46 @@ def _check_rho(rho: float) -> float:
 def _even_factor(K: int, rho: float) -> TrigPolynomial:
     """Factor polynomial of V = x^2/2 + mu x^(2K)/(2K) at unit amplitude.
 
-    R(theta) = 1/2 + (rho/2K) * sum_{j<K} cos^(2j) theta; strictly positive
-    for every rho > -1.
+    R(theta) = 1/2 + (rho/2K) g(theta), g = sum_{j<K} cos^(2j) theta, is
+    strictly positive for every rho > -1.  At rho = inf this returns the
+    strong-coupling profile R/rho = g/(2K) instead.
     """
+    if rho == math.inf:
+        weight, constant = 1.0 / (2.0 * K), 0.0
+    else:
+        weight, constant = _check_rho(rho) / (2.0 * K), 0.5
     coeffs = [0.0] * (2 * K - 1)
-    coeffs[0] = 0.5 + rho / (2.0 * K)
-    for j in range(1, K):
-        coeffs[2 * j] = rho / (2.0 * K)
+    coeffs[::2] = [weight] * K
+    coeffs[0] = constant + weight
     return TrigPolynomial(coeffs)
 
 
-def _even_power_factor(K: int, rho: float) -> TrigPolynomial:
-    """_even_factor at finite rho; at rho = inf the factor scaled by 1/rho.
-
-    That strong-coupling profile is g(theta)/(2K), g = sum_{j<K} cos^(2j).
-    """
-    if rho != math.inf:
-        return _even_factor(K, _check_rho(rho))
-    coeffs = [0.0] * (2 * K - 1)
-    coeffs[::2] = [1.0 / (2.0 * K)] * K
-    return TrigPolynomial(coeffs)
-
-
-def _pendulum_factor(amplitude: float, taylor_order: int) -> TrigPolynomial:
-    a2 = amplitude * amplitude
-    if taylor_order == 2:
-        return TrigPolynomial([0.5])
-    if taylor_order == 4:
-        # Quartic family with mu = -1/6.
-        return _even_factor(2, -a2 / 6.0)
-    a4 = a2 * a2
-    return TrigPolynomial(
-        [
-            0.5 - a2 / 24.0 + a4 / 720.0,
-            0.0,
-            -a2 / 24.0 + a4 / 720.0,
-            0.0,
-            a4 / 720.0,
-        ]
-    )
-
-
-def _cubic_factor(x_minus: float, x_plus: float) -> tuple[TrigPolynomial, float]:
-    """Factor polynomial in theta for the cubic family, plus the ratio xi.
+def _cubic_factor(
+    x_minus: float, x_plus: float
+) -> tuple[TrigPolynomial, float, float, float]:
+    """Factor polynomial in theta for the cubic family, with xi, mu and the energy.
 
     Validates that the pair brackets single-well periodic motion: the points
     lie on either side of the origin, the third zero of the cubic lies
     outside [x-, x+], and equivalently the energy stays below the barrier top.
+    A pair whose sigma = x+^2 + x+ x- + x-^2 or energy p^2/(2 sigma) under- or
+    overflows is refused.
     """
     x_minus, x_plus = _cubic_points(x_minus, x_plus)
     s = x_minus + x_plus
     p = x_minus * x_plus
-    sigma = x_plus**2 + x_plus * x_minus + x_minus**2
+    try:
+        sigma = x_plus**2 + x_plus * x_minus + x_minus**2
+        denom = x_plus**2 + 4.0 * p + x_minus**2
+    except OverflowError:
+        sigma = denom = math.inf
+    if not (0.0 < sigma < math.inf and math.isfinite(denom) and math.isfinite(p * p)):
+        raise DomainError(
+            f"cubic turning points ({x_minus!r}, {x_plus!r}) are out of "
+            "floating-point range: x+^2 + x+ x- + x-^2 or the energy under- or overflows"
+        )
+    mu = -1.5 * s / sigma
+    energy = p * p / (2.0 * sigma)
     if s != 0.0:
         # Strict checks: the separatrix itself (third zero AT a turning point)
         # still factors cleanly, though the period there is infinite.
@@ -294,8 +307,6 @@ def _cubic_factor(x_minus: float, x_plus: float) -> tuple[TrigPolynomial, float]
                 f"({x_minus!r}, {x_plus!r}): the energy exceeds the barrier and "
                 "the motion is not periodic in a single well"
             )
-        mu = -1.5 * s / sigma
-        energy = p * p / (2.0 * sigma)
         barrier = 1.0 / (6.0 * mu * mu)
         if energy > barrier:
             raise BarrierCrossed(
@@ -306,13 +317,12 @@ def _cubic_factor(x_minus: float, x_plus: float) -> tuple[TrigPolynomial, float]
     m = 0.5 * (x_minus + x_plus)
     h = 0.5 * (x_plus - x_minus)
     factor = TrigPolynomial([b0 + b1 * m, b1 * h])
-    denom = x_plus**2 + 4.0 * p + x_minus**2
     if denom >= 0.0:
         raise NoPeriodicMotion(
             "no real stationary frequency for this turning-point pair"
         )
     xi = (x_plus**2 - x_minus**2) / denom
-    return factor, xi
+    return factor, xi, mu, energy
 
 
 def _cubic_points(x_minus: float, x_plus: float) -> tuple[float, float]:
@@ -325,50 +335,9 @@ def _cubic_points(x_minus: float, x_plus: float) -> tuple[float, float]:
     return x_minus, x_plus
 
 
-def _quartic_cubic_factor(
-    a2: float, a3: float, a4: float, x_minus: float, x_plus: float
-) -> TrigPolynomial:
-    s = x_minus + x_plus
-    p = x_minus * x_plus
-    b0 = a2 + a3 * s + a4 * (s * s - p)
-    b1 = a3 + a4 * s
-    b2 = a4
-    m = 0.5 * s
-    h = 0.5 * (x_plus - x_minus)
-    return TrigPolynomial(
-        [b0 + b1 * m + b2 * m * m, (b1 + 2.0 * b2 * m) * h, b2 * h * h]
-    )
-
-
 def turning_points(model: OscillatorModel) -> TurningPoints:
-    """Turning points and factor polynomial for any supported model."""
-    if model.family in _EVEN_FAMILY_EXPONENT or model.family == "even_power":
-        K = _EVEN_FAMILY_EXPONENT.get(model.family) or int(model.params["K"])
-        amplitude = model.amplitude
-        rho = _check_rho(model.params["mu"] * amplitude ** (2 * K - 2))
-        return TurningPoints(-amplitude, amplitude, _even_factor(K, rho), rho)
-    if model.family == "cubic":
-        x_minus, x_plus = model.params["x_minus"], model.params["x_plus"]
-        factor, _ = _cubic_factor(x_minus, x_plus)
-        return TurningPoints(x_minus, x_plus, factor)
-    if model.family == "quartic_cubic":
-        x_minus, x_plus = model.params["x_minus"], model.params["x_plus"]
-        factor = _quartic_cubic_factor(
-            model.params["a2"],
-            model.params["a3"],
-            model.params["a4"],
-            x_minus,
-            x_plus,
-        )
-        return TurningPoints(x_minus, x_plus, factor)
-    if model.family == "pendulum":
-        amplitude = model.amplitude
-        order = int(model.params["taylor_order"])
-        rho = {2: 0.0, 4: -amplitude**2 / 6.0}.get(order, math.nan)
-        return TurningPoints(
-            -amplitude, amplitude, _pendulum_factor(amplitude, order), rho
-        )
-    raise DomainError(f"unknown oscillator family {model.family!r}")
+    """Turning points and factor polynomial of a model, built with the model."""
+    return model.points
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +376,32 @@ def duffing_nayfeh_series(rho: float, order: int) -> float:
     """Classic perturbation series of Nayfeh (1981) for the same period.
 
     T = 2 pi / sqrt(1+rho) * sum_n hb(n)^2 kappa^n with kappa = rho/(2(1+rho)).
-    Retained as a comparison: |kappa| exceeds 1 for -1 < rho < -2/3, where
-    this sum fails to converge although the motion is perfectly periodic.
+    Retained as a comparison: |kappa| reaches 1 for -1 < rho <= -2/3, where
+    this sum fails to converge although the motion is perfectly periodic; a
+    DivergentExpansion warning says so, and a partial sum that overflows
+    raises DomainError.
     """
     rho = _check_rho(rho)
     _check_order(order)
     kappa = rho / (2.0 * (1.0 + rho))
+    if abs(kappa) >= 1.0:
+        warnings.warn(
+            f"|kappa| = {abs(kappa):.6f} >= 1: the comparison series diverges",
+            DivergentExpansion,
+            stacklevel=2,
+        )
     prefactor = 2.0 * math.pi / math.sqrt(1.0 + rho)
-    return prefactor * math.fsum(
-        half_binomial(n) ** 2 * kappa**n for n in range(order + 1)
-    )
+    try:
+        total = prefactor * math.fsum(
+            half_binomial(n) ** 2 * kappa**n for n in range(order + 1)
+        )
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(
+            f"the comparison series overflows at rho = {rho!r}, order {order}"
+        )
+    return total
 
 
 def duffing_b0(order: int) -> float:
@@ -487,24 +472,17 @@ def sextic_t4(rho: float) -> float:
 def _sextic_weight(n: int) -> float:
     """Moment weight J_n: (1/pi) * integral of (8 cos 2t + cos 4t)^n over [0, pi].
 
-    Evaluated by the exact combinatorial triple sum
-    J_n = sum_{k1<=n} sum_{k2<=k1} sum_{k3<=n-k1} 2^(3k1-n) C(n,k1) C(k1,k2)
-          C(n-k1,k3) [k1 = 2n - 2k2 - 4k3],
-    in exact rational arithmetic.
+    With w = exp(2it), 8 cos 2t + cos 4t = P(w)/(2 w^2) for
+    P(w) = w^4 + 8 w^3 + 8 w + 1, so J_n, the constant term of the n-th
+    power, is the w^(2n) coefficient of P^n divided by 2^n.  P^n is formed
+    exactly as the integer P(2^b)^n: each coefficient is below P(1)^n = 18^n
+    < 2^b, so the coefficients sit in disjoint b-bit fields.  The quotient is
+    rounded once.
     """
-    total = Fraction(0)
-    for k1 in range(n + 1):
-        for k2 in range(k1 + 1):
-            for k3 in range(n - k1 + 1):
-                if k1 != 2 * n - 2 * k2 - 4 * k3:
-                    continue
-                total += (
-                    Fraction(2) ** (3 * k1 - n)
-                    * math.comb(n, k1)
-                    * math.comb(k1, k2)
-                    * math.comb(n - k1, k3)
-                )
-    return float(total)
+    b = 5 * n + 1
+    x = 1 << b
+    packed = (x**4 + 8 * x**3 + 8 * x + 1) ** n
+    return ((packed >> (2 * n * b)) & (x - 1)) / 2**n
 
 
 def sextic_series(rho: float, order: int) -> float:
@@ -571,7 +549,7 @@ def even_power_kappa_balanced(K: int) -> float:
 
 
 def _even_power_spec(K: int, rho: float, kappa: float) -> IntegrandSpec:
-    factor = _even_power_factor(K, rho)
+    factor = _even_factor(K, rho)
     # At rho = inf the factor is R/rho, so the reference omega^2 is too.
     omega_sq = kappa / 2.0 if rho == math.inf else (1.0 + kappa * rho) / 2.0
     if omega_sq <= 0.0:
@@ -617,7 +595,7 @@ def even_power_exact_period(K: int, rho: float) -> float:
     g = sum_{j<K} cos^(2j).
     """
     K = _check_exponent(K)
-    return math.sqrt(2.0) * _reference_integral(_even_power_factor(K, rho))
+    return math.sqrt(2.0) * _reference_integral(_even_factor(K, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -634,36 +612,23 @@ def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     stationary frequency, so `order` counts pairs.
     """
     _check_order(order)
-    factor, xi = _cubic_factor(x_minus, x_plus)
+    factor, xi, _, _ = _cubic_factor(x_minus, x_plus)
     omega = pms_first_order(factor)
     return math.sqrt(2.0) * math.pi / omega * _pair_sum(xi, order)
 
 
 def cubic_exact_period(x_minus: float, x_plus: float) -> float:
-    """Exact cubic-well period: sqrt(2) times the quadrature of 1/sqrt(R)."""
-    factor, _ = _cubic_factor(x_minus, x_plus)
-    return math.sqrt(2.0) * _reference_integral(factor)
+    """Exact cubic-well period: sqrt(2) times the quadrature of 1/sqrt(R).
 
-
-def _quartic_cubic_spec(
-    a2: float, a3: float, a4: float, x_minus: float, x_plus: float
-) -> IntegrandSpec:
-    """First-order spec, or NoPeriodicMotion for a factor that is not positive.
-
-    The factor's minimum over [0, pi] is taken exactly: the spec's 512-node
-    grid alone misses a dip below zero between its nodes.
+    R is linear in cos(theta).  On the separatrix it vanishes at a turning
+    point and the period is infinite, which raises NoPeriodicMotion.
     """
-    points = turning_points(OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus))
-    _, lowest = _extrema(points.factor)
-    if not lowest > 0.0:
-        raise BarrierCrossed(
-            f"factor falls to {lowest!r} between the turning points; "
-            "the particle crosses a barrier"
+    factor = OscillatorModel.cubic(x_minus, x_plus).points.factor
+    if not factor.coeffs[0] - sum(map(abs, factor.coeffs[1:])) > 0.0:
+        raise NoPeriodicMotion(
+            f"({x_minus!r}, {x_plus!r}) lies on the separatrix: the period is infinite"
         )
-    try:
-        return points.spec_at()
-    except DomainError as exc:
-        raise NoPeriodicMotion(str(exc)) from exc
+    return math.sqrt(2.0) * _reference_integral(factor)
 
 
 def quartic_cubic_pms(
@@ -673,11 +638,10 @@ def quartic_cubic_pms(
 
     Returns (omega, T0, T2): the first-order stationary frequency, the
     zeroth-order period sqrt(2) pi/omega, and the second-order period
-    sqrt(2) (I0 + I2) from the generic expansion.  A factor with no positive
-    mean, or one that is not positive between the turning points, raises
-    NoPeriodicMotion.
+    sqrt(2) (I0 + I2) from the generic expansion.  A factor that is not
+    positive between the turning points raises NoPeriodicMotion.
     """
-    spec = _quartic_cubic_spec(a2, a3, a4, x_minus, x_plus)
+    spec = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.spec_at()
     series = expand(spec, 2)
     t0 = math.sqrt(2.0) * series.partial_sums[0]
     t2 = math.sqrt(2.0) * series.value
@@ -691,8 +655,8 @@ def quartic_cubic_exact_period(
 
     Raises NoPeriodicMotion on the same inputs as quartic_cubic_pms.
     """
-    spec = _quartic_cubic_spec(a2, a3, a4, x_minus, x_plus)
-    return math.sqrt(2.0) * _reference_integral(spec.factor)
+    factor = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.factor
+    return math.sqrt(2.0) * _reference_integral(factor)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +684,5 @@ def pendulum_approx(amplitude: float, taylor_order: int, series_order: int) -> f
     every amplitude; order 4 is the quartic family with mu = -1/6.
     """
     _check_order(series_order)
-    model = OscillatorModel.pendulum(amplitude, taylor_order)
-    points = turning_points(model)
-    omega = pms_first_order(points.factor)
-    return math.sqrt(2.0) * expand(points.spec_at(omega), series_order).value
+    points = OscillatorModel.pendulum(amplitude, taylor_order).points
+    return math.sqrt(2.0) * expand(points.spec_at(), series_order).value

@@ -263,6 +263,30 @@ def test_precession_series_only_below_critical(capsys):
     assert "note=series extrapolated below the critical semimajor axis" in out
 
 
+def test_warning_prints_one_line(capsys):
+    code, out, err = run_cli(capsys, "precession", "--a", "100", "--series-only")
+    assert code == 0
+    assert err == (
+        "DivergentExpansion: |xi| = 1.230794 >= 1: "
+        "the precession series need not converge\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["period", "cubic", "--x-minus=-1e-200", "--x-plus=1e-200"],
+        ["period", "cubic", "--x-minus=-1e200", "--x-plus=1e200", "--exact"],
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_extreme_cubic_turning_points_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "floating-point range" in err and err.count("\n") == 1
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "pmsdelta", "period", "duffing", "--rho", "1",

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsdelta.errors import (
     BarrierCrossed,
@@ -58,6 +59,67 @@ def test_model_constructors_validate():
         OscillatorModel.pendulum(1.0, 3)
     with pytest.raises(DomainError):
         OscillatorModel.pendulum(3.5, 4)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+
+
+def _equal_potential_a2(a3, a4, x_minus, x_plus):
+    """a2 that puts V = a2 x^2 + a3 x^3 + a4 x^4 equal at both points."""
+    with np.errstate(all="ignore"):
+        lo, hi = np.float64(x_minus), np.float64(x_plus)
+        return float(-(a3 * (lo**3 - hi**3) + a4 * (lo**4 - hi**4)) / (lo**2 - hi**2))
+
+
+QUARTIC_CUBIC_ARGS = st.one_of(
+    st.tuples(FINITE, FINITE, FINITE, FINITE, FINITE),
+    st.tuples(FINITE, FINITE, NEGATIVE, POSITIVE).map(
+        lambda a: (_equal_potential_a2(*a), *a)
+    ),
+)
+
+MODEL_ARGUMENTS = [
+    (OscillatorModel.even_power, st.tuples(st.integers(2, 8), FINITE, FINITE)),
+    (OscillatorModel.cubic, st.one_of(st.tuples(FINITE, FINITE), st.tuples(NEGATIVE, POSITIVE))),
+    (OscillatorModel.quartic_cubic, QUARTIC_CUBIC_ARGS),
+    (OscillatorModel.pendulum, st.tuples(FINITE, st.sampled_from((2, 4, 6)))),
+]
+
+
+@pytest.mark.parametrize(
+    "build, arguments",
+    [pytest.param(b, a, id=b.__name__) for b, a in MODEL_ARGUMENTS],
+)
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_model_constructors_factor_or_refuse(build, arguments, data):
+    # Over the whole finite float range a constructor either refuses with a
+    # package error or returns a model that already carries its factor.
+    args = data.draw(arguments)
+    try:
+        model = build(*args)
+    except PmsDeltaError:
+        return
+    assert turning_points(model) is model.points
+    try:
+        spec = model.points.spec_at()
+    except PmsDeltaError:
+        return
+    assert 0.0 < spec.omega < math.inf
+
+
+def test_extreme_finite_inputs_raise_typed_errors():
+    # Each of these overflowed or divided by an underflowed zero.
+    with pytest.raises(DomainError):
+        OscillatorModel.duffing(1.0, 1e200)
+    with pytest.raises(DomainError):
+        quartic_cubic_pms(0.5, 0.0, 0.25, -1e200, 1e200)
+    with pytest.raises(DomainError):
+        cubic_series(-1e-200, 1e-200, 4)
+    with pytest.raises(DomainError):
+        cubic_exact_period(-1e200, 1e200)
 
 
 def test_turning_points_harmonic_duffing():
@@ -129,7 +191,8 @@ def test_nayfeh_series_convergent_side():
 
 def test_nayfeh_series_diverges_where_ours_converges():
     rho = -0.8
-    nayfeh = [duffing_nayfeh_series(rho, n) for n in range(26)]
+    with pytest.warns(DivergentExpansion):
+        nayfeh = [duffing_nayfeh_series(rho, n) for n in range(26)]
     ours = [duffing_period_series(rho, n) for n in range(26)]
     nayfeh_steps = [abs(b - a) for a, b in zip(nayfeh, nayfeh[1:])]
     our_steps = [abs(b - a) for a, b in zip(ours, ours[1:])]
@@ -137,6 +200,16 @@ def test_nayfeh_series_diverges_where_ours_converges():
     assert all(b > a for a, b in zip(nayfeh_steps[10:20], nayfeh_steps[11:21]))
     assert our_steps[20] < our_steps[10] < our_steps[2]
     assert ours[25] == pytest.approx(duffing_exact_period(rho), rel=1e-6)
+
+
+def test_nayfeh_series_overflow_is_typed():
+    # kappa = -5e6: kappa^64 overflows, which raises a package error rather
+    # than Python's OverflowError.  At rho = 0.5, kappa = 1/6 and no warning.
+    with pytest.warns(DivergentExpansion), pytest.raises(DomainError):
+        duffing_nayfeh_series(-0.9999999, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(duffing_nayfeh_series(0.5, 64))
 
 
 def test_duffing_b0():
@@ -238,7 +311,7 @@ NAN_RHO_CALLS = [
     (sextic_exact_period, (math.nan,)),
     (even_power_series, (3, math.nan, 0.625, 4)),
     (even_power_exact_period, (3, math.nan)),
-    (turning_points, (OscillatorModel.duffing(math.nan, 1.0),)),
+    (OscillatorModel.duffing, (math.nan, 1.0)),
 ]
 
 
@@ -262,7 +335,7 @@ INF_RHO_CALLS = [
     (sextic_wl_period, (math.inf,)),
     (sextic_t4, (math.inf,)),
     (sextic_exact_period, (math.inf,)),
-    (turning_points, (OscillatorModel.duffing(math.inf, 1.0),)),
+    (OscillatorModel.duffing, (math.inf, 1.0)),
 ]
 
 
@@ -379,6 +452,14 @@ def test_cubic_rejects_infinite_turning_points():
         cubic_exact_period(-math.inf, 1.0)
 
 
+def test_cubic_separatrix_has_no_exact_period():
+    # (-1, 2) puts the third zero of the cubic on x+: R vanishes at theta = 0
+    # and the period is infinite.  The series still sums its terms.
+    with pytest.raises(NoPeriodicMotion, match="separatrix"):
+        cubic_exact_period(-1.0, 2.0)
+    assert math.isfinite(cubic_series(-1.0, 2.0, 4))
+
+
 def test_quartic_cubic_pms_improves_with_order():
     # Turning points of V = x^2/2 + 0.1 x^3 + 0.1 x^4 at E = 0.2.
     x_minus, x_plus = -0.6474066047756843, 0.5812792030865791
@@ -472,6 +553,14 @@ def test_pendulum_taylor6_improves():
     err_second = abs(pendulum_approx(2.0, 6, 2) - exact) / exact
     print(f"pendulum A=2: order-6 leading err {err_leading:.3e}, second {err_second:.3e}")
     assert err_second < err_leading
+
+
+def test_pendulum_taylor4_beyond_sqrt6_has_no_periodic_motion():
+    # Taylor 4 is the quartic family at rho = -A^2/6, which reaches -1 at
+    # A = sqrt(6).
+    with pytest.raises(NoPeriodicMotion, match="rho must exceed -1"):
+        pendulum_approx(2.6, 4, 4)
+    assert math.isfinite(pendulum_approx(2.4, 4, 4))
 
 
 def test_pendulum_approx_rejections():
