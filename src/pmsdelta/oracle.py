@@ -114,31 +114,36 @@ def integrate(
     b: float,
     abs_tol: float = 1e-12,
     max_evals: int = 10**6,
+    rel_tol: float = 0.0,
 ) -> QuadratureResult:
-    """Integrate f over [a, b] to absolute tolerance abs_tol.
+    """Integrate f over [a, b] to max(abs_tol, rel_tol * |integral|).
 
     Globally adaptive bisection with an embedded low/high order rule per
     panel: the panel with the worst error estimate is split first, until the
-    accumulated estimate drops below abs_tol.  Deterministic: the refinement
-    order and the final left-to-right summation depend only on the inputs.
+    accumulated estimate drops below the tolerance, taken against the running
+    estimate of the integral.  Deterministic: the refinement order and the
+    final left-to-right summation depend only on the inputs.
 
     Raises ToleranceNotMet when the accumulated error estimate cannot be
-    brought below abs_tol (evaluation budget exhausted, or panels pinned at
-    the floating-point resolution limit) and NonFiniteIntegrand if f returns
-    NaN or infinity at a node.
+    brought below the tolerance (evaluation budget exhausted, or panels
+    pinned at the floating-point resolution limit) and NonFiniteIntegrand if
+    f returns NaN or infinity at a node.
     """
     if not a < b:
         raise DomainError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
     if abs_tol <= 0.0:
         raise DomainError("abs_tol must be positive")
+    if not rel_tol >= 0.0:
+        raise DomainError("rel_tol must be nonnegative")
 
     evals = _PANEL_COST
     first = _panel(f, a, b)
     # Max-heap on the error estimate: always refine the worst panel.
     live = [(-first[1], a, b) + first]
     err_total = first[1]
+    value_total = first[0]
     frozen: list[tuple[float, float, float]] = []  # (lo, value, error)
-    while live and err_total > abs_tol:
+    while live and err_total > max(abs_tol, rel_tol * abs(value_total)):
         neg_err, lo, hi, value, err, scale = heapq.heappop(live)
         mid = 0.5 * (lo + hi)
         if err <= _NOISE_FLOOR * scale or mid <= lo or mid >= hi:
@@ -153,6 +158,7 @@ def integrate(
         left = _panel(f, lo, mid)
         right = _panel(f, mid, hi)
         err_total += left[1] + right[1] - err
+        value_total += left[0] + right[0] - value
         heapq.heappush(live, (-left[1], lo, mid) + left)
         heapq.heappush(live, (-right[1], mid, hi) + right)
 
@@ -167,9 +173,10 @@ def integrate(
         comp = (t - total) - y
         total = t
         err_sum += err
-    if err_sum > abs_tol:
+    tol = max(abs_tol, rel_tol * abs(total))
+    if err_sum > tol:
         raise ToleranceNotMet(
-            f"error estimate {err_sum:.3e} above tolerance {abs_tol:.3e} "
+            f"error estimate {err_sum:.3e} above tolerance {tol:.3e} "
             f"after {evals} evaluations"
         )
     return QuadratureResult(value=total, error_estimate=err_sum, evaluations=evals)
@@ -193,6 +200,38 @@ def _agm(x: float, y: float) -> float:
     while abs(x - y) > 2.0 * math.ulp(x):
         x, y = 0.5 * (x + y), math.sqrt(x * y)
     return x
+
+
+def _agm_integral(
+    end_0: float,
+    end_pi: float,
+    gap_0: float | None = None,
+    gap_pi: float | None = None,
+) -> tuple[float, float]:
+    """Integral of dtheta/sqrt(R) over [0, pi] for R linear in cos(theta).
+
+    R = alpha + beta cos(theta) is given by its end values R(0) = end_0 and
+    R(pi) = end_pi, both positive, and the integral is
+    pi / agm(sqrt(R(0)), sqrt(R(pi))) (DLMF 19.8).  Returns that integral and
+    its excess over pi.  The AGM runs twice over: on x, y and, in deviation
+    form, on p = 1 - x and q = 1 - y, with q' = (p + q - p q)/(1 + y').  So
+    the excess is pi p/x and never subtracts pi.  gap_0 = 1 - R(0) and
+    gap_pi = 1 - R(pi), when given exactly, keep its digits for R close to
+    1; they default to 1 - R.
+    """
+    x, y = math.sqrt(end_0), math.sqrt(end_pi)
+    p = (1.0 - end_0 if gap_0 is None else gap_0) / (1.0 + x)
+    q = (1.0 - end_pi if gap_pi is None else gap_pi) / (1.0 + y)
+    # p and q bracket the limit as x and y do, and their gap is |x - y|.
+    # Once x and y agree to 2 ulp that gap is about 4e-16 x; each step
+    # squares it, so two more put it below the rounding of any p > 1e-40.
+    extra = 2
+    while extra:
+        if abs(x - y) <= 2.0 * math.ulp(x):
+            extra -= 1
+        x, y = 0.5 * (x + y), math.sqrt(x * y)
+        p, q = 0.5 * (p + q), (p + q - p * q) / (1.0 + y)
+    return math.pi / x, math.pi * p / x
 
 
 def find_root(

@@ -22,14 +22,13 @@ from .errors import (
     DomainError,
     NoPeriodicMotion,
 )
-from .oracle import _agm, elliptic_k, integrate
+from .oracle import _agm, _agm_integral, elliptic_k, integrate
 from .series_core import (
     IntegrandSpec,
     TrigPolynomial,
     _check_order,
     _extrema,
     _pair_sum,
-    _reference_integral,
     delta_of,
     expand,
     half_binomial,
@@ -138,7 +137,7 @@ class OscillatorModel:
         mu = -(3/2)(x- + x+)/(x+^2 + x+ x- + x-^2) and E = V at either end.
         """
         x_minus, x_plus = _cubic_points(x_minus, x_plus)
-        factor, _, mu, energy = _cubic_factor(x_minus, x_plus)
+        factor, _, mu, energy, _ = _cubic_factor(x_minus, x_plus)
         return cls(
             {"mu": mu, "x_minus": x_minus, "x_plus": x_plus},
             TurningPoints(x_minus, x_plus, factor),
@@ -273,14 +272,19 @@ def _even_factor(K: int, rho: float) -> TrigPolynomial:
 
 def _cubic_factor(
     x_minus: float, x_plus: float
-) -> tuple[TrigPolynomial, float, float, float]:
-    """Factor polynomial in theta for the cubic family, with xi, mu and the energy.
+) -> tuple[TrigPolynomial, float, float, float, tuple[float, float]]:
+    """Factor polynomial in theta for the cubic family, with xi, mu, the energy
+    and the factor's end values R(0) and R(pi).
 
     Validates that the pair brackets single-well periodic motion: the points
     lie on either side of the origin, the third zero of the cubic lies
     outside [x-, x+], and equivalently the energy stays below the barrier top.
-    A pair whose sigma = x+^2 + x+ x- + x-^2 or energy p^2/(2 sigma) under- or
-    overflows is refused.
+    A pair whose sigma = x+^2 + x+ x- + x-^2 under- or overflows is refused.
+    The energy p^2/(2 sigma) is formed as p (p/sigma)/2 with |p/sigma| <= 1,
+    so it neither overflows nor underflows where p^2 alone would.  The end
+    values R(0) = -x+ (2 x- + x+)/(2 sigma) and R(pi) = -x- (x- + 2 x+)/(2 sigma)
+    are formed from the points, not summed from the factor's coefficients, so
+    they keep their digits as R(0) -> 0 at the separatrix.
     """
     x_minus, x_plus = _cubic_points(x_minus, x_plus)
     s = x_minus + x_plus
@@ -290,13 +294,13 @@ def _cubic_factor(
         denom = x_plus**2 + 4.0 * p + x_minus**2
     except OverflowError:
         sigma = denom = math.inf
-    if not (0.0 < sigma < math.inf and math.isfinite(denom) and math.isfinite(p * p)):
+    if not (0.0 < sigma < math.inf and math.isfinite(denom)):
         raise DomainError(
             f"cubic turning points ({x_minus!r}, {x_plus!r}) are out of "
-            "floating-point range: x+^2 + x+ x- + x-^2 or the energy under- or overflows"
+            "floating-point range: x+^2 + x+ x- + x-^2 under- or overflows"
         )
     mu = -1.5 * s / sigma
-    energy = p * p / (2.0 * sigma)
+    energy = 0.5 * p * (p / sigma)
     if s != 0.0:
         # Strict checks: the separatrix itself (third zero AT a turning point)
         # still factors cleanly, though the period there is infinite.
@@ -307,10 +311,11 @@ def _cubic_factor(
                 f"({x_minus!r}, {x_plus!r}): the energy exceeds the barrier and "
                 "the motion is not periodic in a single well"
             )
-        barrier = 1.0 / (6.0 * mu * mu)
-        if energy > barrier:
+        # E > 1/(6 mu^2), the barrier top, without squaring mu: for a nearly
+        # symmetric pair at large scale mu^2 underflows to zero.
+        if 6.0 * mu * (mu * energy) > 1.0:
             raise BarrierCrossed(
-                f"energy {energy!r} exceeds the barrier {barrier!r}"
+                f"energy {energy!r} exceeds the barrier top 1/(6 mu^2), mu = {mu!r}"
             )
     b0 = -p / (2.0 * sigma)
     b1 = -s / (2.0 * sigma)
@@ -322,7 +327,11 @@ def _cubic_factor(
             "no real stationary frequency for this turning-point pair"
         )
     xi = (x_plus**2 - x_minus**2) / denom
-    return factor, xi, mu, energy
+    ends = (
+        -x_plus * (2.0 * x_minus + x_plus) / (2.0 * sigma),
+        -x_minus * (x_minus + 2.0 * x_plus) / (2.0 * sigma),
+    )
+    return factor, xi, mu, energy, ends
 
 
 def _cubic_points(x_minus: float, x_plus: float) -> tuple[float, float]:
@@ -503,20 +512,8 @@ def sextic_series(rho: float, order: int) -> float:
 
 
 def sextic_exact_period(rho: float) -> float:
-    """Exact sextic period by adaptive quadrature.
-
-    T = 2 sqrt(3)/sqrt(rho+3) * integral over [0, pi] of
-    dtheta / sqrt(1 + rho/(rho+3) (cos^2 + cos^4)).
-    """
-    rho = _check_rho(rho)
-    ratio = rho / (rho + 3.0)
-
-    def integrand(theta: float) -> float:
-        c2 = math.cos(theta) ** 2
-        return 1.0 / math.sqrt(1.0 + ratio * (c2 + c2 * c2))
-
-    result = integrate(integrand, 0.0, math.pi, abs_tol=1e-13)
-    return 2.0 * math.sqrt(3.0) / math.sqrt(rho + 3.0) * result.value
+    """Exact sextic period: the even-power period at K = 3."""
+    return even_power_exact_period(3, _check_rho(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +587,42 @@ def even_power_series(K: int, rho: float, kappa: float, order: int) -> float:
 def even_power_exact_period(K: int, rho: float) -> float:
     """Exact even-power period by adaptive quadrature of sqrt(2)/sqrt(R).
 
+    R = 1/2 + (rho/2K) g(c), g = sum_{j<K} c^j and c = cos^2(theta), depends
+    on theta through c alone, so the integral over [0, pi] is twice the one
+    over [0, pi/2].  R is summed from terms of one sign.  For rho >= 0 that
+    is the form above.  For rho < 0 it is
+    R = (1 + rho)/2 + (|rho|/2K) u sum_{l<K-1} (K-1-l) c^l, u = sin^2(theta),
+    because g - K = -u sum_l (K-1-l) c^l.  There R(0) = (1 + rho)/2 is formed
+    from rho itself.  Summed from the cos^k coefficients, R(0) carries about
+    1e-16 of absolute noise, which is all of R as 1 + rho -> 0.  (Powers of u
+    would do as well for small K, but their binomial coefficients alternate
+    in sign and cancel as K grows.)  The tolerance is 1e-14 of the integral.
+
     With rho = math.inf, returns the strong-coupling coefficient
-    c0 = lim sqrt(rho) T = 2 sqrt(K) * integral of dtheta/sqrt(g(theta)),
-    g = sum_{j<K} cos^(2j).
+    c0 = lim sqrt(rho) T, from R/rho = g/(2K).
     """
     K = _check_exponent(K)
-    return math.sqrt(2.0) * _reference_integral(_even_factor(K, rho))
+    rho = float(rho)
+    if rho == math.inf:
+        base, weight, coeffs = 0.0, 1.0 / (2.0 * K), (1.0,) * K
+    elif _check_rho(rho) >= 0.0:
+        base, weight, coeffs = 0.5, rho / (2.0 * K), (1.0,) * K
+    else:
+        base, weight = 0.5 * (1.0 + rho), -rho / (2.0 * K)
+        coeffs = tuple(float(K - 1 - l) for l in range(K - 1))
+    with_u = rho < 0.0
+
+    def integrand(theta: float) -> float:
+        c = math.cos(theta) ** 2
+        acc = 0.0
+        for coeff in reversed(coeffs):
+            acc = coeff + acc * c
+        if with_u:
+            acc *= math.sin(theta) ** 2
+        return 1.0 / math.sqrt(base + weight * acc)
+
+    result = integrate(integrand, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14)
+    return 2.0 * math.sqrt(2.0) * result.value
 
 
 # ---------------------------------------------------------------------------
@@ -612,23 +639,24 @@ def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     stationary frequency, so `order` counts pairs.
     """
     _check_order(order)
-    factor, xi, _, _ = _cubic_factor(x_minus, x_plus)
+    factor, xi, _, _, _ = _cubic_factor(x_minus, x_plus)
     omega = pms_first_order(factor)
     return math.sqrt(2.0) * math.pi / omega * _pair_sum(xi, order)
 
 
 def cubic_exact_period(x_minus: float, x_plus: float) -> float:
-    """Exact cubic-well period: sqrt(2) times the quadrature of 1/sqrt(R).
+    """Exact cubic-well period sqrt(2) pi / agm(sqrt(R(0)), sqrt(R(pi))).
 
-    R is linear in cos(theta).  On the separatrix it vanishes at a turning
-    point and the period is infinite, which raises NoPeriodicMotion.
+    R is linear in cos(theta) and positive between its end values.  On the
+    separatrix R vanishes at a turning point and the period is infinite,
+    which raises NoPeriodicMotion.
     """
-    factor = OscillatorModel.cubic(x_minus, x_plus).points.factor
-    if not factor.coeffs[0] - sum(map(abs, factor.coeffs[1:])) > 0.0:
+    *_, (end_0, end_pi) = _cubic_factor(x_minus, x_plus)
+    if not min(end_0, end_pi) > 0.0:
         raise NoPeriodicMotion(
             f"({x_minus!r}, {x_plus!r}) lies on the separatrix: the period is infinite"
         )
-    return math.sqrt(2.0) * _reference_integral(factor)
+    return math.sqrt(2.0) * _agm_integral(end_0, end_pi)[0]
 
 
 def quartic_cubic_pms(
@@ -651,12 +679,18 @@ def quartic_cubic_pms(
 def quartic_cubic_exact_period(
     a2: float, a3: float, a4: float, x_minus: float, x_plus: float
 ) -> float:
-    """Exact period of the quartic-cubic potential by adaptive quadrature.
+    """Exact period of the quartic-cubic potential: sqrt(2) times the
+    adaptive quadrature of 1/sqrt(R) over [0, pi].
 
-    Raises NoPeriodicMotion on the same inputs as quartic_cubic_pms.
+    R is quadratic in cos(theta), the one factor here with no closed form in
+    use.  Raises NoPeriodicMotion on the same inputs as quartic_cubic_pms.
     """
     factor = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.factor
-    return math.sqrt(2.0) * _reference_integral(factor)
+
+    def integrand(theta: float) -> float:
+        return 1.0 / math.sqrt(factor.evaluate(theta))
+
+    return math.sqrt(2.0) * integrate(integrand, 0.0, math.pi, abs_tol=1e-13).value
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .errors import (
     DomainError,
     ThirdRootInsideInterval,
 )
-from .oracle import find_root
-from .series_core import TrigPolynomial, _check_order, _pair_sum, _reference_integral
+from .oracle import _agm_integral, find_root
+from .series_core import _check_order, _pair_sum
 
 __all__ = [
     "OrbitParams",
@@ -77,15 +77,6 @@ class OrbitParams:
         """Alias for the semilatus rectum."""
         return self.semilatus_rectum
 
-    def factor(self) -> TrigPolynomial:
-        """R(theta) = 1 - 2GM (z(theta) + z- + z+) after the cosine substitution."""
-        mid = 0.5 * (self.z_minus + self.z_plus)
-        half = 0.5 * (self.z_plus - self.z_minus)
-        return TrigPolynomial(
-            [1.0 - 2.0 * self.GM * (mid + self.z_minus + self.z_plus),
-             -2.0 * self.GM * half]
-        )
-
 
 def _omega(orbit: OrbitParams) -> float:
     omega_sq = 1.0 - 6.0 * orbit.GM / orbit.semilatus_rectum
@@ -119,25 +110,54 @@ def precession_series(orbit: OrbitParams, order: int) -> float:
     return 2.0 * math.pi * (_pair_sum(xi, order) / omega - 1.0)
 
 
-def precession_exact(orbit: OrbitParams) -> float:
-    """Perihelion precession per orbit, radians, by adaptive quadrature.
+def _factor_ends(orbit: OrbitParams) -> tuple[float, float, float, float]:
+    """R and 1 - R at theta = 0 and theta = pi, each rounded once.
 
-    Evaluates 2 * integral over [0, pi] of dtheta / sqrt(R(theta)) minus
-    2 pi.  Requires the linear factor to stay positive across the interval;
-    otherwise the third zero of the underlying cubic has entered [z-, z+]
-    (the semimajor axis is below critical) and ThirdRootInsideInterval is
-    raised rather than splitting the integral there.
+    1 - R(0) = 2GM (2 z+ + z-) = 2GM (3 + eps)/L and
+    1 - R(pi) = 2GM (z+ + 2 z-) = 2GM (3 - eps)/L, with L = a(1 - eps^2),
+    are exact rationals in the float inputs, and so are R(0) and R(pi):
+    each is one integer quotient, which Python rounds correctly.  Returns
+    (R(0), R(pi), 1 - R(0), 1 - R(pi)).  An infinite a with finite GM is the
+    Newtonian limit R = 1; an infinite GM puts every a below critical.
+
+    Raises ThirdRootInsideInterval unless R(0) > 0: the third zero of the
+    underlying cubic has entered [z-, z+], and the semimajor axis is below
+    critical.  The sign is found on the integers, before any quotient that
+    would overflow far below critical is formed.
     """
-    factor = orbit.factor()
-    coeffs = factor.coeffs
-    minimum = coeffs[0] + (coeffs[1] if len(coeffs) > 1 else 0.0)  # theta = 0
-    if minimum <= 0.0:
+    GM, a, eps = orbit.GM, orbit.a, orbit.epsilon
+    if GM == math.inf:
+        ends = None
+    elif a == math.inf:
+        ends = 1.0, 1.0, 0.0, 0.0
+    else:
+        (gn, gd), (an, ad), (en, ed) = (x.as_integer_ratio() for x in (GM, a, eps))
+        common = 2 * gn * ad * ed
+        denom = gd * an * (ed * ed - en * en)
+        gap_0, gap_pi = common * (3 * ed + en), common * (3 * ed - en)
+        ends = (
+            (denom - gap_0) / denom, (denom - gap_pi) / denom,
+            gap_0 / denom, gap_pi / denom,
+        ) if gap_0 < denom else None
+    if ends is None:
         raise ThirdRootInsideInterval(
-            f"factor reaches {minimum!r} at the perihelion end: semimajor axis "
-            f"{orbit.a!r} is below the critical value for GM = {orbit.GM!r}, "
-            f"eccentricity {orbit.epsilon!r}"
+            "the factor is not positive at the perihelion end: semimajor axis "
+            f"{a!r} is below the critical value for GM = {GM!r}, eccentricity {eps!r}"
         )
-    return 2.0 * _reference_integral(factor) - 2.0 * math.pi
+    return ends
+
+
+def precession_exact(orbit: OrbitParams) -> float:
+    """Perihelion precession per orbit, radians, from the AGM closed form.
+
+    Delta phi = 2 * integral over [0, pi] of dtheta / sqrt(R(theta)) - 2 pi
+    for R linear in cos(theta), which is 2 pi (1 - M)/M with M the AGM of
+    sqrt(R(0)) and sqrt(R(pi)).  The AGM runs in deviation form from the
+    exact 1 - R at each end, so a weak-field orbit keeps its digits and
+    2 pi is never subtracted.  Requires R(0) > 0; otherwise the semimajor
+    axis is below critical and ThirdRootInsideInterval is raised.
+    """
+    return 2.0 * _agm_integral(*_factor_ends(orbit))[1]
 
 
 def critical_semimajor_axis(GM: float, epsilon: float) -> float:

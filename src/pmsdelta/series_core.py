@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DomainError, NonPositiveMean, OrderTooHigh, ToleranceNotMet
-from .oracle import find_root, integrate
+from .oracle import find_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -301,19 +301,6 @@ def _pair_sum(xi: float, order: int) -> float:
     )
 
 
-def _reference_integral(factor: TrigPolynomial) -> float:
-    """Integral of dtheta/sqrt(R(theta)) over [0, pi] by the independent oracle.
-
-    This is the exact value every expansion of the same factor converges to;
-    the caller guarantees that R stays positive on [0, pi].
-    """
-
-    def integrand(theta: float) -> float:
-        return 1.0 / math.sqrt(factor.evaluate(theta))
-
-    return integrate(integrand, 0.0, math.pi, abs_tol=1e-13).value
-
-
 def pms_derivative_check(spec: IntegrandSpec, order: int) -> float:
     """Analytic derivative of the order-N partial sum with respect to omega.
 
@@ -377,15 +364,19 @@ def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
     c = +-1 or at a real root of its derivative.  Real parts of every
     derivative root are kept as candidates: a spurious one is still a point of
     [-1, 1], and a double root that the eigenvalue solver splits into a
-    near-real pair is not lost.  A constant has no derivative to solve.
+    near-real pair is not lost.  A constant has no derivative to solve.  A
+    leading coefficient tiny next to the others sends a root to infinity;
+    such a root lies outside [-1, 1] and is dropped.
     """
     if poly.degree == 0:
         return poly.coeffs[0], poly.coeffs[0]
     import numpy as np
 
     coeffs = np.asarray(poly.coeffs)
-    roots = np.polynomial.polynomial.polyroots(coeffs[1:] * np.arange(1, coeffs.size))
-    nodes = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
+    with np.errstate(all="ignore"):
+        roots = np.polynomial.polynomial.polyroots(coeffs[1:] * np.arange(1, coeffs.size)).real
+    roots = roots[np.isfinite(roots)]
+    nodes = np.concatenate(([-1.0, 1.0], np.clip(roots, -1.0, 1.0)))
     values = np.polynomial.polynomial.polyval(nodes, coeffs)
     return float(values.max()), float(values.min())
 

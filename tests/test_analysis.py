@@ -130,6 +130,8 @@ def test_precession_table_subcritical_propagates():
     a_c = critical_semimajor_axis(DEFAULT_GM, DEFAULT_ECCENTRICITY)
     with pytest.raises(ThirdRootInsideInterval):
         precession_error_table([0.9 * a_c], orders=[0])
+    with pytest.raises(ThirdRootInsideInterval):
+        precession_error_table([1e-308, 1.0], orders=[0], GM=1.0)
 
 
 def test_precession_table_rejections():

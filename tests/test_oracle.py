@@ -65,6 +65,56 @@ def test_integrate_rejects_bad_interval_and_tolerance():
         integrate(math.sin, 0.0, 1.0, abs_tol=0.0)
 
 
+def test_integrate_stops_on_relative_tolerance():
+    # 1e20 sin x: an absolute 1e-12 sits below the rounding noise of the
+    # integral, 2e20; 1e-13 of it does not.
+    f = lambda x: 1e20 * math.sin(x)
+    with pytest.raises(ToleranceNotMet):
+        integrate(f, 0.0, math.pi, abs_tol=1e-12)
+    res = integrate(f, 0.0, math.pi, abs_tol=1e-12, rel_tol=1e-13)
+    assert res.error_estimate <= 1e-13 * res.value
+    assert res.value == pytest.approx(2e20, rel=1e-14)
+    # The relative criterion stops refinement early: fewer evaluations than
+    # an absolute tolerance of the same size.
+    loose = integrate(math.exp, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-6)
+    tight = integrate(math.exp, 0.0, 1.0, abs_tol=1e-13)
+    assert loose.error_estimate <= 1e-6 * loose.value
+    assert loose.evaluations <= tight.evaluations
+    with pytest.raises(DomainError):
+        integrate(math.sin, 0.0, 1.0, rel_tol=-1e-3)
+
+
+def test_integrate_relative_tolerance_still_raises():
+    # Neither criterion can be met: the budget or the singularity wins.
+    with pytest.raises(ToleranceNotMet):
+        integrate(math.sin, 0.0, math.pi, abs_tol=1e-300, rel_tol=1e-300, max_evals=100)
+    with pytest.raises((ToleranceNotMet, NonFiniteIntegrand)):
+        integrate(lambda x: 1.0 / x, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-12, max_evals=10**4)
+
+
+@pytest.mark.parametrize("end_0, end_pi", [(1.0, 1.0), (0.5, 2.0), (1e-9, 0.3), (3.0, 1e-12)])
+def test_agm_integral_matches_mpmath(end_0, end_pi):
+    mpmath = pytest.importorskip("mpmath")
+    integral, excess = oracle._agm_integral(end_0, end_pi)
+    with mpmath.workdps(50):
+        reference = mpmath.pi / mpmath.agm(mpmath.sqrt(end_0), mpmath.sqrt(end_pi))
+        assert abs(integral - reference) <= 1e-15 * reference
+        assert abs(excess - (reference - mpmath.pi)) <= 1e-15 * reference
+
+
+def test_agm_integral_excess_keeps_digits_near_one():
+    # R = 1 - g at both ends with g = 1e-12: the excess is about pi g/2,
+    # and pi/M - pi would keep only four of its digits.
+    mpmath = pytest.importorskip("mpmath")
+    gap_0, gap_pi = 3e-12, 1e-12
+    _, excess = oracle._agm_integral(1.0 - gap_0, 1.0 - gap_pi, gap_0, gap_pi)
+    with mpmath.workdps(50):
+        one = mpmath.mpf(1)
+        m = mpmath.agm(mpmath.sqrt(one - gap_0), mpmath.sqrt(one - gap_pi))
+        reference = mpmath.pi / m - mpmath.pi
+        assert abs(excess - reference) <= 1e-15 * reference
+
+
 def test_integrate_budget_exhaustion():
     with pytest.raises(ToleranceNotMet):
         integrate(math.sin, 0.0, math.pi, abs_tol=1e-30, max_evals=100)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pmsdelta.errors import (
     OrderTooHigh,
     PmsDeltaError,
 )
-from pmsdelta.oracle import elliptic_k
+from pmsdelta.oracle import elliptic_k, integrate
 from pmsdelta.oscillators import (
     OscillatorModel,
     cubic_exact_period,
@@ -120,6 +121,23 @@ def test_extreme_finite_inputs_raise_typed_errors():
         cubic_series(-1e-200, 1e-200, 4)
     with pytest.raises(DomainError):
         cubic_exact_period(-1e200, 1e200)
+
+
+def test_extrema_drops_roots_sent_to_infinity():
+    # A4 of 1e-320 sends a root of the factor's derivative to infinity; numpy's
+    # overflow warning used to escape _extrema instead of BarrierCrossed.
+    with pytest.raises(BarrierCrossed):
+        OscillatorModel.quartic_cubic(-3.0, 1.0, 1e-320, -1.0, 2.0)
+
+
+def test_cubic_energy_does_not_underflow():
+    # p^2 = 1.05e-200^2 underflows; p (p/sigma)/2 does not.
+    x_minus, x_plus = -1e-100, 1.05e-100
+    p = Fraction(x_minus) * Fraction(x_plus)
+    sigma = Fraction(x_plus) ** 2 + p + Fraction(x_minus) ** 2
+    exact = p * p / (2 * sigma)
+    energy = OscillatorModel.cubic(x_minus, x_plus).energy
+    assert abs(Fraction(energy) - exact) <= 1e-15 * exact
 
 
 def test_turning_points_harmonic_duffing():
@@ -422,9 +440,58 @@ def test_even_power_k5_divergence_and_balance():
     assert errors[-1] < 1e-2 * c0_exact
 
 
+def _mp_even_period(K, rho):
+    """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits, tanh-sinh with
+    breakpoints clustered at theta = 0, where R dips as 1 + rho -> 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        weight = mpmath.mpf(rho) / (2 * K)
+
+        def f(theta):
+            c = mpmath.cos(theta) ** 2
+            return 1 / mpmath.sqrt(0.5 + weight * mpmath.fsum(c**j for j in range(K)))
+
+        points = [0] + [mpmath.mpf(10) ** -k for k in range(8, 0, -1)] + [mpmath.pi / 2]
+        return 2 * mpmath.sqrt(2) * mpmath.quad(f, points)
+
+
+@pytest.mark.parametrize(
+    "K, rho",
+    [(3, -0.9999999), (3, -1.0 + 1e-6), (3, -1.0 + 1e-10), (5, -1.0 + 1e-6),
+     (5, -1.0 + 1e-10), (4, -0.5), (5, 30.0)],
+)
+def test_even_power_exact_matches_mpmath(K, rho):
+    # Near the separatrix the cos^k coefficient sum left R(0) = (1 + rho)/2
+    # with 1e-16 of absolute noise, and the quadrature raised
+    # ToleranceNotMet; (4, -0.5) and (5, 30) cover both sums away from it.
+    reference = _mp_even_period(K, rho)
+    value = sextic_exact_period(rho) if K == 3 else even_power_exact_period(K, rho)
+    assert abs(value - reference) <= 1e-15 * reference
+
+
+# Cells of the benchmark's oracle sweep: (x-, x+).
+CUBIC_CELLS = [(-0.2, 0.15), (-0.5, 0.55), (-0.8, 0.6), (-0.85, 0.9)]
+
+
+@pytest.mark.parametrize("x_minus, x_plus", CUBIC_CELLS)
+def test_cubic_agm_matches_quadrature(x_minus, x_plus):
+    factor = turning_points(OscillatorModel.cubic(x_minus, x_plus)).factor
+    quadrature = integrate(
+        lambda theta: 1.0 / math.sqrt(factor.evaluate(theta)),
+        0.0, math.pi, abs_tol=1e-300, rel_tol=1e-14,
+    )
+    exact = cubic_exact_period(x_minus, x_plus)
+    assert exact == pytest.approx(math.sqrt(2.0) * quadrature.value, rel=1e-14)
+
+
 def test_cubic_symmetric_is_harmonic():
     assert cubic_series(-1.0, 1.0, 0) == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert cubic_series(-1.0, 1.0, 10) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    # One ulp from symmetric at 1e150, mu is about 1e-166 and mu^2 underflows
+    # to zero, so a barrier test that divides by it raises ZeroDivisionError.
+    x_plus = math.nextafter(1e150, math.inf)
+    assert cubic_series(-1e150, x_plus, 4) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert cubic_exact_period(-1e150, x_plus) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
 
 def test_cubic_series_vs_oracle():

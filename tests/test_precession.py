@@ -11,6 +11,7 @@ from pmsdelta.errors import (
     DomainError,
     ThirdRootInsideInterval,
 )
+from pmsdelta.oracle import integrate
 from pmsdelta.precession import (
     OrbitParams,
     critical_semimajor_axis,
@@ -76,6 +77,12 @@ def test_exact_refuses_subcritical():
     orbit = OrbitParams(GM=DEFAULT_GM, a=0.95 * a_c, epsilon=DEFAULT_ECCENTRICITY)
     with pytest.raises(ThirdRootInsideInterval):
         precession_exact(orbit)
+    # Far below critical 2GM (3 + eps)/L exceeds the float range; the sign of
+    # R(0) is decided before that quotient is formed.
+    with pytest.raises(ThirdRootInsideInterval):
+        precession_exact(OrbitParams(GM=1.0, a=1e-308, epsilon=0.0))
+    with pytest.raises(ThirdRootInsideInterval):
+        precession_exact(OrbitParams(GM=math.inf, a=1e-308, epsilon=0.9999999999999999))
 
 
 def test_series_still_evaluable_slightly_below_critical():
@@ -138,6 +145,63 @@ def test_exact_diverges_approaching_critical():
     ]
     assert values[0] < values[1] < values[2]
     assert values[2] > 2.0  # radians per orbit: strong-field regime
+
+
+def _mp_precession(GM, a, eps):
+    """2 * integral of dtheta/sqrt(R) - 2 pi at 50 digits, by tanh-sinh with
+    breakpoints clustered at theta = 0, where R dips near the critical axis."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        GM, a, eps = map(mpmath.mpf, (GM, a, eps))
+        z_minus, z_plus = 1 / (a * (1 + eps)), 1 / (a * (1 - eps))
+        mid, half = (z_plus + z_minus) / 2, (z_plus - z_minus) / 2
+
+        def f(theta):
+            return 1 / mpmath.sqrt(1 - 2 * GM * (mid + half * mpmath.cos(theta) + z_minus + z_plus))
+
+        points = [0] + [mpmath.mpf(10) ** -k for k in range(8, 0, -1)] + [mpmath.pi]
+        return 2 * mpmath.quad(f, points) - 2 * mpmath.pi
+
+
+@pytest.mark.parametrize(
+    "GM, a_over_critical, eps",
+    [
+        (DEFAULT_GM, 1.0 + 1e-5, DEFAULT_ECCENTRICITY),
+        (DEFAULT_GM, 1.0 + 1e-8, DEFAULT_ECCENTRICITY),
+        (DEFAULT_GM, 1.3, DEFAULT_ECCENTRICITY),
+    ],
+)
+def test_exact_near_critical_matches_mpmath(GM, a_over_critical, eps):
+    # The quadrature raised ToleranceNotMet at a_c (1 + 1e-5) and closer.
+    a = a_over_critical * critical_semimajor_axis(GM, eps)
+    reference = _mp_precession(GM, a, eps)
+    value = precession_exact(OrbitParams(GM=GM, a=a, epsilon=eps))
+    assert abs(value - reference) <= 1e-15 * reference
+
+
+@pytest.mark.parametrize("GM, a, eps", [(1476.6, 5.7909e10, 0.2056), (DEFAULT_GM, 1e8, 0.2506)])
+def test_exact_weak_field_keeps_digits(GM, a, eps):
+    # Mercury: 2 int dtheta/sqrt(R) - 2 pi kept 9 of 17 digits when the
+    # integral was formed first and 2 pi subtracted.
+    reference = _mp_precession(GM, a, eps)
+    value = precession_exact(OrbitParams(GM=GM, a=a, epsilon=eps))
+    assert abs(value - reference) <= 1e-14 * reference
+
+
+@pytest.mark.parametrize("a_over_critical", [1.3, 15.0])
+def test_exact_matches_quadrature(a_over_critical):
+    GM, eps = DEFAULT_GM, DEFAULT_ECCENTRICITY
+    orbit = OrbitParams(GM=GM, a=a_over_critical * critical_semimajor_axis(GM, eps), epsilon=eps)
+    mid = 0.5 * (orbit.z_plus + orbit.z_minus)
+    half = 0.5 * (orbit.z_plus - orbit.z_minus)
+
+    def integrand(theta):
+        z = mid + half * math.cos(theta)
+        return 1.0 / math.sqrt(1.0 - 2.0 * GM * (z + orbit.z_minus + orbit.z_plus))
+
+    quadrature = integrate(integrand, 0.0, math.pi, abs_tol=1e-300, rel_tol=1e-14).value
+    agm = math.pi + 0.5 * precession_exact(orbit)
+    assert agm == pytest.approx(quadrature, rel=1e-14)
 
 
 def test_weak_field_leading_order_dominates():
