@@ -11,6 +11,7 @@ oracle.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -279,44 +280,58 @@ def _cubic_factor(
     Validates that the pair brackets single-well periodic motion: the points
     lie on either side of the origin, the third zero of the cubic lies
     outside [x-, x+], and equivalently the energy stays below the barrier top.
-    A pair whose sigma = x+^2 + x+ x- + x-^2 under- or overflows is refused.
-    The energy p^2/(2 sigma) is formed as p (p/sigma)/2 with |p/sigma| <= 1,
-    so it neither overflows nor underflows where p^2 alone would.  The end
-    values R(0) = -x+ (2 x- + x+)/(2 sigma) and R(pi) = -x- (x- + 2 x+)/(2 sigma)
-    are formed from the points, not summed from the factor's coefficients, so
-    they keep their digits as R(0) -> 0 at the separatrix.
+    The factor, xi, the end values and the barrier test mu^2 E are ratios of
+    terms of equal degree in the points.  Where sigma = x+^2 + x+ x- + x-^2
+    is not a normal float, or x+^2 + 4 x+ x- + x-^2 overflows, they are
+    formed from the points scaled by a power of two to a largest magnitude in
+    [1/2, 1).  The scaling is exact, so a pair near 1e-160, whose sigma is
+    subnormal, keeps its digits, and every other pair its bits.  mu and the
+    energy are scaled back; where either leaves the float range, the pair is
+    refused.  The energy p^2/(2 sigma) is formed as p (p/sigma)/2 with
+    |p/sigma| <= 1.  The end values R(0) = -x+ (2 x- + x+)/(2 sigma) and
+    R(pi) = -x- (x- + 2 x+)/(2 sigma) are formed from the points, not summed
+    from the factor's coefficients, so they keep their digits as R(0) -> 0 at
+    the separatrix.
     """
-    x_minus, x_plus = _cubic_points(x_minus, x_plus)
-    s = x_minus + x_plus
-    p = x_minus * x_plus
+    x_minus, x_plus = points = _cubic_points(x_minus, x_plus)
+    shift = 0
     try:
-        sigma = x_plus**2 + x_plus * x_minus + x_minus**2
-        denom = x_plus**2 + 4.0 * p + x_minus**2
+        p, sigma, denom = _cubic_sums(x_minus, x_plus)
     except OverflowError:
-        sigma = denom = math.inf
-    if not (0.0 < sigma < math.inf and math.isfinite(denom)):
-        raise DomainError(
-            f"cubic turning points ({x_minus!r}, {x_plus!r}) are out of "
-            "floating-point range: x+^2 + x+ x- + x-^2 under- or overflows"
-        )
-    mu = -1.5 * s / sigma
-    energy = 0.5 * p * (p / sigma)
+        sigma = math.inf
+    if not (sys.float_info.min <= sigma < math.inf and math.isfinite(denom)):
+        shift = math.frexp(max(-x_minus, x_plus))[1]
+        x_minus, x_plus = math.ldexp(x_minus, -shift), math.ldexp(x_plus, -shift)
+        p, sigma, denom = _cubic_sums(x_minus, x_plus)
+    s = x_minus + x_plus
+    mu_scaled = -1.5 * s / sigma
+    energy_scaled = 0.5 * p * (p / sigma)
+    try:
+        mu = math.ldexp(mu_scaled, -shift)
+        energy = math.ldexp(energy_scaled, 2 * shift)
+    except OverflowError:
+        mu = energy = math.inf
     if s != 0.0:
         # Strict checks: the separatrix itself (third zero AT a turning point)
         # still factors cleanly, though the period there is infinite.
         third_zero = -p / s
         if x_minus < third_zero < x_plus:
             raise BarrierCrossed(
-                f"the third zero {third_zero!r} of the cubic lies inside "
-                f"({x_minus!r}, {x_plus!r}): the energy exceeds the barrier and "
-                "the motion is not periodic in a single well"
+                f"the third zero {math.ldexp(third_zero, shift)!r} of the cubic lies "
+                f"inside {points!r}: the energy exceeds the barrier and the motion "
+                "is not periodic in a single well"
             )
-        # E > 1/(6 mu^2), the barrier top, without squaring mu: for a nearly
-        # symmetric pair at large scale mu^2 underflows to zero.
-        if 6.0 * mu * (mu * energy) > 1.0:
+        # E > 1/(6 mu^2), the barrier top, on the scaled values: mu^2 E is
+        # scale-free, and mu^2 may underflow at the inputs' own scale.
+        if 6.0 * mu_scaled * (mu_scaled * energy_scaled) > 1.0:
             raise BarrierCrossed(
                 f"energy {energy!r} exceeds the barrier top 1/(6 mu^2), mu = {mu!r}"
             )
+    if not 0.0 < energy < math.inf:
+        raise DomainError(
+            f"cubic turning points {points!r} are out of floating-point range: "
+            "mu or the energy leaves it"
+        )
     b0 = -p / (2.0 * sigma)
     b1 = -s / (2.0 * sigma)
     m = 0.5 * (x_minus + x_plus)
@@ -332,6 +347,12 @@ def _cubic_factor(
         -x_minus * (x_minus + 2.0 * x_plus) / (2.0 * sigma),
     )
     return factor, xi, mu, energy, ends
+
+
+def _cubic_sums(x_minus: float, x_plus: float) -> tuple[float, float, float]:
+    """p = x- x+, sigma = x+^2 + p + x-^2 and x+^2 + 4p + x-^2."""
+    p = x_minus * x_plus
+    return p, x_plus**2 + p + x_minus**2, x_plus**2 + 4.0 * p + x_minus**2
 
 
 def _cubic_points(x_minus: float, x_plus: float) -> tuple[float, float]:
@@ -525,10 +546,11 @@ def even_power_kappa_pms(K: int) -> float:
     """First-order stationary kappa: mean of the strong-coupling profile.
 
     kappa = (1/K) sum_{j<K} C(2j, j)/4^j; makes omega^2 = (1 + kappa rho)/2
-    the theta-average of the factor polynomial for every rho.
+    the theta-average of the factor polynomial for every rho.  Each ratio is
+    an integer quotient, correctly rounded, so 4^j never has to fit a float.
     """
     K = _check_exponent(K)
-    return math.fsum(math.comb(2 * j, j) / 4.0**j for j in range(K)) / K
+    return math.fsum(math.comb(2 * j, j) / 4**j for j in range(K)) / K
 
 
 def even_power_kappa_balanced(K: int) -> float:

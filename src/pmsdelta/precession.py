@@ -78,27 +78,53 @@ class OrbitParams:
         return self.semilatus_rectum
 
 
-def _omega(orbit: OrbitParams) -> float:
-    omega_sq = 1.0 - 6.0 * orbit.GM / orbit.semilatus_rectum
-    if omega_sq <= 0.0:
-        raise BeyondCritical(
-            f"semilatus rectum {orbit.semilatus_rectum!r} does not exceed "
-            f"6 GM = {6.0 * orbit.GM!r}: no real reference frequency"
-        )
-    return math.sqrt(omega_sq)
+def _gm_over_l(orbit: OrbitParams) -> tuple[int, int, int, int]:
+    """(g, d, en, ed): GM/L = g/d and eps = en/ed, with d and ed positive.
+
+    Exact in the finite float inputs, L = a(1 - eps^2) included, so a
+    quantity built from them and rounded once is correctly rounded.
+    """
+    (gn, gd), (an, ad), (en, ed) = (
+        v.as_integer_ratio() for v in (orbit.GM, orbit.a, orbit.epsilon)
+    )
+    return gn * ad * ed * ed, gd * an * (ed * ed - en * en), en, ed
+
+
+def _omega(orbit: OrbitParams) -> tuple[float, float]:
+    """x = 6GM/L and the reference frequency omega = sqrt(1 - x).
+
+    x and 1 - x are exact rationals in the float inputs, each rounded once,
+    so omega carries only the rounding of its square root.  An infinite a
+    with finite GM is the Newtonian limit x = 0; an infinite GM leaves no
+    real frequency.
+    """
+    if orbit.GM < math.inf:
+        if orbit.a == math.inf:
+            return 0.0, 1.0
+        g, d, _, _ = _gm_over_l(orbit)
+        if 6 * g < d:
+            return 6 * g / d, math.sqrt((d - 6 * g) / d)
+    raise BeyondCritical(
+        f"semilatus rectum {orbit.semilatus_rectum!r} does not exceed "
+        f"6 GM = {6.0 * orbit.GM!r}: no real reference frequency"
+    )
 
 
 def precession_series(orbit: OrbitParams, order: int) -> float:
     """Perihelion precession per orbit, radians, through pair index `order`.
 
     Delta phi = 2 pi [ (1/omega) sum_j (-1)^j hb(j) hb(2j) xi^(2j) - 1 ]
-    with omega = sqrt(1 - 6GM/L) and
+    with omega = sqrt(1 - x), x = 6GM/L, and
     xi = GM (z+ - z-) / (3 GM (z+ + z-) - 1).  At order 0 this is the classic
     leading formula 2 pi (1/omega - 1); a circular orbit has xi = 0 and the
     series terminates there exactly.
+
+    It is evaluated as 2 pi [x/(omega (1 + omega)) + (S - 1)/omega], with
+    1/omega - 1 = x/(omega (1 + omega)) and S - 1 the pair sum from j = 1,
+    so a weak-field orbit, where S/omega is close to 1, keeps its digits.
     """
     _check_order(order)
-    omega = _omega(orbit)
+    x, omega = _omega(orbit)
     denom = 3.0 * orbit.GM * (orbit.z_plus + orbit.z_minus) - 1.0
     xi = orbit.GM * (orbit.z_plus - orbit.z_minus) / denom
     if abs(xi) >= 1.0:
@@ -107,7 +133,7 @@ def precession_series(orbit: OrbitParams, order: int) -> float:
             DivergentExpansion,
             stacklevel=2,
         )
-    return 2.0 * math.pi * (_pair_sum(xi, order) / omega - 1.0)
+    return 2.0 * math.pi * (x / (omega * (1.0 + omega)) + _pair_sum(xi, order, first=1) / omega)
 
 
 def _factor_ends(orbit: OrbitParams) -> tuple[float, float, float, float]:
@@ -131,10 +157,9 @@ def _factor_ends(orbit: OrbitParams) -> tuple[float, float, float, float]:
     elif a == math.inf:
         ends = 1.0, 1.0, 0.0, 0.0
     else:
-        (gn, gd), (an, ad), (en, ed) = (x.as_integer_ratio() for x in (GM, a, eps))
-        common = 2 * gn * ad * ed
-        denom = gd * an * (ed * ed - en * en)
-        gap_0, gap_pi = common * (3 * ed + en), common * (3 * ed - en)
+        g, d, en, ed = _gm_over_l(orbit)
+        denom = d * ed
+        gap_0, gap_pi = 2 * g * (3 * ed + en), 2 * g * (3 * ed - en)
         ends = (
             (denom - gap_0) / denom, (denom - gap_pi) / denom,
             gap_0 / denom, gap_pi / denom,

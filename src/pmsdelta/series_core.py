@@ -9,12 +9,17 @@ moments.  The reference frequency omega is a free parameter; picking it so the
 partial sum is stationary (equivalently, so the last retained term vanishes)
 is what makes the truncated series accurate.
 
-The moments are theta-means of Delta^n.  Delta^n is a polynomial of degree
-deg(Delta)*n in cos(theta), and the trapezoid rule on m equispaced nodes over
-[0, pi] is exact for every cos(k theta) with k < 2m (Trefethen and Weideman,
-SIAM Review 56 (2014) 385).  So Delta is sampled once on enough nodes, its
-powers are elementwise products of the samples, and each mean is exact up to
-rounding, with no cancellation between monomial coefficients.
+The moments are theta-means of Delta^n, taken by the midpoint
+(Gauss-Chebyshev) rule: m equally weighted nodes theta_j = (j + 1/2) pi/m
+over [0, pi] give the exact mean of every cos(k theta) with k < 2m, the same
+trigonometric degree as the trapezoid rule on m intervals (Trefethen and
+Weideman, SIAM Review 56 (2014) 385).  Delta^n is a polynomial of degree
+deg(Delta)*n in cos(theta).  When Delta holds only even powers of cos(theta),
+as every even-power and pendulum factor does, it is a polynomial of degree
+deg(Delta)/2 in cos(2 theta), symmetric about pi/2, so half as many nodes on
+[0, pi/2] give the same exact mean.  So Delta is sampled once on enough
+nodes, its powers are elementwise products of the samples, and each mean is
+exact up to rounding, with no cancellation between monomial coefficients.
 """
 
 from __future__ import annotations
@@ -60,11 +65,47 @@ def _check_order(order: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _positivity_grid() -> "np.ndarray":
-    """512 theta nodes on [0, pi], built on first use: only specs need numpy."""
+def _positivity_cosines() -> "np.ndarray":
+    """cos(theta) on 512 equispaced theta nodes over [0, pi], built on first
+    use: only specs need numpy."""
     import numpy as np
 
-    return np.linspace(0.0, math.pi, 512)
+    return _frozen(np.cos(np.linspace(0.0, math.pi, 512)))
+
+
+@lru_cache(maxsize=None)
+def _node_cosines(m: int, s: int) -> "np.ndarray":
+    """cos(theta_j) at the midpoint nodes theta_j = (j + 1/2) pi/(s m), j < m."""
+    import numpy as np
+
+    return _frozen(np.cos((np.arange(m) + 0.5) * (math.pi / (s * m))))
+
+
+@lru_cache(maxsize=None)
+def _term_weights(order: int) -> "np.ndarray":
+    """pi (-1/2 choose n) for n = 0..order."""
+    import numpy as np
+
+    return _frozen(np.array([math.pi * half_binomial(n) for n in range(order + 1)]))
+
+
+def _frozen(array: "np.ndarray") -> "np.ndarray":
+    """The array, made read-only: a cached array is shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
+def _horner(coeffs: Sequence[float], x):
+    """sum_k coeffs[k] x^k by Horner's rule, for a float or an ndarray x.
+
+    The operations are those of numpy's polyval, in its order, so the result
+    has the same bits.  An array x is left unchanged.
+    """
+    value = 0.0
+    for c in reversed(coeffs):
+        value *= x
+        value += c
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -128,22 +169,18 @@ class TrigPolynomial:
     def evaluate(self, theta):
         """Value at theta; accepts a scalar or an ndarray.
 
-        A real scalar stays in pure Python: math.cos, then Horner's rule in
-        the order of numpy's polyval, so it gives the same bits as the array
-        path without numpy's per-call overhead.  A non-finite scalar raises
-        DomainError.
+        Both paths run one Horner loop in the order of numpy's polyval, so
+        they give polyval's bits; a real scalar stays in pure Python with
+        math.cos, without numpy's per-call overhead.  A non-finite scalar
+        raises DomainError.
         """
         if isinstance(theta, (int, float)):
             if not math.isfinite(theta):
                 raise DomainError(f"theta must be finite, got {theta!r}")
-            x = math.cos(theta)
-            value = 0.0
-            for c in reversed(self.coeffs):
-                value = c + value * x
-            return value
+            return _horner(self.coeffs, math.cos(theta))
         import numpy as np
 
-        return np.polynomial.polynomial.polyval(np.cos(theta), self.coeffs)
+        return _horner(self.coeffs, np.cos(theta))
 
     def integral(self) -> float:
         """Exact integral over [0, pi] via the cos^k moments."""
@@ -152,9 +189,6 @@ class TrigPolynomial:
     def mean(self) -> float:
         """Average over [0, pi]."""
         return self.integral() / math.pi
-
-    def scaled(self, factor: float) -> "TrigPolynomial":
-        return TrigPolynomial([factor * c for c in self.coeffs])
 
     def shifted(self, constant: float) -> "TrigPolynomial":
         out = list(self.coeffs)
@@ -190,7 +224,7 @@ class IntegrandSpec:
             )
         if not 0.0 < self.omega < math.inf:
             raise DomainError(f"omega must be positive and finite, got {self.omega!r}")
-        if not (self.factor.evaluate(_positivity_grid()) > 0.0).all():
+        if not (_horner(self.factor.coeffs, _positivity_cosines()) > 0.0).all():
             raise DomainError("factor polynomial is not strictly positive on [0, pi]")
 
     @property
@@ -225,29 +259,36 @@ class SeriesExpansion:
 
 def delta_of(spec: IntegrandSpec) -> TrigPolynomial:
     """Relative deviation Delta(theta) = factor/omega^2 - 1 from the reference."""
-    return spec.factor.scaled(1.0 / spec.omega**2).shifted(-1.0)
+    scale = 1.0 / spec.omega**2
+    coeffs = [scale * c for c in spec.factor.coeffs]
+    coeffs[0] += -1.0
+    return TrigPolynomial(coeffs)
 
 
 def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
-    """Terms I_0..I_N from Delta sampled on the trapezoid nodes theta_j = j pi/m.
+    """Terms I_0..I_N from Delta sampled on the midpoint nodes
+    theta_j = (j + 1/2) pi/(s m), j < m.
 
-    m = deg(Delta)*N//2 + 1 makes the rule exact for Delta^n, n <= N.  The
-    mean (p_0/2 + p_1 + ... + p_(m-1) + p_m/2)/m of all-ones samples is
-    exactly 1.0, so I_0 is pi/omega to the last bit.
+    s = 2 when Delta holds only even powers of cos(theta): Delta^n is then a
+    polynomial of degree deg(Delta) n/2 in cos(2 theta), and m nodes over
+    [0, pi/2] are exact for it up to degree 2m - 1.  Otherwise s = 1, and m
+    nodes over [0, pi] are exact for Delta^n as a polynomial of degree
+    deg(Delta) n in cos(theta).  m = (deg(Delta)/s) N//2 + 1 makes the rule
+    exact for every n <= N.  The weights are equal, so each mean is a row sum
+    over m; for the all-ones row it is exactly 1.0, and I_0 is pi/omega to
+    the last bit.
     """
     _check_order(order)
     import numpy as np
 
-    delta = delta_of(spec)
-    m = delta.degree * order // 2 + 1
-    samples = delta.evaluate(np.linspace(0.0, math.pi, m + 1))
-    powers = np.empty((order + 1, m + 1))
+    coeffs = delta_of(spec).coeffs
+    s = 1 if any(coeffs[1::2]) else 2
+    m = (len(coeffs) - 1) // s * order // 2 + 1
+    powers = np.empty((order + 1, m))
     powers[0] = 1.0
-    powers[1:] = samples
+    powers[1:] = _horner(coeffs, _node_cosines(m, s))
     np.cumprod(powers, axis=0, out=powers)
-    means = (0.5 * (powers[:, 0] + powers[:, -1]) + powers[:, 1:-1].sum(axis=1)) / m
-    weights = [half_binomial(n) * math.pi for n in range(order + 1)]
-    return np.asarray(weights) * means / spec.omega
+    return _term_weights(order) * (powers.sum(axis=1) / m) / spec.omega
 
 
 def term(spec: IntegrandSpec, n: int) -> float:
@@ -275,9 +316,11 @@ def _kahan_sums(terms: Sequence[float]) -> tuple[float, ...]:
 def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     """All terms and partial sums through the requested order.
 
-    Delta is sampled once and all its powers come from one cumulative product
-    over the samples, so the cost is O(N^2 deg(Delta)) flops in a handful of
-    array operations.  Orders above MAX_ORDER are refused.
+    Delta is sampled once on the midpoint nodes of _series_terms, and all
+    its powers come from one cumulative product over the samples, so the
+    cost is O(N^2 deg(Delta)/s) flops in a handful of array operations, with
+    s = 2 for a Delta in cos^2(theta).  The node cosines and the weights are
+    cached per node count and order.  Orders above MAX_ORDER are refused.
     """
     terms = _series_terms(spec, order).tolist()
     return SeriesExpansion(
@@ -285,19 +328,20 @@ def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     )
 
 
-def _pair_sum(xi: float, order: int) -> float:
-    """Pair sum sum_{j<=order} (-1)^j hb(j) hb(2j) xi^(2j).
+def _pair_sum(xi: float, order: int, first: int = 0) -> float:
+    """Pair sum sum_{first<=j<=order} (-1)^j hb(j) hb(2j) xi^(2j).
 
     It is the series for Delta = xi cos(k theta): the theta-mean of cos^(2j)
     is (-1)^j hb(j) and odd powers average to zero, so only even terms
     survive, and pair j is the Delta-order-2j term times omega/pi.  The
     quartic, cubic and precession families all reduce to it at their
-    stationary frequencies.  Pair indices above MAX_ORDER are refused.
+    stationary frequencies.  first = 1 gives S - 1 without forming S.  Pair
+    indices above MAX_ORDER are refused.
     """
     _check_order(order)
     return math.fsum(
         (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
-        for j in range(order + 1)
+        for j in range(first, order + 1)
     )
 
 
@@ -377,6 +421,6 @@ def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
         roots = np.polynomial.polynomial.polyroots(coeffs[1:] * np.arange(1, coeffs.size)).real
     roots = roots[np.isfinite(roots)]
     nodes = np.concatenate(([-1.0, 1.0], np.clip(roots, -1.0, 1.0)))
-    values = np.polynomial.polynomial.polyval(nodes, coeffs)
+    values = _horner(poly.coeffs, nodes)
     return float(values.max()), float(values.min())
 

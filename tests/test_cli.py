@@ -287,6 +287,16 @@ def test_extreme_cubic_turning_points_exit_2(capsys, argv):
     assert "floating-point range" in err and err.count("\n") == 1
 
 
+def test_even_power_exponent_past_float_powers_of_four(capsys):
+    # The stationary kappa sums C(2j, j)/4^j for j < K; 4.0**512 overflowed.
+    code, out, err = run_cli(
+        capsys, "period", "even-power", "--exponent", "513", "--rho", "1", "--order", "1"
+    )
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert len(rows) == 2 and all(math.isfinite(float(row[1])) for row in rows)
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "pmsdelta", "period", "duffing", "--rho", "1",

@@ -301,6 +301,16 @@ def test_even_power_kappa_values():
     assert even_power_kappa_balanced(5) == pytest.approx(0.6, abs=1e-9)
 
 
+def test_even_power_kappa_pms_beyond_float_powers_of_four():
+    # Each C(2j, j)/4^j is a correctly rounded integer quotient: the same bits
+    # as with a float 4.0**j while that fits, and defined past j = 511.
+    for K in range(2, 65):
+        float_powers = math.fsum(math.comb(2 * j, j) / 4.0**j for j in range(K)) / K
+        assert even_power_kappa_pms(K) == float_powers
+    exact = sum(Fraction(math.comb(2 * j, j), 4**j) for j in range(513)) / 513
+    assert even_power_kappa_pms(513) == pytest.approx(float(exact), rel=1e-15)
+
+
 @pytest.mark.parametrize("K", range(2, 13))
 def test_even_power_kappa_balanced_closed_form(K):
     assert even_power_kappa_balanced(K) == (K + 1) / (2 * K)
@@ -492,6 +502,18 @@ def test_cubic_symmetric_is_harmonic():
     x_plus = math.nextafter(1e150, math.inf)
     assert cubic_series(-1e150, x_plus, 4) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert cubic_exact_period(-1e150, x_plus) == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+
+def test_cubic_subnormal_sigma_keeps_digits():
+    # sigma = x+^2 + x+ x- + x-^2 is subnormal near 1e-160; the period
+    # depends only on x+/x-, so the pair must give the (-1, 1.366) values.
+    for order in (0, 4, 12):
+        assert cubic_series(-1e-160, 1.366e-160, order) == pytest.approx(
+            cubic_series(-1.0, 1.366, order), rel=1e-15
+        )
+    assert cubic_exact_period(-1e-160, 1.366e-160) == pytest.approx(
+        cubic_exact_period(-1.0, 1.366), rel=1e-15
+    )
 
 
 def test_cubic_series_vs_oracle():

@@ -179,13 +179,32 @@ def test_exact_near_critical_matches_mpmath(GM, a_over_critical, eps):
     assert abs(value - reference) <= 1e-15 * reference
 
 
+def _mp_precession_series(GM, a, eps, order):
+    """2 pi (S/omega - 1) through pair index `order`, at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        GM, a, eps = map(mpmath.mpf, (GM, a, eps))
+        z_minus, z_plus = 1 / (a * (1 + eps)), 1 / (a * (1 - eps))
+        omega = mpmath.sqrt(1 - 6 * GM / (a * (1 - eps**2)))
+        xi = GM * (z_plus - z_minus) / (3 * GM * (z_plus + z_minus) - 1)
+        pair_sum = sum(
+            (-1) ** j * mpmath.binomial(-0.5, j) * mpmath.binomial(-0.5, 2 * j) * xi ** (2 * j)
+            for j in range(order + 1)
+        )
+        return 2 * mpmath.pi * (pair_sum / omega - 1)
+
+
 @pytest.mark.parametrize("GM, a, eps", [(1476.6, 5.7909e10, 0.2056), (DEFAULT_GM, 1e8, 0.2506)])
 def test_exact_weak_field_keeps_digits(GM, a, eps):
     # Mercury: 2 int dtheta/sqrt(R) - 2 pi kept 9 of 17 digits when the
-    # integral was formed first and 2 pi subtracted.
+    # integral was formed first and 2 pi subtracted, and the series kept 10
+    # when it formed S/omega and subtracted 1.
+    orbit = OrbitParams(GM=GM, a=a, epsilon=eps)
     reference = _mp_precession(GM, a, eps)
-    value = precession_exact(OrbitParams(GM=GM, a=a, epsilon=eps))
-    assert abs(value - reference) <= 1e-14 * reference
+    assert abs(precession_exact(orbit) - reference) <= 1e-14 * reference
+    for order in (0, 2, 6):
+        reference = _mp_precession_series(GM, a, eps, order)
+        assert abs(precession_series(orbit, order) - reference) <= 1e-14 * reference
 
 
 @pytest.mark.parametrize("a_over_critical", [1.3, 15.0])

@@ -8,11 +8,14 @@ import pytest
 
 from pmsdelta.errors import DomainError, NonPositiveMean, NoSignChange, OrderTooHigh
 from pmsdelta.oracle import elliptic_k, integrate
+from pmsdelta.oscillators import OscillatorModel
 from pmsdelta.series_core import (
     MAX_ORDER,
     IntegrandSpec,
     TrigPolynomial,
     _extrema,
+    _horner,
+    _positivity_cosines,
     cos_moment,
     delta_of,
     expand,
@@ -70,14 +73,20 @@ def test_trig_polynomial_basics():
 
 
 def test_scalar_evaluate_matches_array_path_bitwise():
-    # The scalar path (math.cos, Horner in Python) and numpy's polyval must
-    # agree to the bit, signed zeros included.
+    # The scalar path (math.cos, Horner in Python), the array path and the
+    # positivity check's cached grid must each give numpy's polyval to the
+    # bit, signed zeros included.
     rng = np.random.default_rng(7)
-    theta = np.concatenate(([0.0, math.pi / 2.0, math.pi], rng.uniform(0.0, math.pi, 1000)))
+    grid = np.linspace(0.0, math.pi, 512)
+    theta = np.concatenate(([0.0, math.pi / 2.0, math.pi], rng.uniform(0.0, math.pi, 1000), grid))
     for degree in range(13):
         p = TrigPolynomial(rng.uniform(-2.0, 2.0, degree + 1))
+        reference = np.polynomial.polynomial.polyval(np.cos(theta), p.coeffs).view(np.uint64)
         scalar = np.array([p.evaluate(float(t)) for t in theta])
-        assert np.array_equal(scalar.view(np.uint64), p.evaluate(theta).view(np.uint64))
+        assert np.array_equal(scalar.view(np.uint64), reference)
+        assert np.array_equal(p.evaluate(theta).view(np.uint64), reference)
+        on_grid = _horner(p.coeffs, _positivity_cosines())
+        assert np.array_equal(on_grid.view(np.uint64), reference[-grid.size:])
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
@@ -120,7 +129,9 @@ def test_delta_of():
 
 
 def test_term_zeroth_is_pi_over_omega():
-    for spec in (duffing_spec(0.5), duffing_spec(10.0), duffing_spec(-0.9)):
+    # Even factors take the half-range nodes, the generic one the full range.
+    generic = IntegrandSpec(-1.0, 1.0, TrigPolynomial([0.9, 0.3, 0.2, -0.1]), 1.1)
+    for spec in (duffing_spec(0.5), duffing_spec(10.0), duffing_spec(-0.9), generic):
         assert term(spec, 0) == math.pi / spec.omega
 
 
@@ -211,8 +222,9 @@ def mpmath_term(spec, n):
     """hb(n) pi/omega times the theta-mean of Delta^n, at 50 digits.
 
     Uses the same float coefficients and omega as the package, and the
-    trapezoid rule on m = deg*n//2 + 1 intervals, which is exact for the
-    polynomial Delta^n.
+    trapezoid rule on m = deg*n//2 + 1 intervals over [0, pi], which is
+    exact for the polynomial Delta^n.  The engine takes midpoint nodes, so
+    the two share no node.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
@@ -228,16 +240,23 @@ def mpmath_term(spec, n):
 
 
 HIGH_ORDER_CASES = {
-    "K5-strong-balanced": (5, math.inf, 0.6),
-    "K3-rho-0.9-pms": (3, -0.9, 0.625),
-    "K2-rho-0.9-pms": (2, -0.9, 0.75),
+    # Delta in cos^2(theta): half-range nodes.
+    "K5-strong-balanced": lambda: even_power_spec(5, math.inf, 0.6),
+    "K3-rho-0.9-pms": lambda: even_power_spec(3, -0.9, 0.625),
+    "K2-rho-0.9-pms": lambda: even_power_spec(2, -0.9, 0.75),
+    "pendulum-taylor6": lambda: OscillatorModel.pendulum(2.5, 6).points.spec_at(),
+    # Odd powers of cos(theta) in Delta: full-range nodes.
+    "quartic-cubic": lambda: OscillatorModel.quartic_cubic(
+        0.5, 0.1, 0.1, -0.6474066047756843, 0.5812792030865791
+    ).points.spec_at(),
+    "cubic-linear": lambda: OscillatorModel.cubic(-1.0, 1.366).points.spec_at(),
 }
 
 
 @pytest.mark.parametrize("order", [32, 48, 64])
 @pytest.mark.parametrize("case", sorted(HIGH_ORDER_CASES))
 def test_high_order_terms_match_mpmath(case, order):
-    spec = even_power_spec(*HIGH_ORDER_CASES[case])
+    spec = HIGH_ORDER_CASES[case]()
     reference = mpmath_term(spec, order)
     assert abs(term(spec, order) - reference) <= 1e-13 * abs(reference)
     assert abs(expand(spec, order).terms[-1] - reference) <= 1e-13 * abs(reference)
