@@ -30,7 +30,6 @@ from .series_core import (
     _check_order,
     _extrema,
     _pair_sum,
-    delta_of,
     expand,
     half_binomial,
     pms_first_order,
@@ -231,7 +230,7 @@ def _check_pendulum_amplitude(amplitude: float) -> float:
 
 
 def _check_exponent(K: int) -> int:
-    if int(K) != K or K < 2:
+    if not 2 <= K < math.inf or int(K) != K:
         raise DomainError(f"even-power exponent K must be an integer >= 2, got {K!r}")
     return int(K)
 
@@ -390,7 +389,7 @@ def duffing_period_series(rho: float, order: int) -> float:
     the full expansion truncated at Delta-order 2*order.
     """
     rho = _check_rho(rho)
-    _check_order(order)
+    order = _check_order(order)
     xi = rho / (4.0 + 3.0 * rho)
     prefactor = 4.0 * math.pi / math.sqrt(4.0 + 3.0 * rho)
     return prefactor * _pair_sum(xi, order)
@@ -412,7 +411,7 @@ def duffing_nayfeh_series(rho: float, order: int) -> float:
     raises DomainError.
     """
     rho = _check_rho(rho)
-    _check_order(order)
+    order = _check_order(order)
     kappa = rho / (2.0 * (1.0 + rho))
     if abs(kappa) >= 1.0:
         warnings.warn(
@@ -441,7 +440,7 @@ def duffing_b0(order: int) -> float:
     sum at xi = 1/3; the sequence converges geometrically to the pure-quartic
     limit 2 pi/(sqrt(mu) T).
     """
-    _check_order(order)
+    order = _check_order(order)
     return math.sqrt(3.0) / (2.0 * _pair_sum(1.0 / 3.0, order))
 
 
@@ -524,7 +523,7 @@ def sextic_series(rho: float, order: int) -> float:
     of the factor polynomial.
     """
     rho = _check_rho(rho)
-    _check_order(order)
+    order = _check_order(order)
     xi = rho / (3.0 * (5.0 * rho + 8.0))
     prefactor = 4.0 * math.sqrt(2.0) * math.pi / math.sqrt(5.0 * rho + 8.0)
     return prefactor * math.fsum(
@@ -594,7 +593,7 @@ def even_power_series(K: int, rho: float, kappa: float, order: int) -> float:
     """
     K = _check_exponent(K)
     spec = _even_power_spec(K, rho, kappa)
-    coeffs = delta_of(spec).coeffs
+    coeffs = spec.delta.coeffs
     max_dev = max(abs(coeffs[0]), abs(math.fsum(coeffs)))
     if max_dev >= 1.0:
         warnings.warn(
@@ -660,7 +659,7 @@ def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     as the quartic family.  Odd expansion terms vanish identically at the
     stationary frequency, so `order` counts pairs.
     """
-    _check_order(order)
+    order = _check_order(order)
     factor, xi, _, _, _ = _cubic_factor(x_minus, x_plus)
     omega = pms_first_order(factor)
     return math.sqrt(2.0) * math.pi / omega * _pair_sum(xi, order)
@@ -693,7 +692,7 @@ def quartic_cubic_pms(
     """
     spec = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.spec_at()
     series = expand(spec, 2)
-    t0 = math.sqrt(2.0) * series.partial_sums[0]
+    t0 = math.sqrt(2.0) * series.terms[0]
     t2 = math.sqrt(2.0) * series.value
     return spec.omega, t0, t2
 
@@ -739,6 +738,6 @@ def pendulum_approx(amplitude: float, taylor_order: int, series_order: int) -> f
     first-order stationary frequency.  Truncation at order 2 gives 2 pi for
     every amplitude; order 4 is the quartic family with mu = -1/6.
     """
-    _check_order(series_order)
+    series_order = _check_order(series_order)
     points = OscillatorModel.pendulum(amplitude, taylor_order).points
     return math.sqrt(2.0) * expand(points.spec_at(), series_order).value

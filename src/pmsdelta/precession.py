@@ -123,7 +123,7 @@ def precession_series(orbit: OrbitParams, order: int) -> float:
     1/omega - 1 = x/(omega (1 + omega)) and S - 1 the pair sum from j = 1,
     so a weak-field orbit, where S/omega is close to 1, keeps its digits.
     """
-    _check_order(order)
+    order = _check_order(order)
     x, omega = _omega(orbit)
     denom = 3.0 * orbit.GM * (orbit.z_plus + orbit.z_minus) - 1.0
     xi = orbit.GM * (orbit.z_plus - orbit.z_minus) / denom

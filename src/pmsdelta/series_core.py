@@ -20,12 +20,19 @@ deg(Delta)/2 in cos(2 theta), symmetric about pi/2, so half as many nodes on
 [0, pi/2] give the same exact mean.  So Delta is sampled once on enough
 nodes, its powers are elementwise products of the samples, and each mean is
 exact up to rounding, with no cancellation between monomial coefficients.
+
+A call's fixed cost is kept small, since a convergence table makes one call
+per order: Delta's coefficients are formed once per spec, its samples come
+from an in-place Horner pass over the cached node cosines, the spec's
+positivity check is one product with a cached table of cos^k on its grid,
+and the sums of the terms are taken by math.fsum, correctly rounded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -56,12 +63,19 @@ __all__ = [
 MAX_ORDER = 64
 
 
-def _check_order(order: int) -> None:
-    """Refuse a negative expansion order, or one above MAX_ORDER."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
+def _check_order(order: int) -> int:
+    """The expansion order as an int.
+
+    A negative, non-integral or NaN order raises DomainError, one above
+    MAX_ORDER OrderTooHigh; an integral float such as 4.0 is accepted.
+    """
+    if not order >= 0:
+        raise DomainError(f"order must be an integer >= 0, got {order!r}")
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
+    if int(order) != order:
+        raise DomainError(f"order must be an integer, got {order!r}")
+    return int(order)
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +85,18 @@ def _positivity_cosines() -> "np.ndarray":
     import numpy as np
 
     return _frozen(np.cos(np.linspace(0.0, math.pi, 512)))
+
+
+@lru_cache(maxsize=None)
+def _positivity_powers(degree: int) -> "np.ndarray":
+    """cos^k(theta_i) on the positivity grid, row k for k = 0..degree."""
+    import numpy as np
+
+    table = np.empty((degree + 1, 512))
+    table[0] = 1.0
+    table[1:] = _positivity_cosines()
+    np.cumprod(table, axis=0, out=table)
+    return _frozen(table)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +161,7 @@ def cos_moment(k: int) -> float:
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
-    out = list(float(c) for c in coeffs)
+    out = [float(c) for c in coeffs]
     while len(out) > 1 and out[-1] == 0.0:
         out.pop()
     if not out:
@@ -206,15 +232,21 @@ class IntegrandSpec:
     omega:           reference frequency of the harmonic comparison term,
                      positive and finite.
 
-    The factor is checked to be strictly positive on a 512-point theta grid.
+    The factor is checked to be strictly positive on a 512-point theta grid,
+    as one product of its coefficients with a cached table of cos^k there.
     This is the package's one generic positivity check: the families build
-    their specs here rather than sampling the factor again.
+    their specs here rather than sampling the factor again.  The factor's
+    coefficients must be finite, with sum |c_k| in the float range (it bounds
+    |R|, so the product cannot overflow), and omega^2, 1/omega^2 and the
+    coefficients of Delta must be floats too.  Delta is formed here, once:
+    every expansion of the spec reads it.
     """
 
     x_minus: float
     x_plus: float
     factor: TrigPolynomial
     omega: float
+    delta: TrigPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_minus < self.x_plus:
@@ -224,8 +256,26 @@ class IntegrandSpec:
             )
         if not 0.0 < self.omega < math.inf:
             raise DomainError(f"omega must be positive and finite, got {self.omega!r}")
-        if not (_horner(self.factor.coeffs, _positivity_cosines()) > 0.0).all():
+        import numpy as np
+
+        coeffs = self.factor.coeffs
+        if not sum(map(abs, coeffs)) < math.inf:
+            raise DomainError(
+                "factor coefficients must be finite, with sum |c_k| inside the float range"
+            )
+        if not np.dot(coeffs, _positivity_powers(len(coeffs) - 1)).min() > 0.0:
             raise DomainError("factor polynomial is not strictly positive on [0, pi]")
+        try:
+            scale = 1.0 / self.omega**2
+        except (OverflowError, ZeroDivisionError):  # omega^2 overflows, or is 0
+            scale = math.nan
+        deviation = [scale * c for c in coeffs]
+        deviation[0] += -1.0
+        if not all(map(math.isfinite, deviation)):
+            raise DomainError(
+                f"omega = {self.omega!r} takes omega^2 or factor/omega^2 out of the float range"
+            )
+        object.__setattr__(self, "delta", TrigPolynomial(deviation))
 
     @property
     def midpoint(self) -> float:
@@ -241,11 +291,14 @@ class IntegrandSpec:
 
 @dataclass(frozen=True)
 class SeriesExpansion:
-    """Terms I_0..I_N and compensated partial sums S_0..S_N at a fixed omega."""
+    """Terms I_0..I_N at a fixed omega.
+
+    The partial sums S_0..S_N are correctly rounded sums of the terms
+    (math.fsum), formed when read: most callers read only the value S_N.
+    """
 
     omega: float
     terms: tuple[float, ...]
-    partial_sums: tuple[float, ...]
 
     @property
     def order(self) -> int:
@@ -253,16 +306,21 @@ class SeriesExpansion:
 
     @property
     def value(self) -> float:
-        """Highest-order partial sum."""
-        return self.partial_sums[-1]
+        """Highest-order partial sum S_N."""
+        return math.fsum(self.terms)
+
+    @property
+    def partial_sums(self) -> tuple[float, ...]:
+        """S_0..S_N, each correctly rounded."""
+        return tuple(math.fsum(self.terms[: n + 1]) for n in range(len(self.terms)))
 
 
 def delta_of(spec: IntegrandSpec) -> TrigPolynomial:
-    """Relative deviation Delta(theta) = factor/omega^2 - 1 from the reference."""
-    scale = 1.0 / spec.omega**2
-    coeffs = [scale * c for c in spec.factor.coeffs]
-    coeffs[0] += -1.0
-    return TrigPolynomial(coeffs)
+    """Relative deviation Delta(theta) = factor/omega^2 - 1 from the reference.
+
+    Formed once, when the spec is built.
+    """
+    return spec.delta
 
 
 def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
@@ -277,18 +335,48 @@ def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
     exact for every n <= N.  The weights are equal, so each mean is a row sum
     over m; for the all-ones row it is exactly 1.0, and I_0 is pi/omega to
     the last bit.
+
+    Row 1 of the powers array takes Delta's samples by Horner's rule in
+    place, with the roundings of _horner (its first step, 0 x + c, is c), so
+    the samples have numpy polyval's bits.  |Delta| <= B = sum |c_k| on the
+    nodes, so no step can overflow while m B^N < 2^500 (the spec keeps
+    pi/omega below 2^514); above that, numpy's overflow and invalid-value
+    checks are switched on, and a term that leaves the float range raises
+    DomainError.
     """
-    _check_order(order)
+    order = _check_order(order)
     import numpy as np
 
-    coeffs = delta_of(spec).coeffs
+    coeffs = spec.delta.coeffs
     s = 1 if any(coeffs[1::2]) else 2
     m = (len(coeffs) - 1) // s * order // 2 + 1
+    bound = sum(map(abs, coeffs))
+    if order * math.log2(max(bound, 1.0)) + math.log2(m) > 500.0:
+        checks = np.errstate(over="raise", invalid="raise")
+    else:
+        checks = contextlib.nullcontext()
     powers = np.empty((order + 1, m))
     powers[0] = 1.0
-    powers[1:] = _horner(coeffs, _node_cosines(m, s))
-    np.cumprod(powers, axis=0, out=powers)
-    return _term_weights(order) * (powers.sum(axis=1) / m) / spec.omega
+    try:
+        with checks:
+            if order:
+                x = _node_cosines(m, s)
+                row = powers[1]
+                row.fill(coeffs[-1])
+                for c in coeffs[-2::-1]:
+                    row *= x
+                    row += c
+                powers[2:] = row
+                powers.cumprod(axis=0, out=powers)
+            terms = powers.sum(axis=1)
+            terms /= m
+            terms *= _term_weights(order)
+            terms /= spec.omega
+    except FloatingPointError:
+        raise DomainError(
+            f"a term through order {order} leaves the float range at omega = {spec.omega!r}"
+        ) from None
+    return terms
 
 
 def term(spec: IntegrandSpec, n: int) -> float:
@@ -300,32 +388,17 @@ def term(spec: IntegrandSpec, n: int) -> float:
     return float(_series_terms(spec, n)[-1])
 
 
-def _kahan_sums(terms: Sequence[float]) -> tuple[float, ...]:
-    sums = []
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        sums.append(total)
-    return tuple(sums)
-
-
 def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
-    """All terms and partial sums through the requested order.
+    """All terms through the requested order, and their partial sums.
 
     Delta is sampled once on the midpoint nodes of _series_terms, and all
     its powers come from one cumulative product over the samples, so the
     cost is O(N^2 deg(Delta)/s) flops in a handful of array operations, with
     s = 2 for a Delta in cos^2(theta).  The node cosines and the weights are
-    cached per node count and order.  Orders above MAX_ORDER are refused.
+    cached per node count and order.  The value and the partial sums are
+    math.fsum sums of the terms.  Orders above MAX_ORDER are refused.
     """
-    terms = _series_terms(spec, order).tolist()
-    return SeriesExpansion(
-        omega=spec.omega, terms=tuple(terms), partial_sums=_kahan_sums(terms)
-    )
+    return SeriesExpansion(omega=spec.omega, terms=tuple(_series_terms(spec, order).tolist()))
 
 
 def _pair_sum(xi: float, order: int, first: int = 0) -> float:
@@ -338,7 +411,7 @@ def _pair_sum(xi: float, order: int, first: int = 0) -> float:
     stationary frequencies.  first = 1 gives S - 1 without forming S.  Pair
     indices above MAX_ORDER are refused.
     """
-    _check_order(order)
+    order = _check_order(order)
     return math.fsum(
         (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
         for j in range(first, order + 1)
@@ -382,7 +455,8 @@ def pms_solve(
     is refined to machine-adjacent floats and then required to satisfy
     |I_N| < 1e-12 * pi/omega.
     """
-    if order < 0 or order % 2 == 0:
+    order = _check_order(order)
+    if order % 2 == 0:
         raise DomainError(f"stationarity is solved at odd orders, got {order}")
     lo, hi = bracket
     if not 0.0 < lo < hi:

@@ -230,15 +230,15 @@ def test_criterion_12_pendulum_hierarchy():
     assert err_second < err_leading, "second-order term did not reduce the error"
 
 
-def test_criterion_13_determinism_and_suite_runtime(session_start):
+def test_criterion_13_determinism_and_suite_runtime(session_start, child_env):
     for argv in (
         ["period", "duffing", "--rho", "1.5", "--order", "6", "--exact"],
         ["convergence", "sextic-c0", "--max-order", "8"],
         ["precession", "--a", "300"],
     ):
         cmd = [sys.executable, "-m", "pmsdelta", *argv]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=child_env)
+        second = subprocess.run(cmd, capture_output=True, env=child_env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout, f"stdout differs for {argv}"
         assert first.stderr == second.stderr, f"stderr differs for {argv}"

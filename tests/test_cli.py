@@ -297,18 +297,19 @@ def test_even_power_exponent_past_float_powers_of_four(capsys):
     assert len(rows) == 2 and all(math.isfinite(float(row[1])) for row in rows)
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "pmsdelta", "period", "duffing", "--rho", "1",
          "--order", "2"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("order,period\n")
 
 
-def test_scalar_commands_do_not_load_numpy():
+def test_scalar_commands_do_not_load_numpy(child_env):
     # numpy is imported only by code that vectorizes; closed-form series,
     # quadrature references and the precession table never reach it.
     script = textwrap.dedent(
@@ -328,18 +329,18 @@ def test_scalar_commands_do_not_load_numpy():
         """
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
     )
     assert result.returncode == 0, result.stderr
 
 
-def test_repeated_invocations_byte_identical():
+def test_repeated_invocations_byte_identical(child_env):
     argv = [
         sys.executable, "-m", "pmsdelta", "convergence", "negative-rho",
         "--exponent", "5", "--max-order", "10",
     ]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=child_env)
+    second = subprocess.run(argv, capture_output=True, env=child_env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr

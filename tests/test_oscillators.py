@@ -311,6 +311,18 @@ def test_even_power_kappa_pms_beyond_float_powers_of_four():
     assert even_power_kappa_pms(513) == pytest.approx(float(exact), rel=1e-15)
 
 
+@pytest.mark.parametrize("K", [1, 2.5, math.nan, math.inf, -math.inf])
+def test_even_power_exponent_must_be_an_integer_of_at_least_two(K):
+    for fn, args in (
+        (even_power_kappa_pms, ()),
+        (even_power_kappa_balanced, ()),
+        (even_power_series, (0.5, 0.625, 4)),
+        (even_power_exact_period, (0.5,)),
+    ):
+        with pytest.raises(DomainError):
+            fn(K, *args)
+
+
 @pytest.mark.parametrize("K", range(2, 13))
 def test_even_power_kappa_balanced_closed_form(K):
     assert even_power_kappa_balanced(K) == (K + 1) / (2 * K)
@@ -393,11 +405,14 @@ ORDER_CALLS = [
     "fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in ORDER_CALLS]
 )
 def test_order_cap(fn, args):
-    assert math.isfinite(fn(*args(MAX_ORDER)))
+    at_cap = fn(*args(MAX_ORDER))
+    assert math.isfinite(at_cap)
+    assert fn(*args(float(MAX_ORDER))) == at_cap
     with pytest.raises(OrderTooHigh):
         fn(*args(MAX_ORDER + 1))
-    with pytest.raises(DomainError):
-        fn(*args(-1))
+    for order in (-1, 2.5, math.nan):
+        with pytest.raises(DomainError):
+            fn(*args(order))
 
 
 def test_even_power_series_rejects_infinite_kappa():

@@ -15,7 +15,11 @@ from pmsdelta.series_core import (
     TrigPolynomial,
     _extrema,
     _horner,
+    _node_cosines,
     _positivity_cosines,
+    _positivity_powers,
+    _series_terms,
+    _term_weights,
     cos_moment,
     delta_of,
     expand,
@@ -117,6 +121,124 @@ def test_spec_requires_finite_positive_omega(omega):
         IntegrandSpec(-1.0, 1.0, TrigPolynomial([1.0]), 1.0).with_omega(omega)
 
 
+def test_positivity_product_verdict_matches_horner_on_grid():
+    # The spec's check takes the factor on the grid as one product with the
+    # cos^k table; its verdict must be the one Horner on the grid gives.
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for case in range(400):
+        degree = case % 13
+        coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+        coeffs[0] += rng.uniform(0.0, 2.0)
+        factor = TrigPolynomial(coeffs)
+        positive = bool((_horner(factor.coeffs, _positivity_cosines()) > 0.0).all())
+        verdicts.add(positive)
+        if positive:
+            IntegrandSpec(-1.0, 1.0, factor, 1.0)
+        else:
+            with pytest.raises(DomainError, match="not strictly positive"):
+                IntegrandSpec(-1.0, 1.0, factor, 1.0)
+    assert verdicts == {True, False}
+
+
+def test_factor_non_positive_at_one_grid_node_is_refused():
+    cosines = _positivity_cosines()
+    a = float(cosines[200])
+    factors = [
+        TrigPolynomial([1.0, -1.0]),  # 1 - cos: zero at theta = 0 only
+        TrigPolynomial([1.0, 1.0]),  # 1 + cos: zero at theta = pi only
+        TrigPolynomial([a * a - 1e-8, -2.0 * a, 1.0]),  # (cos - a)^2 - 1e-8
+    ]
+    for factor in factors:
+        assert int((_horner(factor.coeffs, cosines) <= 0.0).sum()) == 1
+        with pytest.raises(DomainError, match="not strictly positive"):
+            IntegrandSpec(-1.0, 1.0, factor, 1.0)
+
+
+def test_cached_tables_are_read_only():
+    for table in (
+        _positivity_cosines(),
+        _positivity_powers(0),
+        _positivity_powers(8),
+        _node_cosines(17, 2),
+        _term_weights(8),
+    ):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_positivity_table_holds_cosine_powers():
+    table = _positivity_powers(12)
+    assert table.shape == (13, 512)
+    for k in range(13):
+        assert np.allclose(table[k], _positivity_cosines() ** k, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1.0, math.inf, -math.inf], [math.nan, 0.0, 1.0], [1.0, 0.0, math.inf]]
+)
+def test_spec_refuses_non_finite_factor_coefficients(coeffs):
+    with pytest.raises(DomainError, match="finite"):
+        IntegrandSpec(-1.0, 1.0, TrigPolynomial(coeffs), 1.0)
+
+
+@pytest.mark.parametrize("omega", [1e-200, 1e-160, 1e200])
+def test_spec_refuses_omega_whose_square_leaves_the_float_range(omega):
+    # 1e-200 squares to 0, 1e-160 to a subnormal whose reciprocal is inf,
+    # 1e200 to inf.
+    with pytest.raises(DomainError, match="float range"):
+        IntegrandSpec(-1.0, 1.0, TrigPolynomial([1.0, 0.0, 1.0]), omega)
+
+
+def test_spec_refuses_delta_outside_the_float_range():
+    with pytest.raises(DomainError, match="float range"):
+        expand(IntegrandSpec(-1.0, 1.0, TrigPolynomial([1e300, 0.0, 1e300]), 1e-10), 8)
+
+
+def test_non_finite_term_raises_domain_error():
+    # Delta is about 1e300 on every node, so Delta^2 overflows.
+    spec = IntegrandSpec(-1.0, 1.0, TrigPolynomial([1e300, 0.0, 1e300]), 1.0)
+    assert math.isfinite(term(spec, 1))
+    with pytest.raises(DomainError, match="float range"):
+        expand(spec, 8)
+    with pytest.raises(DomainError, match="float range"):
+        term(spec, 2)
+
+
+def test_in_place_samples_keep_polyval_bits():
+    # The engine's in-place Horner must give the terms that sampling Delta
+    # with _horner and taking the same cumulative product gives, to the bit.
+    rng = np.random.default_rng(5)
+    specs = [duffing_spec(rho) for rho in (-0.9, 0.5, 10.0)]
+    for degree in range(9):
+        coeffs = rng.uniform(-0.3, 0.3, degree + 1)
+        coeffs[0] = 1.0
+        specs.append(IntegrandSpec(-1.0, 1.0, TrigPolynomial(coeffs), 1.05))
+    for spec in specs:
+        coeffs = delta_of(spec).coeffs
+        s = 1 if any(coeffs[1::2]) else 2
+        for order in (0, 1, 2, 9, 40, MAX_ORDER):
+            m = (len(coeffs) - 1) // s * order // 2 + 1
+            powers = np.empty((order + 1, m))
+            powers[0] = 1.0
+            powers[1:] = _horner(coeffs, _node_cosines(m, s))
+            np.cumprod(powers, axis=0, out=powers)
+            reference = _term_weights(order) * (powers.sum(axis=1) / m) / spec.omega
+            engine = _series_terms(spec, order)
+            assert np.array_equal(engine.view(np.uint64), reference.view(np.uint64))
+
+
+def test_value_and_partial_sums_are_fsums():
+    for spec in (duffing_spec(10.0), duffing_spec(-0.9), duffing_spec(3.0, 1.2)):
+        series = expand(spec, 40)
+        assert series.value == math.fsum(series.terms)
+        sums = series.partial_sums
+        assert len(sums) == 41
+        for k, partial in enumerate(sums):
+            assert partial == math.fsum(series.terms[: k + 1])
+
+
 def test_delta_of():
     omega = 1.3
     flat = IntegrandSpec(-1.0, 1.0, TrigPolynomial([omega**2]), omega)
@@ -198,6 +320,20 @@ def test_expand_order_limits():
         expand(spec, -1)
     with pytest.raises(OrderTooHigh):
         expand(spec, MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("order", [2.5, math.nan, -0.5])
+def test_non_integral_order_is_refused(order):
+    spec = duffing_spec(1.0)
+    for call in (expand, term):
+        with pytest.raises(DomainError):
+            call(spec, order)
+
+
+def test_integral_float_order_is_the_int_order():
+    spec = duffing_spec(1.0)
+    assert term(spec, 2.0) == term(spec, 2)
+    assert expand(spec, float(MAX_ORDER)) == expand(spec, MAX_ORDER)
     with pytest.raises(OrderTooHigh):
         term(spec, MAX_ORDER + 1)
     assert expand(spec, MAX_ORDER).order == MAX_ORDER
@@ -320,6 +456,14 @@ def test_pms_solve_rejects_even_order_and_bad_bracket():
         pms_solve(lambda w: duffing_spec(1.0, w), 1, (0.0, 3.0))
     with pytest.raises(NoSignChange):
         pms_solve(lambda w: duffing_spec(1.0, w), 1, (2.0, 3.0))
+
+
+def test_pms_solve_order_must_be_an_integer():
+    family = lambda w: duffing_spec(4.0, w)  # noqa: E731
+    for order in (2.5, math.nan):
+        with pytest.raises(DomainError):
+            pms_solve(family, order, (0.5, 3.0))
+    assert pms_solve(family, 3.0, (0.5, 3.0)) == pms_solve(family, 3, (0.5, 3.0))
 
 
 def even_power_deviation(big_k):
