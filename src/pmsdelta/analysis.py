@@ -116,21 +116,19 @@ def _points_and_fit(
     return points, fit
 
 
-def duffing_b0_study(max_order: int, fit_start: int = 1) -> ConvergenceStudy:
+def duffing_b0_study(max_order: int) -> ConvergenceStudy:
     """Error decay of the quartic strong-coupling coefficient sequence.
 
     Computes b0^(N) for N = 0..max_order against the oracle value
-    2 pi / (lim sqrt(rho) T), and fits ln(rel_error) over N = fit_start..max_order
-    (N = 0 is excluded by default as a transient).
+    2 pi / (lim sqrt(rho) T), and fits ln(rel_error) over N = 1..max_order
+    (N = 0 is excluded as a transient).
     """
     if max_order < 3:
         raise DomainError("max_order must be >= 3")
     reference = 2.0 * math.pi / even_power_exact_period(2, math.inf)
     orders = range(max_order + 1)
     values = [duffing_b0(n) for n in orders]
-    points, fit = _points_and_fit(
-        orders, values, reference, range(fit_start, max_order + 1)
-    )
+    points, fit = _points_and_fit(orders, values, reference, range(1, max_order + 1))
     return ConvergenceStudy(label="duffing-b0", points=points, fit=fit)
 
 
@@ -166,12 +164,12 @@ def duffing_error_vs_rho(
     return ConvergenceStudy(label=f"duffing-rho-order{order}", points=tuple(points))
 
 
-def sextic_c0_study(max_order: int, fit_start: int = 2) -> ConvergenceStudy:
+def sextic_c0_study(max_order: int) -> ConvergenceStudy:
     """Error decay of the sextic strong-coupling coefficient sequence.
 
     Computes c0^(N) = lim sqrt(rho) T at expansion orders N = 0..max_order
     (first-order stationary kappa throughout) against the oracle limit.
-    The fit runs over even N from fit_start up, because the even and odd
+    The fit runs over even N from 2 up, because the even and odd
     subsequences decay along two distinct tracks.
     """
     if max_order < 3:
@@ -180,7 +178,7 @@ def sextic_c0_study(max_order: int, fit_start: int = 2) -> ConvergenceStudy:
     reference = even_power_exact_period(3, math.inf)
     orders = range(max_order + 1)
     values = [even_power_series(3, math.inf, kappa, n) for n in orders]
-    fit_orders = [n for n in range(fit_start, max_order + 1) if n % 2 == 0]
+    fit_orders = range(2, max_order + 1, 2)
     points, fit = _points_and_fit(orders, values, reference, fit_orders)
     return ConvergenceStudy(label="sextic-c0", points=points, fit=fit)
 

@@ -1,9 +1,10 @@
 """Independent ground-truth numerics.
 
-Adaptive quadrature, the complete elliptic integral via the arithmetic-geometric
-mean, a bracketing root finder, and least-squares fitting of exponential decay.
-Everything here is deliberately self-contained so that the series machinery in
-the rest of the package is checked against arithmetic it does not share.
+Every exact reference rests on two primitives: adaptive quadrature, and the
+arithmetic-geometric mean as the integral of 1/sqrt(R) over [0, pi] for R
+linear in cos(theta).  Beside them: a bracketing root finder and a fit of
+exponential decay.  Standard-library Python, deliberately self-contained, so
+that the series machinery is checked against arithmetic it does not share.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ def _panel(
             raise NonFiniteIntegrand(f"integrand is not finite at x={x!r}")
         high += weight * y
         scale += weight * abs(y)
-    return half * high, abs(half * (high - low)), half * scale
+    value, err = half * high, abs(half * (high - low))
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NonFiniteIntegrand(f"panel [{lo!r}, {hi!r}] leaves the float range")
+    return value, err, half * scale
 
 
 def integrate(
@@ -121,13 +125,15 @@ def integrate(
     Globally adaptive bisection with an embedded low/high order rule per
     panel: the panel with the worst error estimate is split first, until the
     accumulated estimate drops below the tolerance, taken against the running
-    estimate of the integral.  Deterministic: the refinement order and the
-    final left-to-right summation depend only on the inputs.
+    estimate of the integral.  The panel values and error estimates are
+    summed with math.fsum, so each is the correctly rounded sum, whatever
+    the order of the panels.
 
     Raises ToleranceNotMet when the accumulated error estimate cannot be
     brought below the tolerance (evaluation budget exhausted, or panels
-    pinned at the floating-point resolution limit) and NonFiniteIntegrand if
-    f returns NaN or infinity at a node.
+    pinned at the floating-point resolution limit), and NonFiniteIntegrand
+    if f returns NaN or infinity at a node or a panel value, an error
+    estimate or their sum leaves the float range.
     """
     if not a < b:
         raise DomainError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
@@ -142,17 +148,17 @@ def integrate(
     live = [(-first[1], a, b) + first]
     err_total = first[1]
     value_total = first[0]
-    frozen: list[tuple[float, float, float]] = []  # (lo, value, error)
+    frozen: list[tuple[float, float]] = []  # (value, error)
     while live and err_total > max(abs_tol, rel_tol * abs(value_total)):
         neg_err, lo, hi, value, err, scale = heapq.heappop(live)
         mid = 0.5 * (lo + hi)
         if err <= _NOISE_FLOOR * scale or mid <= lo or mid >= hi:
             # Rounding noise or the resolution limit: splitting cannot
             # reduce this estimate any further.
-            frozen.append((lo, value, err))
+            frozen.append((value, err))
             continue
         if evals + 2 * _PANEL_COST > max_evals:
-            frozen.append((lo, value, err))
+            frozen.append((value, err))
             break
         evals += 2 * _PANEL_COST
         left = _panel(f, lo, mid)
@@ -162,17 +168,12 @@ def integrate(
         heapq.heappush(live, (-left[1], lo, mid) + left)
         heapq.heappush(live, (-right[1], mid, hi) + right)
 
-    panels = frozen + [(lo, value, err) for _, lo, _, value, err, _ in live]
-    panels.sort(key=lambda rec: rec[0])
-    total = 0.0
-    comp = 0.0
-    err_sum = 0.0
-    for _, value, err in panels:  # Kahan over panels, left to right
-        y = value - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        err_sum += err
+    panels = frozen + [(value, err) for _, _, _, value, err, _ in live]
+    try:
+        total = math.fsum(value for value, _ in panels)
+        err_sum = math.fsum(err for _, err in panels)
+    except OverflowError:
+        raise NonFiniteIntegrand("the integral leaves the float range") from None
     tol = max(abs_tol, rel_tol * abs(total))
     if err_sum > tol:
         raise ToleranceNotMet(
@@ -185,21 +186,15 @@ def integrate(
 def elliptic_k(m: float) -> float:
     """Complete elliptic integral K(m), parameter convention.
 
-    K(m) = integral over [0, pi/2] of dalpha / sqrt(1 - m sin^2 alpha), computed
-    by arithmetic-geometric mean iteration: K(m) = pi / (2 agm(1, sqrt(1-m))).
-    The parameter (not the modulus) multiplies sin^2 alpha.  Any m < 1 is
-    admissible, including negative values; K diverges as m -> 1.
+    K(m) = integral over [0, pi/2] of dalpha / sqrt(1 - m sin^2 alpha); with
+    theta = 2 alpha, R = 1 - m sin^2(theta/2) runs from 1 to 1 - m, so K(m)
+    is half of _agm_integral(1, 1 - m).  The parameter (not the modulus)
+    multiplies sin^2 alpha.  Any m < 1 is admissible, including negative
+    values and -inf, where K is 0; K diverges as m -> 1.
     """
     if not m < 1.0:
         raise DomainError(f"elliptic_k requires m < 1, got {m!r}")
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
-
-
-def _agm(x: float, y: float) -> float:
-    """Arithmetic-geometric mean of x, y > 0, iterated to 2 ulp agreement."""
-    while abs(x - y) > 2.0 * math.ulp(x):
-        x, y = 0.5 * (x + y), math.sqrt(x * y)
-    return x
+    return 0.5 * _agm_integral(1.0, 1.0 - m)[0]
 
 
 def _agm_integral(
@@ -217,7 +212,7 @@ def _agm_integral(
     form, on p = 1 - x and q = 1 - y, with q' = (p + q - p q)/(1 + y').  So
     the excess is pi p/x and never subtracts pi.  gap_0 = 1 - R(0) and
     gap_pi = 1 - R(pi), when given exactly, keep its digits for R close to
-    1; they default to 1 - R.
+    1; they default to 1 - R.  An infinite end value gives the limit 0.
     """
     x, y = math.sqrt(end_0), math.sqrt(end_pi)
     p = (1.0 - end_0 if gap_0 is None else gap_0) / (1.0 + x)
@@ -225,24 +220,23 @@ def _agm_integral(
     # p and q bracket the limit as x and y do, and their gap is |x - y|.
     # Once x and y agree to 2 ulp that gap is about 4e-16 x; each step
     # squares it, so two more put it below the rounding of any p > 1e-40.
+    # The test is written so that x = y = inf, where x - y is NaN, counts.
     extra = 2
     while extra:
-        if abs(x - y) <= 2.0 * math.ulp(x):
+        if not abs(x - y) > 2.0 * math.ulp(x):
             extra -= 1
         x, y = 0.5 * (x + y), math.sqrt(x * y)
         p, q = 0.5 * (p + q), (p + q - p * q) / (1.0 + y)
     return math.pi / x, math.pi * p / x
 
 
-def find_root(
-    g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-14
-) -> float:
+def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of g on [lo, hi] by Brent's method.
 
     Requires a sign change on the bracket (NoSignChange otherwise).  Inverse
     quadratic and secant steps are used when they behave, with bisection as the
-    fallback, so convergence is guaranteed.  Returns x once the bracket width
-    falls below tol plus a machine-precision floor.
+    fallback, so convergence is guaranteed.  Returns x once the bracket has
+    shrunk to machine-adjacent floats.
     """
     a, b = float(lo), float(hi)
     fa, fb = g(a), g(b)
@@ -262,7 +256,7 @@ def find_root(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * math.ulp(abs(b)) + 0.5 * tol
+        tol1 = 2.0 * math.ulp(abs(b))
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -294,23 +288,25 @@ def find_root(
 def fit_log_linear(points: Sequence[tuple[float, float]]) -> FitResult:
     """Ordinary least squares of ln(err) against n for err = exp(-alpha - beta n).
 
-    points holds (n, err) pairs with err > 0.  Returns the fitted alpha and
-    beta (so the fitted line is -alpha - beta*n) and the RMS residual in
-    ln space.  Raises DegenerateFit when every n coincides.
+    points holds finite (n, err) pairs with err > 0.  Returns the fitted alpha
+    and beta (so the fitted line is -alpha - beta*n) and the RMS residual in
+    ln space.  The closed form of the two-parameter fit, slope
+    sum (n - n_mean)(y - y_mean) / sum (n - n_mean)^2 with y = ln(err), is
+    summed with math.fsum.  Raises DegenerateFit when every n coincides.
     """
-    import numpy as np
-
     if len(points) < 2:
         raise DomainError("need at least 2 points to fit")
-    ns = np.array([float(n) for n, _ in points])
-    errs = np.array([float(e) for _, e in points])
-    if np.any(errs <= 0.0):
-        raise DomainError("all err values must be positive")
-    if np.all(ns == ns[0]):
+    ns = [float(n) for n, _ in points]
+    errs = [float(e) for _, e in points]
+    if not all(0.0 < e < math.inf and math.isfinite(n) for n, e in zip(ns, errs)):
+        raise DomainError("all n must be finite and all err values positive and finite")
+    if all(n == ns[0] for n in ns):
         raise DegenerateFit("all abscissae are equal")
-    y = np.log(errs)
-    design = np.vstack([np.ones_like(ns), ns]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    rms = math.sqrt(float(np.mean(resid * resid)))
-    return FitResult(alpha=-float(coef[0]), beta=-float(coef[1]), residual=rms)
+    ys = [math.log(e) for e in errs]
+    n_mean, y_mean = math.fsum(ns) / len(ns), math.fsum(ys) / len(ys)
+    dn = [n - n_mean for n in ns]
+    slope = math.fsum(d * (y - y_mean) for d, y in zip(dn, ys)) / math.fsum(d * d for d in dn)
+    resid = math.fsum((y - y_mean - slope * d) ** 2 for d, y in zip(dn, ys))
+    return FitResult(
+        alpha=slope * n_mean - y_mean, beta=-slope, residual=math.sqrt(resid / len(ys))
+    )

@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     NoPeriodicMotion,
 )
-from .oracle import _agm, _agm_integral, elliptic_k, integrate
+from .oracle import _agm_integral, integrate
 from .series_core import (
     IntegrandSpec,
     TrigPolynomial,
@@ -396,9 +396,15 @@ def duffing_period_series(rho: float, order: int) -> float:
 
 
 def duffing_exact_period(rho: float) -> float:
-    """Exact period 4/sqrt(1+rho) K(rho/(2(1+rho))) via the AGM oracle."""
+    """Exact period 4/sqrt(1+rho) K(rho/(2(1+rho))) via the AGM oracle.
+
+    R = 1/2 + (rho/4)(1 + cos^2(theta)) is linear in cos(2 theta), so the
+    period sqrt(2) x (the integral of 1/sqrt(R)) is pi / agm(sqrt(R(0)/2),
+    sqrt(R(pi/2)/2)), from R(0) = (1 + rho)/2 and R(pi/2) = (2 + rho)/4 formed
+    from rho: halving is exact, where a factor sqrt(2) would round twice.
+    """
     rho = _check_rho(rho)
-    return 4.0 / math.sqrt(1.0 + rho) * elliptic_k(rho / (2.0 * (1.0 + rho)))
+    return _agm_integral(0.25 * (1.0 + rho), 0.125 * (2.0 + rho))[0]
 
 
 def duffing_nayfeh_series(rho: float, order: int) -> float:
@@ -722,11 +728,12 @@ def quartic_cubic_exact_period(
 def pendulum_exact(amplitude: float) -> float:
     """Exact pendulum period 4 K(sin^2(A/2)) via the AGM oracle.
 
-    Computed as 2 pi / agm(1, cos(A/2)) (DLMF 19.8.5): the complementary
-    modulus cos(A/2) keeps its digits as A -> pi, where sin^2(A/2) rounds to 1.
+    Computed as 2 pi / agm(1, cos(A/2)) (DLMF 19.8.5), from the end values 1
+    and cos^2(A/2): the complementary modulus cos(A/2) keeps its digits as
+    A -> pi, where sin^2(A/2) rounds to 1.
     """
     amplitude = _check_pendulum_amplitude(amplitude)
-    return 2.0 * math.pi / _agm(1.0, math.cos(0.5 * amplitude))
+    return 2.0 * _agm_integral(1.0, math.cos(0.5 * amplitude) ** 2)[0]
 
 
 def pendulum_approx(amplitude: float, taylor_order: int, series_order: int) -> float:

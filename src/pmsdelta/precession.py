@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
     ThirdRootInsideInterval,
 )
-from .oracle import _agm_integral, find_root
+from .oracle import _agm_integral
 from .series_core import _check_order, _pair_sum
 
 __all__ = [
@@ -186,23 +186,20 @@ def precession_exact(orbit: OrbitParams) -> float:
 
 
 def critical_semimajor_axis(GM: float, epsilon: float) -> float:
-    """Smallest regular semimajor axis for the given mass and eccentricity.
+    """Critical semimajor axis a_c = 2GM (3 + eps)/(1 - eps^2), rounded down.
 
-    Below the returned value the third zero z3 = 1/(2GM) - z- - z+ of the
-    radial cubic enters [z-, z+] and the precession integral ceases to be
-    regular.  Found by bracketing z3 = z+ in a; the closed-form equivalent
-    is a_c = 2GM [2/(1-eps) + 1/(1+eps)].
+    At and below it the third zero of the radial cubic lies in [z-, z+] and
+    the precession integral is not regular.  a_c is 1 - R(0) at a = 1, one
+    integer quotient in the float inputs, rounded down so that a float a is
+    regular exactly when a > a_c.  Beyond the float range, a_c is inf.
     """
     if not GM > 0.0:
         raise DomainError(f"GM must be positive, got {GM!r}")
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"eccentricity must lie in [0, 1), got {epsilon!r}")
-
-    def gap(a: float) -> float:
-        z_minus = 1.0 / (a * (1.0 + epsilon))
-        z_plus = 1.0 / (a * (1.0 - epsilon))
-        return 1.0 / (2.0 * GM) - z_minus - 2.0 * z_plus
-
-    lo = 2.0 * GM
-    hi = 8.0 * GM / (1.0 - epsilon)
-    return find_root(gap, lo, hi, tol=0.0)
+    try:
+        g, d, en, ed = _gm_over_l(OrbitParams(GM=GM, a=1.0, epsilon=epsilon))
+        num, den = 2 * g * (3 * ed + en), d * ed
+        a_c = num / den
+    except OverflowError:
+        return math.inf
+    an, ad = a_c.as_integer_ratio()
+    return math.nextafter(a_c, 0.0) if an * den > num * ad else a_c

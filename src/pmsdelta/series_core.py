@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -138,13 +137,13 @@ def _horner(coeffs: Sequence[float], x):
 def half_binomial(n: int) -> float:
     """Generalized binomial coefficient (-1/2 choose n).
 
-    Equals (-1)^n C(2n, n) / 4^n; computed as an exact rational and rounded
-    once, so the value is correct to the last bit.
+    Equals (-1)^n C(2n, n) / 4^n; computed as one integer quotient, which
+    Python rounds correctly, so the value is correct to the last bit.
     """
     if n < 0:
         raise DomainError("half_binomial requires n >= 0")
     sign = -1 if n % 2 else 1
-    return float(Fraction(sign * math.comb(2 * n, n), 4**n))
+    return sign * math.comb(2 * n, n) / 4**n
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +156,7 @@ def cos_moment(k: int) -> float:
         raise DomainError("cos_moment requires k >= 0")
     if k % 2:
         return 0.0
-    return math.pi * float(Fraction(math.comb(k, k // 2), 2**k))
+    return math.pi * (math.comb(k, k // 2) / 2**k)
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -465,7 +464,7 @@ def pms_solve(
     def last_term(omega: float) -> float:
         return term(spec_family(omega), order)
 
-    root = find_root(last_term, lo, hi, tol=0.0)
+    root = find_root(last_term, lo, hi)
     residual = abs(last_term(root))
     ceiling = 1e-12 * math.pi / root
     if residual > ceiling:

@@ -104,7 +104,7 @@ def test_criterion_05_sextic_slope_ln_5_3():
     assert deviation < 0.02, (
         f"fitted beta={beta:.12f} deviates {100.0 * deviation:.1f}% from "
         f"ln(5/3)={target:.12f} (residual RMS {study.fit.residual:.3f} in "
-        f"ln-space); the even-order errors carry an N^-3/2 prefactor and a "
+        f"ln-space); the even-order errors carry an N^-1 prefactor and a "
         f"strong parity oscillation, so the even-N window fit sits well below "
         f"the asymptotic slope"
     )

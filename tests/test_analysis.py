@@ -95,6 +95,28 @@ def test_sextic_c0_study():
     assert study.fit.beta == pytest.approx(0.45457852973113, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "study, in_window",
+    [(duffing_b0_study, lambda n: n >= 1), (sextic_c0_study, lambda n: n >= 2 and n % 2 == 0)],
+)
+@pytest.mark.parametrize("max_order", [10, 16])
+def test_fit_matches_an_exact_least_squares_fit(study, in_window, max_order):
+    mpmath = pytest.importorskip("mpmath")
+    result = study(max_order)
+    window = [p for p in result.points if in_window(p.n) and p.rel_error > 0.0]
+    with mpmath.workdps(50):
+        ns = [mpmath.mpf(p.n) for p in window]
+        ys = [mpmath.log(p.rel_error) for p in window]
+        n_mean, y_mean = sum(ns) / len(ns), sum(ys) / len(ys)
+        slope = sum((n - n_mean) * (y - y_mean) for n, y in zip(ns, ys)) / sum(
+            (n - n_mean) ** 2 for n in ns
+        )
+        intercept = y_mean - slope * n_mean
+        rms = mpmath.sqrt(sum((y - intercept - slope * n) ** 2 for n, y in zip(ns, ys)) / len(ns))
+        for value, reference in zip(result.fit, (-intercept, -slope, rms)):
+            assert abs(value - reference) <= 1e-14 * abs(reference)
+
+
 def test_negative_rho_study_parity_split():
     even, odd = negative_rho_study(5, rho=-0.9, max_order=16)
     assert even.label == "negative-rho-K5-even"

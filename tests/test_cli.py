@@ -250,6 +250,14 @@ def test_precession_below_critical_exits_3(capsys):
     assert quoted == pytest.approx(101.46683122925656, rel=1e-10)
 
 
+def test_precession_tiny_mass_is_finite(capsys):
+    code, out, err = run_cli(capsys, "precession", "--a", "300", "--GM", "1e-320")
+    assert code == 0, err
+    values = dict(line.split("=") for line in out.strip().splitlines())
+    for key in ("series", "exact", "a_c"):
+        assert math.isfinite(float(values[key])), key
+
+
 def test_precession_series_only_below_critical(capsys):
     import warnings
 
@@ -311,21 +319,30 @@ def test_module_entry_point_runs(child_env):
 
 def test_scalar_commands_do_not_load_numpy(child_env):
     # numpy is imported only by code that vectorizes; closed-form series,
-    # quadrature references and the precession table never reach it.
+    # quadrature and AGM references, the log-linear fit and the precession
+    # table never reach it.  fractions and decimal are never loaded.
     script = textwrap.dedent(
         """
         import contextlib, io, sys
-        import pmsdelta, pmsdelta.cli
+        import pmsdelta
+
+        def loaded():
+            return [m for m in ("numpy", "fractions", "decimal") if m in sys.modules]
+
+        assert not loaded(), loaded()
+        import pmsdelta.cli
         for argv in (
             "period duffing --rho 0.5 --order 6 --exact",
             "period sextic --rho -0.9 --order 8 --exact",
             "period cubic --x-minus -0.8 --x-plus 1.3 --order 10 --exact",
             "precession --a 500",
             "convergence precession",
+            "convergence duffing-b0",
+            "convergence duffing-rho",
         ):
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert pmsdelta.cli.main(argv.split()) == 0, argv
-        assert "numpy" not in sys.modules, "numpy was imported"
+            assert not loaded(), (argv, loaded())
         """
     )
     result = subprocess.run(

@@ -130,11 +130,21 @@ def test_integrate_flags_nan():
         integrate(lambda x: float("nan"), 0.0, 1.0)
 
 
+def test_integrate_overflow_is_typed():
+    # One panel whose estimate leaves the float range.
+    with pytest.raises(NonFiniteIntegrand):
+        integrate(lambda x: 1e308, 0.0, 4.0)
+    # Finite panels whose sum leaves it: math.fsum's OverflowError is typed.
+    with pytest.raises(NonFiniteIntegrand):
+        integrate(lambda x: 6e307 * (0.5 + 0.5 * math.cos(15.0 * x)), 0.0, 8.0, max_evals=10**4)
+
+
 def test_elliptic_k_special_values():
     assert elliptic_k(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
     # K(1/2) to machine precision (AGM is quadratically convergent).
     assert elliptic_k(0.5) == pytest.approx(1.8540746773013719, abs=1e-15)
     print(f"K(0.5) = {elliptic_k(0.5):.16f}")
+    assert elliptic_k(-math.inf) == 0.0
 
 
 @pytest.mark.parametrize("m", [-4.5, -1.0, -0.5, 0.1, 0.3, 0.5, 0.7, 0.9, 0.9999])
@@ -151,12 +161,24 @@ def test_elliptic_k_domain():
         elliptic_k(1.0)
     with pytest.raises(DomainError):
         elliptic_k(1.5)
+    with pytest.raises(DomainError):
+        elliptic_k(math.nan)
+
+
+def test_elliptic_k_matches_mpmath_across_its_range():
+    mpmath = pytest.importorskip("mpmath")
+    ms = [-(10.0**k) for k in np.linspace(-6.0, 6.0, 49)]
+    ms += [1.0 - 10.0**-k for k in np.linspace(0.0, 12.0, 49)]
+    with mpmath.workdps(50):
+        for m in ms:
+            reference = mpmath.ellipk(mpmath.mpf(m))
+            assert abs(elliptic_k(m) - reference) <= 1e-15 * reference, m
 
 
 def test_find_root_basic():
-    root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-15)
+    root = find_root(lambda x: x * x - 2.0, 0.0, 2.0)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    root = find_root(math.cos, 1.0, 2.0, tol=1e-15)
+    root = find_root(math.cos, 1.0, 2.0)
     assert root == pytest.approx(math.pi / 2.0, abs=1e-14)
     print(f"root of cos on [1, 2] = {root:.16f}")
 
@@ -174,7 +196,7 @@ def test_find_root_requires_sign_change():
 def test_find_root_hard_bracket():
     # Steep function whose root sits close to one end of the bracket.
     g = lambda x: math.tanh(50.0 * (x - 0.99))
-    assert find_root(g, 0.0, 1.0, tol=1e-14) == pytest.approx(0.99, abs=1e-12)
+    assert find_root(g, 0.0, 1.0) == pytest.approx(0.99, abs=1e-12)
 
 
 def test_fit_log_linear_exact_decay():
@@ -200,5 +222,9 @@ def test_fit_log_linear_rejects_bad_input():
         fit_log_linear([(1, 0.5)])
     with pytest.raises(DomainError):
         fit_log_linear([(1, 0.5), (2, -0.1)])
+    with pytest.raises(DomainError):
+        fit_log_linear([(1, 0.5), (2, math.inf)])
+    with pytest.raises(DomainError):
+        fit_log_linear([(1, 0.5), (math.inf, 0.25)])
     with pytest.raises(DegenerateFit):
         fit_log_linear([(3, 0.5), (3, 0.25)])

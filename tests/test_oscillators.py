@@ -200,6 +200,19 @@ def test_duffing_exact_basics():
         duffing_exact_period(-1.0)
 
 
+def test_duffing_exact_matches_mpmath_up_to_the_separatrix():
+    # R(0) = (1 + rho)/2 is formed from rho, so the period stays right to
+    # rounding as rho -> -1.
+    mpmath = pytest.importorskip("mpmath")
+    rhos = [-1.0 + 10.0**-k for k in np.linspace(0.0, 8.0, 33)]
+    rhos += list(10.0 ** np.linspace(-8.0, 4.0, 49))
+    with mpmath.workdps(50):
+        for rho in rhos:
+            r = mpmath.mpf(rho)
+            reference = 4 / mpmath.sqrt(1 + r) * mpmath.ellipk(r / (2 * (1 + r)))
+            assert abs(duffing_exact_period(rho) - reference) <= 1e-15 * reference, rho
+
+
 def test_nayfeh_series_convergent_side():
     assert duffing_nayfeh_series(0.0, 5) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert duffing_nayfeh_series(1.0, 40) == pytest.approx(
@@ -618,16 +631,18 @@ def test_pendulum_exact():
 
 
 @pytest.mark.parametrize(
-    "amplitude", [0.3, 1.0, 2.0, 3.0, math.pi - 1e-6, math.pi - 1e-9]
+    "amplitude",
+    [0.3, 1.0, 2.0, 3.0, math.pi - 1e-6, math.pi - 1e-9]
+    + [0.05, 0.7, 1.5, 2.5, 3.1] + [math.pi - 10.0**-k for k in (1, 2, 3, 4, 12, 14, 15)],
 )
 def test_pendulum_exact_matches_mpmath(amplitude):
     # Near pi, sin^2(A/2) rounds to 1; the complementary modulus cos(A/2)
     # keeps the period to rounding.
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(80):
         a = mpmath.mpf(amplitude)
-        reference = float(4 * mpmath.ellipk(mpmath.sin(a / 2) ** 2))
-    assert pendulum_exact(amplitude) == pytest.approx(reference, rel=1e-14)
+        reference = 4 * mpmath.ellipk(mpmath.sin(a / 2) ** 2)
+        assert abs(pendulum_exact(amplitude) - reference) <= 1e-15 * reference
 
 
 def test_pendulum_taylor2_is_flat():

@@ -1,6 +1,8 @@
 """Tests for the perihelion-precession module."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +124,35 @@ def test_critical_axis_matches_closed_form():
     closed = 2.0 * GM * (2.0 / (1.0 - eps) + 1.0 / (1.0 + eps))
     assert computed == pytest.approx(closed, rel=1e-13)
     assert computed == pytest.approx(101.46683122925656, rel=1e-12)
+
+
+def _is_regular(GM, a, eps):
+    try:
+        precession_exact(OrbitParams(GM=GM, a=a, epsilon=eps))
+    except ThirdRootInsideInterval:
+        return False
+    return True
+
+
+def test_critical_axis_is_the_exact_quotient_rounded_down():
+    # a_c is the largest float not above 2GM (3 + eps)/(1 - eps^2), so the
+    # float test a > a_c agrees with precession_exact's exact one on both
+    # sides of the critical axis.
+    rng = random.Random(11)
+    for _ in range(500):
+        GM, eps = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, 0.99)
+        exact = 2 * Fraction(GM) * (3 + Fraction(eps)) / (1 - Fraction(eps) ** 2)
+        a_c = critical_semimajor_axis(GM, eps)
+        assert Fraction(a_c) <= exact < Fraction(math.nextafter(a_c, math.inf))
+        for a in (a_c, math.nextafter(a_c, math.inf)):
+            assert (a > a_c) == _is_regular(GM, a, eps), (GM, eps, a)
+
+
+def test_critical_axis_beyond_the_float_range_is_infinite():
+    assert critical_semimajor_axis(math.inf, 0.2) == math.inf
+    assert critical_semimajor_axis(1e307, 0.99) == math.inf
+    tiny = critical_semimajor_axis(1e-320, DEFAULT_ECCENTRICITY)
+    assert 0.0 < tiny < 1e-318
 
 
 def test_critical_axis_circular():

@@ -43,9 +43,8 @@ def test_half_binomial_values():
     assert half_binomial(0) == 1.0
     assert half_binomial(1) == -0.5
     assert half_binomial(2) == 0.375
-    for n in range(MAX_ORDER + 1):
-        direct = (-1.0) ** n * math.comb(2 * n, n) / 4.0**n
-        assert half_binomial(n) == pytest.approx(direct, rel=1e-15)
+    for n in range(513):
+        assert half_binomial(n) == float(Fraction((-1) ** n * math.comb(2 * n, n), 4**n)), n
     with pytest.raises(DomainError):
         half_binomial(-1)
 
@@ -54,6 +53,8 @@ def test_cos_moment_values():
     assert cos_moment(0) == math.pi
     assert cos_moment(1) == 0.0
     assert cos_moment(2) == pytest.approx(math.pi / 2.0, abs=1e-16)
+    for k in range(0, 513, 2):
+        assert cos_moment(k) == math.pi * float(Fraction(math.comb(k, k // 2), 2**k)), k
     with pytest.raises(DomainError):
         cos_moment(-2)
 
