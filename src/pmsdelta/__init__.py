@@ -9,162 +9,97 @@ relativistic orbits, each checked against an independent adaptive-quadrature
 oracle.
 """
 
-from .analysis import (
-    ConvergenceStudy,
-    StudyPoint,
-    duffing_b0_study,
-    duffing_error_vs_rho,
-    negative_rho_study,
-    precession_error_table,
-    sextic_c0_study,
-)
-from .constants import (
-    DEFAULT_ECCENTRICITY,
-    DEFAULT_GM,
-    REFERENCE,
-    ReferenceConstants,
-    ReferenceValue,
-)
-from .errors import (
-    BarrierCrossed,
-    BeyondCritical,
-    DegenerateFit,
-    DivergentExpansion,
-    DomainError,
-    NoPeriodicMotion,
-    NoSignChange,
-    NonFiniteIntegrand,
-    NonPositiveMean,
-    OrderTooHigh,
-    PmsDeltaError,
-    ThirdRootInsideInterval,
-    ToleranceNotMet,
-)
-from .oracle import (
-    FitResult,
-    QuadratureResult,
-    elliptic_k,
-    find_root,
-    fit_log_linear,
-    integrate,
-)
-from .oscillators import (
-    OscillatorModel,
-    TurningPoints,
-    cubic_exact_period,
-    cubic_series,
-    duffing_b0,
-    duffing_exact_period,
-    duffing_nayfeh_series,
-    duffing_omega_pms,
-    duffing_period_series,
-    even_power_exact_period,
-    even_power_kappa_balanced,
-    even_power_kappa_pms,
-    even_power_series,
-    pendulum_approx,
-    pendulum_exact,
-    quartic_cubic_exact_period,
-    quartic_cubic_pms,
-    sextic_exact_period,
-    sextic_series,
-    sextic_t4,
-    sextic_wl_period,
-    turning_points,
-    virial_omega_check,
-)
-from .precession import (
-    OrbitParams,
-    critical_semimajor_axis,
-    precession_exact,
-    precession_series,
-)
-from .series_core import (
-    MAX_ORDER,
-    IntegrandSpec,
-    SeriesExpansion,
-    TrigPolynomial,
-    cos_moment,
-    delta_of,
-    expand,
-    half_binomial,
-    pms_derivative_check,
-    pms_first_order,
-    pms_solve,
-    term,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarrierCrossed",
-    "BeyondCritical",
-    "ConvergenceStudy",
-    "DEFAULT_ECCENTRICITY",
-    "DEFAULT_GM",
-    "DegenerateFit",
-    "DivergentExpansion",
-    "DomainError",
-    "FitResult",
-    "IntegrandSpec",
-    "MAX_ORDER",
-    "NoPeriodicMotion",
-    "NoSignChange",
-    "NonFiniteIntegrand",
-    "NonPositiveMean",
-    "OrbitParams",
-    "OrderTooHigh",
-    "OscillatorModel",
-    "PmsDeltaError",
-    "QuadratureResult",
-    "REFERENCE",
-    "ReferenceConstants",
-    "ReferenceValue",
-    "SeriesExpansion",
-    "StudyPoint",
-    "ThirdRootInsideInterval",
-    "ToleranceNotMet",
-    "TrigPolynomial",
-    "TurningPoints",
-    "cos_moment",
-    "critical_semimajor_axis",
-    "cubic_exact_period",
-    "cubic_series",
-    "delta_of",
-    "duffing_b0",
-    "duffing_b0_study",
-    "duffing_error_vs_rho",
-    "duffing_exact_period",
-    "duffing_nayfeh_series",
-    "duffing_omega_pms",
-    "duffing_period_series",
-    "elliptic_k",
-    "even_power_exact_period",
-    "even_power_kappa_balanced",
-    "even_power_kappa_pms",
-    "even_power_series",
-    "expand",
-    "find_root",
-    "fit_log_linear",
-    "half_binomial",
-    "integrate",
-    "negative_rho_study",
-    "pendulum_approx",
-    "pendulum_exact",
-    "pms_derivative_check",
-    "pms_first_order",
-    "pms_solve",
-    "precession_error_table",
-    "precession_exact",
-    "precession_series",
-    "quartic_cubic_exact_period",
-    "quartic_cubic_pms",
-    "sextic_c0_study",
-    "sextic_exact_period",
-    "sextic_series",
-    "sextic_t4",
-    "sextic_wl_period",
-    "term",
-    "turning_points",
-    "virial_omega_check",
-]
+# Public name -> the submodule that defines it.  `import pmsdelta` loads no
+# submodule: the first read of a name imports its module (PEP 562) and binds
+# the value here, so later reads are plain attribute lookups.
+_EXPORTS = {
+    "ConvergenceStudy": "analysis",
+    "StudyPoint": "analysis",
+    "duffing_b0_study": "analysis",
+    "duffing_error_vs_rho": "analysis",
+    "negative_rho_study": "analysis",
+    "precession_error_table": "analysis",
+    "sextic_c0_study": "analysis",
+    "DEFAULT_ECCENTRICITY": "constants",
+    "DEFAULT_GM": "constants",
+    "REFERENCE": "constants",
+    "ReferenceConstants": "constants",
+    "ReferenceValue": "constants",
+    "BarrierCrossed": "errors",
+    "BeyondCritical": "errors",
+    "DegenerateFit": "errors",
+    "DivergentExpansion": "errors",
+    "DomainError": "errors",
+    "NoPeriodicMotion": "errors",
+    "NoSignChange": "errors",
+    "NonFiniteIntegrand": "errors",
+    "NonPositiveMean": "errors",
+    "OrderTooHigh": "errors",
+    "PmsDeltaError": "errors",
+    "ThirdRootInsideInterval": "errors",
+    "ToleranceNotMet": "errors",
+    "FitResult": "oracle",
+    "QuadratureResult": "oracle",
+    "elliptic_k": "oracle",
+    "find_root": "oracle",
+    "fit_log_linear": "oracle",
+    "integrate": "oracle",
+    "OscillatorModel": "oscillators",
+    "TurningPoints": "oscillators",
+    "cubic_exact_period": "oscillators",
+    "cubic_series": "oscillators",
+    "duffing_b0": "oscillators",
+    "duffing_exact_period": "oscillators",
+    "duffing_nayfeh_series": "oscillators",
+    "duffing_omega_pms": "oscillators",
+    "duffing_period_series": "oscillators",
+    "even_power_exact_period": "oscillators",
+    "even_power_kappa_balanced": "oscillators",
+    "even_power_kappa_pms": "oscillators",
+    "even_power_series": "oscillators",
+    "pendulum_approx": "oscillators",
+    "pendulum_exact": "oscillators",
+    "quartic_cubic_exact_period": "oscillators",
+    "quartic_cubic_pms": "oscillators",
+    "sextic_exact_period": "oscillators",
+    "sextic_series": "oscillators",
+    "sextic_t4": "oscillators",
+    "sextic_wl_period": "oscillators",
+    "turning_points": "oscillators",
+    "virial_omega_check": "oscillators",
+    "OrbitParams": "precession",
+    "critical_semimajor_axis": "precession",
+    "precession_exact": "precession",
+    "precession_series": "precession",
+    "MAX_ORDER": "series_core",
+    "MAX_EXPONENT": "series_core",
+    "IntegrandSpec": "series_core",
+    "SeriesExpansion": "series_core",
+    "TrigPolynomial": "series_core",
+    "cos_moment": "series_core",
+    "delta_of": "series_core",
+    "expand": "series_core",
+    "half_binomial": "series_core",
+    "pms_derivative_check": "series_core",
+    "pms_first_order": "series_core",
+    "pms_solve": "series_core",
+    "term": "series_core",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,21 +95,29 @@ class ConvergenceStudy:
         return json.dumps(payload, indent=2) + "\n"
 
 
+def _study_point(n: float, value: float, reference: float) -> StudyPoint:
+    """The point with its relative error; a zero reference has none and is
+    refused with DomainError naming the grid point."""
+    if reference == 0.0:
+        raise DomainError(
+            f"the reference at grid point {n!r} is zero, so its relative error "
+            "is undefined"
+        )
+    return StudyPoint(
+        n=float(n),
+        value=value,
+        reference=reference,
+        rel_error=abs(value - reference) / abs(reference),
+    )
+
+
 def _points_and_fit(
     orders: Sequence[int],
     values: Sequence[float],
     reference: float,
     fit_orders: Sequence[int],
 ) -> tuple[tuple[StudyPoint, ...], FitResult]:
-    points = tuple(
-        StudyPoint(
-            n=float(n),
-            value=v,
-            reference=reference,
-            rel_error=abs(v - reference) / abs(reference),
-        )
-        for n, v in zip(orders, values)
-    )
+    points = tuple(_study_point(n, v, reference) for n, v in zip(orders, values))
     window = {float(n) for n in fit_orders}
     fit = fit_log_linear(
         [(p.n, p.rel_error) for p in points if p.n in window and p.rel_error > 0.0]
@@ -138,9 +147,13 @@ def duffing_error_vs_rho(
     """Frequency error of a fixed-order partial sum across anharmonicities.
 
     For each rho in the grid, compares 2 pi / T_series(rho, order) with the
-    exact frequency.  The error grows with rho toward the asymptote given by
-    the strong-coupling coefficient error at the same order, and stays below
-    it; that bound is enforced here.
+    exact frequency.  The prefactors cancel in that ratio, so the error is a
+    function of xi^2 alone, xi = rho/(4 + 3 rho).  It grows with xi^2 toward
+    the asymptote given by the strong-coupling coefficient error at the same
+    order, its value at xi = 1/3 (rho = inf), and stays below it while
+    |xi| <= 1/3, that is for rho >= -2/3; that bound is enforced there, up
+    to the few ulp both computed errors carry.  Points with rho < -2/3 have
+    |xi| > 1/3 and are reported without it.
     """
     if not rho_grid:
         raise DomainError("rho_grid must not be empty")
@@ -148,19 +161,17 @@ def duffing_error_vs_rho(
         raise DomainError("all grid points must satisfy rho > -1")
     b0_ref = 2.0 * math.pi / even_power_exact_period(2, math.inf)
     asymptote = abs(duffing_b0(order) - b0_ref) / b0_ref
+    bound = asymptote * (1.0 + 1e-9) + 8.0 * sys.float_info.epsilon
     points = []
     for rho in rho_grid:
         freq = 2.0 * math.pi / duffing_period_series(rho, order)
-        freq_exact = 2.0 * math.pi / duffing_exact_period(rho)
-        rel = abs(freq - freq_exact) / freq_exact
-        if rel > asymptote * (1.0 + 1e-9):
+        point = _study_point(rho, freq, 2.0 * math.pi / duffing_exact_period(rho))
+        if rho >= -2.0 / 3.0 and point.rel_error > bound:
             raise PmsDeltaError(
-                f"error {rel!r} at rho = {rho!r} exceeds the strong-coupling "
-                f"asymptote {asymptote!r}; this should be impossible"
+                f"error {point.rel_error!r} at rho = {rho!r} exceeds the "
+                f"strong-coupling asymptote {asymptote!r}; this should be impossible"
             )
-        points.append(
-            StudyPoint(n=float(rho), value=freq, reference=freq_exact, rel_error=rel)
-        )
+        points.append(point)
     return ConvergenceStudy(label=f"duffing-rho-order{order}", points=tuple(points))
 
 
@@ -221,7 +232,8 @@ def precession_error_table(
 
     Returns one study per requested order, each sharing the same a-grid
     abscissas.  Sub-critical grid points propagate ThirdRootInsideInterval
-    from the exact evaluation.
+    from the exact evaluation; a point whose exact precession is zero
+    (a = inf, or GM = 0) raises DomainError.
     """
     if not a_grid:
         raise DomainError("a_grid must not be empty")
@@ -237,15 +249,7 @@ def precession_error_table(
         for a in a_grid:
             orbit = OrbitParams(GM=GM, a=a, epsilon=eccentricity)
             value = precession_series(orbit, order)
-            reference = exact_values[a]
-            points.append(
-                StudyPoint(
-                    n=float(a),
-                    value=value,
-                    reference=reference,
-                    rel_error=abs(value - reference) / abs(reference),
-                )
-            )
+            points.append(_study_point(a, value, exact_values[a]))
         studies.append(
             ConvergenceStudy(label=f"precession-order{order}", points=tuple(points))
         )

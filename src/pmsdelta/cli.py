@@ -22,16 +22,8 @@ import math
 import sys
 import warnings
 from functools import partial
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-from .analysis import (
-    ConvergenceStudy,
-    duffing_b0_study,
-    duffing_error_vs_rho,
-    negative_rho_study,
-    precession_error_table,
-    sextic_c0_study,
-)
 from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE
 from .errors import (
     BeyondCritical,
@@ -39,21 +31,10 @@ from .errors import (
     PmsDeltaError,
     ThirdRootInsideInterval,
 )
-from .oscillators import (
-    cubic_exact_period,
-    cubic_series,
-    duffing_exact_period,
-    duffing_period_series,
-    even_power_exact_period,
-    even_power_kappa_balanced,
-    even_power_kappa_pms,
-    even_power_series,
-    pendulum_approx,
-    pendulum_exact,
-    sextic_exact_period,
-    sextic_series,
-)
-from .precession import OrbitParams, critical_semimajor_axis, precession_exact, precession_series
+
+# Each command imports the families it runs, so a call loads only those.
+if TYPE_CHECKING:
+    from .analysis import ConvergenceStudy
 
 RAD_TO_ARCSEC = 180.0 * 3600.0 / math.pi
 
@@ -93,6 +74,21 @@ def _study_payload(study: ConvergenceStudy) -> dict:
 
 def _period_functions(args: argparse.Namespace) -> tuple[Callable, Callable]:
     """(order -> series value, () -> oracle value) for the requested model."""
+    from .oscillators import (
+        cubic_exact_period,
+        cubic_series,
+        duffing_exact_period,
+        duffing_period_series,
+        even_power_exact_period,
+        even_power_kappa_balanced,
+        even_power_kappa_pms,
+        even_power_series,
+        pendulum_approx,
+        pendulum_exact,
+        sextic_exact_period,
+        sextic_series,
+    )
+
     if args.model == "duffing":
         return (partial(duffing_period_series, args.rho),
                 partial(duffing_exact_period, args.rho))
@@ -180,6 +176,14 @@ def _wide_precession_csv(studies: list[ConvergenceStudy], orders: list[int]) -> 
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
+    from .analysis import (
+        duffing_b0_study,
+        duffing_error_vs_rho,
+        negative_rho_study,
+        precession_error_table,
+        sextic_c0_study,
+    )
+
     if args.study == "duffing-b0":
         study = duffing_b0_study(args.max_order)
         table = study.to_json() if args.format == "json" else study.to_csv()
@@ -237,6 +241,13 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_precession(args: argparse.Namespace) -> int:
+    from .precession import (
+        OrbitParams,
+        critical_semimajor_axis,
+        precession_exact,
+        precession_series,
+    )
+
     GM = args.GM if args.GM is not None else args.mass * args.g_over_c2
     scale = 1.0 if args.units == "rad" else RAD_TO_ARCSEC
     a_c = critical_semimajor_axis(GM, args.eccentricity)

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .oracle import _agm_integral, integrate
 from .series_core import (
+    MAX_EXPONENT,
     IntegrandSpec,
     TrigPolynomial,
     _check_order,
@@ -230,8 +231,10 @@ def _check_pendulum_amplitude(amplitude: float) -> float:
 
 
 def _check_exponent(K: int) -> int:
-    if not 2 <= K < math.inf or int(K) != K:
-        raise DomainError(f"even-power exponent K must be an integer >= 2, got {K!r}")
+    if not 2 <= K <= MAX_EXPONENT or int(K) != K:
+        raise DomainError(
+            f"even-power exponent K must be an integer in [2, {MAX_EXPONENT}], got {K!r}"
+        )
     return int(K)
 
 

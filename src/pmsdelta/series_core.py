@@ -44,6 +44,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_ORDER",
+    "MAX_EXPONENT",
     "TrigPolynomial",
     "IntegrandSpec",
     "SeriesExpansion",
@@ -60,6 +61,10 @@ __all__ = [
 # Expansion orders beyond this are refused: the binomial weights and the
 # polynomial degrees grow without buying accuracy at 64-bit precision.
 MAX_ORDER = 64
+# Even-power half-exponents K beyond this are refused: the factor, its
+# positivity table and the stationary kappa grow linearly in K, and an
+# order-64 period already takes about 0.2 s at K = 1024.
+MAX_EXPONENT = 1024
 
 
 def _check_order(order: int) -> int:

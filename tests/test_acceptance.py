@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pmsdelta.analysis import duffing_b0_study, sextic_c0_study
+from pmsdelta.errors import DivergentExpansion
 from pmsdelta.oracle import integrate
 from pmsdelta.oscillators import (
     OscillatorModel,
@@ -159,7 +160,9 @@ def test_criterion_08_virial_ratio_sqrt2():
 
 def test_criterion_09_nonconvergence_witness():
     rho = -0.8
-    comparison = [duffing_nayfeh_series(rho, n) for n in range(22)]
+    # |kappa| = 2 here: the comparison series warns that it diverges.
+    with pytest.warns(DivergentExpansion):
+        comparison = [duffing_nayfeh_series(rho, n) for n in range(22)]
     comparison_steps = [abs(b - a) for a, b in zip(comparison, comparison[1:])]
     for n in range(10, 20):
         assert comparison_steps[n + 1] > comparison_steps[n], (

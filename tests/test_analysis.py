@@ -84,6 +84,26 @@ def test_duffing_rho_sweep_rejections():
         duffing_error_vs_rho([0.5, -1.5])
 
 
+def test_duffing_rho_sweep_bound_holds_only_for_small_xi():
+    # xi = rho/(4 + 3 rho) leaves [-1/3, 1/3] below rho = -2/3: there the
+    # error exceeds the rho = inf asymptote and is reported without the bound.
+    # At rho = -2/3, xi = -1/3 and the error equals the asymptote.
+    study = duffing_error_vs_rho([-0.9, -0.7, -2.0 / 3.0, 0.0, 1.0], order=2)
+    errs = [p.rel_error for p in study.points]
+    assert errs[0] > errs[1] > 1.0341087828e-4
+    assert errs[2] == pytest.approx(1.0341087828e-4, rel=1e-9)
+    # From order 14 the asymptote is about an ulp: the errors are rounding.
+    for order in (8, 14, 64):
+        duffing_error_vs_rho([-2.0 / 3.0, -0.5, 0.1, 1.0, 1e4, 1e8], order=order)
+
+
+def test_zero_reference_is_refused():
+    with pytest.raises(DomainError, match="inf"):
+        precession_error_table([300.0, math.inf], orders=[0])
+    with pytest.raises(DomainError, match="300"):
+        precession_error_table([300.0], orders=[0], GM=0.0)
+
+
 def test_sextic_c0_study():
     study = sextic_c0_study(16)
     assert study.label == "sextic-c0"

@@ -125,8 +125,15 @@ def test_period_without_exact_skips_the_oracle(capsys, model):
         ["period", "cubic", "--x-minus", "-1", "--x-plus", "inf"],
         ["period", "duffing", "--order", "65"],
         ["convergence", "duffing-b0", "--max-order", "65"],
+        ["period", "even-power", "--exponent", "1025", "--order", "1"],
+        ["period", "even-power", "--exponent", "1000000000", "--kappa", "0.7"],
+        ["convergence", "precession", "--a-max", "inf"],
+        ["convergence", "precession", "--GM", "0"],
     ],
-    ids=["kappa-inf", "kappa-inf-rho-inf", "x-plus-inf", "order-65", "max-order-65"],
+    ids=[
+        "kappa-inf", "kappa-inf-rho-inf", "x-plus-inf", "order-65", "max-order-65",
+        "exponent-1025", "exponent-1e9", "zero-reference-a-inf", "zero-reference-GM-0",
+    ],
 )
 def test_non_finite_and_uncapped_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -305,6 +312,17 @@ def test_even_power_exponent_past_float_powers_of_four(capsys):
     assert len(rows) == 2 and all(math.isfinite(float(row[1])) for row in rows)
 
 
+def test_duffing_rho_sweep_past_minus_two_thirds(capsys):
+    # For rho < -2/3, |xi| > 1/3 and the error may exceed the strong-coupling
+    # asymptote; those points are reported, not refused.
+    code, out, err = run_cli(
+        capsys, "convergence", "duffing-rho", "--rho-min", "-0.9", "--rho-max", "1"
+    )
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert float(rows[0][0]) == -0.9 and float(rows[0][3]) > 1e-4
+
+
 def test_module_entry_point_runs(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "pmsdelta", "period", "duffing", "--rho", "1",
@@ -321,6 +339,9 @@ def test_scalar_commands_do_not_load_numpy(child_env):
     # numpy is imported only by code that vectorizes; closed-form series,
     # quadrature and AGM references, the log-linear fit and the precession
     # table never reach it.  fractions and decimal are never loaded.
+    # `import pmsdelta` loads no submodule, and each command imports only the
+    # families it runs: a module set to None in sys.modules cannot be
+    # imported, so a command that needs a blocked module fails.
     script = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -329,20 +350,41 @@ def test_scalar_commands_do_not_load_numpy(child_env):
         def loaded():
             return [m for m in ("numpy", "fractions", "decimal") if m in sys.modules]
 
+        def submodules():
+            return sorted(m for m in sys.modules if m.startswith("pmsdelta."))
+
         assert not loaded(), loaded()
+        assert submodules() == [], submodules()
         import pmsdelta.cli
+        assert submodules() == ["pmsdelta.cli", "pmsdelta.constants", "pmsdelta.errors"], submodules()
+
+        def run(argv, blocked=()):
+            saved = {name: sys.modules.pop(name, None) for name in blocked}
+            sys.modules.update(dict.fromkeys(blocked))
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    assert pmsdelta.cli.main(argv.split()) == 0, argv
+            finally:
+                for name, module in saved.items():
+                    if module is None:
+                        del sys.modules[name]
+                    else:
+                        sys.modules[name] = module
+            assert not loaded(), (argv, loaded())
+
+        run("precession --a 500", blocked=("pmsdelta.oscillators", "pmsdelta.analysis"))
         for argv in (
             "period duffing --rho 0.5 --order 6 --exact",
             "period sextic --rho -0.9 --order 8 --exact",
             "period cubic --x-minus -0.8 --x-plus 1.3 --order 10 --exact",
-            "precession --a 500",
+        ):
+            run(argv, blocked=("pmsdelta.analysis", "pmsdelta.precession"))
+        for argv in (
             "convergence precession",
             "convergence duffing-b0",
             "convergence duffing-rho",
         ):
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert pmsdelta.cli.main(argv.split()) == 0, argv
-            assert not loaded(), (argv, loaded())
+            run(argv)
         """
     )
     result = subprocess.run(

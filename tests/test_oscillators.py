@@ -44,7 +44,14 @@ from pmsdelta.oscillators import (
     _sextic_weight,
 )
 from pmsdelta.precession import OrbitParams, precession_series
-from pmsdelta.series_core import MAX_ORDER, _extrema, delta_of, expand, pms_first_order
+from pmsdelta.series_core import (
+    MAX_EXPONENT,
+    MAX_ORDER,
+    _extrema,
+    delta_of,
+    expand,
+    pms_first_order,
+)
 
 
 def test_model_constructors_validate():
@@ -334,6 +341,21 @@ def test_even_power_exponent_must_be_an_integer_of_at_least_two(K):
     ):
         with pytest.raises(DomainError):
             fn(K, *args)
+
+
+def test_even_power_exponent_is_capped():
+    assert even_power_kappa_balanced(MAX_EXPONENT) == (MAX_EXPONENT + 1) / (2 * MAX_EXPONENT)
+    for K in (MAX_EXPONENT + 1, 10**9):
+        for fn, args in (
+            (even_power_kappa_pms, ()),
+            (even_power_kappa_balanced, ()),
+            (even_power_series, (0.5, 0.625, 4)),
+            (even_power_exact_period, (0.5,)),
+        ):
+            with pytest.raises(DomainError, match="1024"):
+                fn(K, *args)
+        with pytest.raises(DomainError):
+            OscillatorModel.even_power(K, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("K", range(2, 13))
