@@ -9,13 +9,12 @@ error decay.  Studies serialize to CSV and JSON for plotting.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
-from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM
+from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, _csv, _json
 from .errors import DomainError, PmsDeltaError
 from .oracle import FitResult, fit_log_linear
 from .oscillators import (
@@ -39,10 +38,6 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 @dataclass(frozen=True)
 class StudyPoint:
     """One abscissa of a study: n is an order for decay studies, a parameter
@@ -54,45 +49,29 @@ class StudyPoint:
     rel_error: float
 
 
+# The CSV columns of a study, one per StudyPoint field.
+_COLUMNS = tuple(f.name for f in fields(StudyPoint))
+
+
 @dataclass(frozen=True)
 class ConvergenceStudy:
     label: str
     points: tuple[StudyPoint, ...]
     fit: FitResult | None = None
 
+    def payload(self) -> dict:
+        """The fields as JSON data, keys in declaration order."""
+        payload = asdict(self)
+        payload["fit"] = None if self.fit is None else self.fit._asdict()
+        return payload
+
     def to_csv(self) -> str:
         """CSV with header, LF line endings, 17 significant digits."""
-        lines = ["n,value,reference,rel_error"]
-        for p in self.points:
-            lines.append(
-                f"{_fmt(p.n)},{_fmt(p.value)},{_fmt(p.reference)},{_fmt(p.rel_error)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(_COLUMNS, map(astuple, self.points))
 
     def to_json(self) -> str:
         """JSON mirror of the fields, stable key order."""
-        payload = {
-            "label": self.label,
-            "points": [
-                {
-                    "n": p.n,
-                    "value": p.value,
-                    "reference": p.reference,
-                    "rel_error": p.rel_error,
-                }
-                for p in self.points
-            ],
-            "fit": (
-                None
-                if self.fit is None
-                else {
-                    "alpha": self.fit.alpha,
-                    "beta": self.fit.beta,
-                    "residual": self.fit.residual,
-                }
-            ),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(self.payload())
 
 
 def _study_point(n: float, value: float, reference: float) -> StudyPoint:
@@ -239,18 +218,17 @@ def precession_error_table(
         raise DomainError("a_grid must not be empty")
     if not orders:
         raise DomainError("orders must not be empty")
-    exact_values = {}
+    cases = []
     for a in a_grid:
         orbit = OrbitParams(GM=GM, a=a, epsilon=eccentricity)
-        exact_values[a] = precession_exact(orbit)
-    studies = []
-    for order in orders:
-        points = []
-        for a in a_grid:
-            orbit = OrbitParams(GM=GM, a=a, epsilon=eccentricity)
-            value = precession_series(orbit, order)
-            points.append(_study_point(a, value, exact_values[a]))
-        studies.append(
-            ConvergenceStudy(label=f"precession-order{order}", points=tuple(points))
+        cases.append((orbit, precession_exact(orbit)))
+    return [
+        ConvergenceStudy(
+            label=f"precession-order{order}",
+            points=tuple(
+                _study_point(orbit.a, precession_series(orbit, order), exact)
+                for orbit, exact in cases
+            ),
         )
-    return studies
+        for order in orders
+    ]

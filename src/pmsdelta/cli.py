@@ -7,6 +7,11 @@ Informational lines (fitted slopes, reference values) go to stdout when the
 table is written to a file, and to stderr when the table itself occupies
 stdout, so piped CSV stays clean.
 
+Every table has one writer.  A command builds (payload, header, rows) and
+_emit writes it, as the payload through constants._json or as header and
+rows through constants._csv, and returns the stream the informational
+lines go to.
+
 Exit codes: 0 on success, 2 when a precondition on the inputs is violated
 (one-line diagnostic on stderr), 3 when the requested orbit lies at or below
 the critical semimajor axis.
@@ -17,14 +22,14 @@ as one stderr line, "Category: message".
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
+from dataclasses import astuple
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
-from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE
+from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE, _csv, _fmt, _json
 from .errors import (
     BeyondCritical,
     DomainError,
@@ -38,14 +43,15 @@ if TYPE_CHECKING:
 
 RAD_TO_ARCSEC = 180.0 * 3600.0 / math.pi
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+# Largest sweep grid; each point costs an exact reference.
+MAX_POINTS = 4096
 
 
 def _geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     if points < 2:
         raise DomainError("points must be >= 2")
+    if points > MAX_POINTS:
+        raise DomainError(f"points must be <= {MAX_POINTS}, got {points}")
     if not lo < hi:
         raise DomainError("grid minimum must be below grid maximum")
     if lo <= 0.0:
@@ -55,18 +61,18 @@ def _geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo * ratio ** (i / (points - 1)) for i in range(points)]
 
 
-def _emit(table: str, out_path: str | None) -> TextIO:
-    """Write the table; return the stream informational lines should use."""
-    if out_path is None or out_path == "-":
+def _emit(
+    args: argparse.Namespace, payload: object, header: Sequence[str], rows: Iterable
+) -> TextIO:
+    """Write the table in args.format to args.out (default stdout); return
+    the stream informational lines should use."""
+    table = _json(payload) if args.format == "json" else _csv(header, rows)
+    if args.out is None or args.out == "-":
         sys.stdout.write(table)
         return sys.stderr
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(table)
     return sys.stdout
-
-
-def _study_payload(study: ConvergenceStudy) -> dict:
-    return json.loads(study.to_json())
 
 
 # ---------------------------------------------------------------- period --
@@ -119,26 +125,16 @@ def cmd_period(args: argparse.Namespace) -> int:
         raise DomainError("order must be >= 0")
     series, oracle = _period_functions(args)
     values = [series(n) for n in range(args.order + 1)]
-    exact = oracle() if args.exact else None
-    if args.format == "json":
-        payload = {
-            "model": args.model,
-            "rows": [
-                {"order": n, "period": v} for n, v in enumerate(values)
-            ],
-        }
-        if args.exact:
-            payload["exact"] = exact
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    header = "order,period,exact" if args.exact else "order,period"
-    lines = [header]
-    for n, v in enumerate(values):
-        row = f"{n},{_fmt(v)}"
-        if args.exact:
-            row += f",{_fmt(exact)}"
-        lines.append(row)
-    _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "model": args.model,
+        "rows": [{"order": n, "period": v} for n, v in enumerate(values)],
+    }
+    header, rows = ("order", "period"), list(enumerate(values))
+    if args.exact:
+        payload["exact"] = exact = oracle()
+        header += ("exact",)
+        rows = [(*row, exact) for row in rows]
+    _emit(args, payload, header, rows)
     return 0
 
 
@@ -154,29 +150,9 @@ def _info_fit(stream: TextIO, study: ConvergenceStudy) -> None:
     )
 
 
-def _merged_parity_csv(even: ConvergenceStudy, odd: ConvergenceStudy) -> str:
-    rows = [(p.n, p, "even") for p in even.points] + [(p.n, p, "odd") for p in odd.points]
-    rows.sort(key=lambda item: item[0])
-    lines = ["n,value,reference,rel_error,parity"]
-    for _, p, parity in rows:
-        lines.append(
-            f"{_fmt(p.n)},{_fmt(p.value)},{_fmt(p.reference)},{_fmt(p.rel_error)},{parity}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _wide_precession_csv(studies: list[ConvergenceStudy], orders: list[int]) -> str:
-    header = "a," + ",".join(f"order{n}" for n in orders)
-    lines = [header]
-    for i, point in enumerate(studies[0].points):
-        cells = [_fmt(point.n)]
-        cells.extend(_fmt(s.points[i].rel_error) for s in studies)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_convergence(args: argparse.Namespace) -> int:
     from .analysis import (
+        _COLUMNS,
         duffing_b0_study,
         duffing_error_vs_rho,
         negative_rho_study,
@@ -184,43 +160,22 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         sextic_c0_study,
     )
 
+    note = ""
     if args.study == "duffing-b0":
-        study = duffing_b0_study(args.max_order)
-        table = study.to_json() if args.format == "json" else study.to_csv()
-        stream = _emit(table, args.out)
-        _info_fit(stream, study)
-        stream.write(
+        studies = [duffing_b0_study(args.max_order)]
+        note = (
             f"reference slopes: ln9={_fmt(float(REFERENCE.beta_quartic))}"
             f" published={_fmt(float(REFERENCE.beta_quartic_pks))}\n"
         )
-        return 0
-    if args.study == "sextic-c0":
-        study = sextic_c0_study(args.max_order)
-        table = study.to_json() if args.format == "json" else study.to_csv()
-        stream = _emit(table, args.out)
-        _info_fit(stream, study)
-        stream.write(
-            f"reference slope: ln(5/3)={_fmt(float(REFERENCE.beta_sextic))}\n"
-        )
-        return 0
-    if args.study == "duffing-rho":
+    elif args.study == "sextic-c0":
+        studies = [sextic_c0_study(args.max_order)]
+        note = f"reference slope: ln(5/3)={_fmt(float(REFERENCE.beta_sextic))}\n"
+    elif args.study == "duffing-rho":
         grid = _geometric_grid(args.rho_min, args.rho_max, args.points)
-        study = duffing_error_vs_rho(grid, order=args.fixed_order)
-        table = study.to_json() if args.format == "json" else study.to_csv()
-        _emit(table, args.out)
-        return 0
-    if args.study == "negative-rho":
-        even, odd = negative_rho_study(args.exponent, rho=args.rho, max_order=args.max_order)
-        if args.format == "json":
-            payload = {"even": _study_payload(even), "odd": _study_payload(odd)}
-            table = json.dumps(payload, indent=2) + "\n"
-        else:
-            table = _merged_parity_csv(even, odd)
-        stream = _emit(table, args.out)
-        _info_fit(stream, even)
-        _info_fit(stream, odd)
-        return 0
-    if args.study == "precession":
+        studies = [duffing_error_vs_rho(grid, order=args.fixed_order)]
+    elif args.study == "negative-rho":
+        studies = negative_rho_study(args.exponent, rho=args.rho, max_order=args.max_order)
+    elif args.study == "precession":
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip() != ""]
         if not orders:
             raise DomainError("orders must name at least one expansion order")
@@ -228,13 +183,28 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         studies = precession_error_table(
             grid, orders, GM=args.GM, eccentricity=args.eccentricity
         )
-        if args.format == "json":
-            table = json.dumps([_study_payload(s) for s in studies], indent=2) + "\n"
-        else:
-            table = _wide_precession_csv(studies, orders)
-        _emit(table, args.out)
-        return 0
-    raise DomainError(f"unknown study {args.study!r}")
+    else:
+        raise DomainError(f"unknown study {args.study!r}")
+
+    if args.study == "negative-rho":
+        # One table, rows in order n, each tagged with its parity track.
+        payload = {"even": studies[0].payload(), "odd": studies[1].payload()}
+        header = (*_COLUMNS, "parity")
+        tagged = [(*astuple(p), tag) for s, tag in zip(studies, ("even", "odd")) for p in s.points]
+        rows = sorted(tagged, key=lambda row: row[0])
+    elif args.study == "precession":
+        # Wide: one row per grid point, one rel_error column per order.
+        payload = [s.payload() for s in studies]
+        header = ("a", *(f"order{n}" for n in orders))
+        rows = [(ps[0].n, *(p.rel_error for p in ps)) for ps in zip(*(s.points for s in studies))]
+    else:
+        (study,) = studies
+        payload, header, rows = study.payload(), _COLUMNS, map(astuple, study.points)
+    stream = _emit(args, payload, header, rows)
+    for study in studies:
+        _info_fit(stream, study)
+    stream.write(note)
+    return 0
 
 
 # ------------------------------------------------------------ precession --

@@ -1,4 +1,4 @@
-"""Physical defaults and stored literature values.
+"""Physical defaults, stored literature values and the table format.
 
 All CLI-facing physical defaults live here.  The orbit constants describe the
 worked strong-field example orbit: a body of mass M = 1.97e30 kg with
@@ -9,12 +9,19 @@ ReferenceConstants stores published numbers used as acceptance checks and
 comparison baselines.  They are never fed back into the computations: every
 study computes its own reference through the quadrature oracle so the
 package stays self-validating.
+
+_fmt, _csv and _json are the one number format and the one CSV and JSON
+writers of every table the package prints.  They live here, beside the
+defaults, because the command line and the studies both import this module,
+and neither may load the other.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 __all__ = [
     "DEFAULT_GM",
@@ -27,6 +34,24 @@ __all__ = [
 # Worked example orbit: GM = (G/c^2) * M in meters.
 DEFAULT_GM = 7.425e-30 * 1.97e30
 DEFAULT_ECCENTRICITY = 0.2506
+
+
+def _fmt(x: float) -> str:
+    """A number at 17 significant digits, which reads back to the same float."""
+    return format(x, ".17g")
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[float | str]]) -> str:
+    """CSV text: the header row, one line per row, LF endings; numbers are
+    written by _fmt and strings as they are."""
+    lines = [",".join(header)]
+    lines.extend(",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload: object) -> str:
+    """JSON text, indented by 2, keys in the payload's order, with a final LF."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

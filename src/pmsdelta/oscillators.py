@@ -380,7 +380,8 @@ def turning_points(model: OscillatorModel) -> TurningPoints:
 def duffing_omega_pms(rho: float) -> float:
     """First-order stationary frequency sqrt((4 + 3 rho)/8)."""
     rho = _check_rho(rho)
-    return math.sqrt((4.0 + 3.0 * rho) / 8.0)
+    # (1 + 0.75 rho)/2 has the bits of (4 + 3 rho)/8 and no overflow.
+    return math.sqrt((1.0 + 0.75 * rho) / 2.0)
 
 
 def duffing_period_series(rho: float, order: int) -> float:
@@ -393,8 +394,11 @@ def duffing_period_series(rho: float, order: int) -> float:
     """
     rho = _check_rho(rho)
     order = _check_order(order)
-    xi = rho / (4.0 + 3.0 * rho)
-    prefactor = 4.0 * math.pi / math.sqrt(4.0 + 3.0 * rho)
+    # 4 + 3 rho overflows past a third of the largest float; a quarter of it,
+    # an exact scaling, keeps its bits and stays finite.
+    scale = 1.0 + 0.75 * rho
+    xi = 0.25 * rho / scale
+    prefactor = 2.0 * math.pi / math.sqrt(scale)
     return prefactor * _pair_sum(xi, order)
 
 
@@ -472,15 +476,25 @@ def virial_omega_check(rho: float) -> tuple[float, float]:
 # Quadratic-sextic family (V = x^2/2 + mu x^6/6)
 # ---------------------------------------------------------------------------
 
+# Past this rho, the sextic closed forms' lower powers of rho change less
+# than 1e-35 of the value, so their leading term is the value to every digit.
+_RHO_LEADING = 2.0**128
+
 
 def sextic_wl_period(rho: float) -> float:
     """Closed-form period approximation of Wu and Li (2001).
 
     T = 24 pi / sqrt(80 + 50 rho + sqrt(4096 + 5120 rho + 925 rho^2));
-    comparison value only.
+    comparison value only.  The inner root is imaginary for rho below about
+    -0.97, where the formula gives no period and DomainError is raised.
     """
     rho = _check_rho(rho)
+    if rho > _RHO_LEADING:
+        # rho^2 would overflow; the leading term is T = 24 pi/sqrt((50 + sqrt 925) rho).
+        return 24.0 * math.pi / math.sqrt(50.0 + math.sqrt(925.0)) / math.sqrt(rho)
     inner = 4096.0 + 5120.0 * rho + 925.0 * rho * rho
+    if inner < 0.0:
+        raise DomainError(f"the Wu-Li closed form has no real value at rho = {rho!r}")
     outer = 80.0 + 50.0 * rho + math.sqrt(inner)
     return 24.0 * math.pi / math.sqrt(outer)
 
@@ -496,6 +510,10 @@ def sextic_t4(rho: float) -> float:
     rho = float(rho)
     if not -1.6 < rho < math.inf:
         raise DomainError(f"requires -8/5 < rho < inf, got {rho!r}")
+    if rho > _RHO_LEADING:
+        # rho^4 would overflow; the leading term is
+        # T4 = sqrt(2) pi 6097185 / (2304 5^(9/2) sqrt(rho)).
+        return math.sqrt(2.0) * math.pi * 6097185.0 / (2304.0 * 5.0**4.5) / math.sqrt(rho)
     numerator = (
         6097185.0 * rho**4
         + 37821440.0 * rho**3
@@ -533,8 +551,11 @@ def sextic_series(rho: float, order: int) -> float:
     """
     rho = _check_rho(rho)
     order = _check_order(order)
-    xi = rho / (3.0 * (5.0 * rho + 8.0))
-    prefactor = 4.0 * math.sqrt(2.0) * math.pi / math.sqrt(5.0 * rho + 8.0)
+    # (5 rho + 8)/16, an exact scaling, keeps its bits, and it and three
+    # times it stay finite for every finite rho.
+    scale = 0.5 + 0.3125 * rho
+    xi = 0.0625 * rho / (3.0 * scale)
+    prefactor = math.sqrt(2.0) * math.pi / math.sqrt(scale)
     return prefactor * math.fsum(
         half_binomial(n) * xi**n * _sextic_weight(n) for n in range(order + 1)
     )

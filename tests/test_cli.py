@@ -129,10 +129,12 @@ def test_period_without_exact_skips_the_oracle(capsys, model):
         ["period", "even-power", "--exponent", "1000000000", "--kappa", "0.7"],
         ["convergence", "precession", "--a-max", "inf"],
         ["convergence", "precession", "--GM", "0"],
+        ["convergence", "precession", "--points", "4097"],
     ],
     ids=[
         "kappa-inf", "kappa-inf-rho-inf", "x-plus-inf", "order-65", "max-order-65",
         "exponent-1025", "exponent-1e9", "zero-reference-a-inf", "zero-reference-GM-0",
+        "points-4097",
     ],
 )
 def test_non_finite_and_uncapped_inputs_exit_2(capsys, argv):
@@ -323,6 +325,27 @@ def test_duffing_rho_sweep_past_minus_two_thirds(capsys):
     assert float(rows[0][0]) == -0.9 and float(rows[0][3]) > 1e-4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "duffing-rho", "--rho-min", "1", "--rho-max", "1e308", "--points", "3"],
+        ["period", "duffing", "--rho", "1e308", "--order", "3", "--exact"],
+        ["period", "sextic", "--rho", "1e308", "--order", "3", "--exact"],
+    ],
+    ids=["duffing-rho", "duffing", "sextic"],
+)
+def test_huge_rho_exits_0_or_2(capsys, argv):
+    # 4 + 3 rho and 5 rho + 8 overflowed here: the series printed periods of
+    # 0, and the duffing-rho sweep divided by one.
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+        return
+    _, rows = parse_csv(out)
+    assert all(0.0 < float(cell) < math.inf for row in rows for cell in row[1:3])
+
+
 def test_module_entry_point_runs(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "pmsdelta", "period", "duffing", "--rho", "1",
@@ -386,6 +409,19 @@ def test_scalar_commands_do_not_load_numpy(child_env):
         ):
             run(argv)
         """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_studies_do_not_load_the_command_line(child_env):
+    # The table writer lives below both cli and analysis, so a library user
+    # of the studies loads neither argparse nor the cli module.
+    script = (
+        "import sys, pmsdelta.analysis; "
+        "assert not {'argparse', 'pmsdelta.cli'} & set(sys.modules), sorted(sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env

@@ -1,12 +1,13 @@
 """Checks for the oscillator families against closed forms and the oracle."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmsdelta.errors import (
     BarrierCrossed,
@@ -128,6 +129,44 @@ def test_extreme_finite_inputs_raise_typed_errors():
         cubic_series(-1e-200, 1e-200, 4)
     with pytest.raises(DomainError):
         cubic_exact_period(-1e200, 1e200)
+
+
+RHO_FUNCTIONS = [
+    duffing_omega_pms,
+    duffing_period_series,
+    duffing_exact_period,
+    virial_omega_check,
+    sextic_wl_period,
+    sextic_t4,
+    sextic_series,
+]
+
+
+@pytest.mark.parametrize("function", RHO_FUNCTIONS, ids=lambda f: f.__name__)
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    rho=st.floats(min_value=-1.0, exclude_min=True, max_value=sys.float_info.max),
+    order=st.integers(0, MAX_ORDER),
+)
+@example(rho=1e308, order=3).via("overflowed 4 + 3 rho and 5 rho + 8")
+@example(rho=1e200, order=0).via("overflowed rho^2")
+@example(rho=1e100, order=0).via("overflowed rho^4")
+@example(rho=sys.float_info.max, order=MAX_ORDER)
+def test_rho_functions_are_finite_or_refuse(function, rho, order):
+    # Up to the largest float each closed form returns a finite positive
+    # value or a package error; 4 + 3 rho, 5 rho + 8 and rho^k used to
+    # overflow into a period of 0, a frequency of inf or an OverflowError.
+    args = (rho, order) if function in (duffing_period_series, sextic_series) else (rho,)
+    try:
+        result = function(*args)
+    except PmsDeltaError:
+        return
+    if function is virial_omega_check:
+        omega, ratio = result
+        assert 0.0 < omega < math.inf
+        assert abs(ratio - math.sqrt(2.0)) <= 4 * math.ulp(math.sqrt(2.0))
+    else:
+        assert 0.0 < result < math.inf
 
 
 def test_extrema_drops_roots_sent_to_infinity():
