@@ -54,11 +54,12 @@ def _geometric_grid(lo: float, hi: float, points: int) -> list[float]:
         raise DomainError(f"points must be <= {MAX_POINTS}, got {points}")
     if not lo < hi:
         raise DomainError("grid minimum must be below grid maximum")
+    # The last point is hi itself: lo + n step and lo (hi/lo) can miss it.
+    n = points - 1
     if lo <= 0.0:
-        step = (hi - lo) / (points - 1)
-        return [lo + i * step for i in range(points)]
-    ratio = hi / lo
-    return [lo * ratio ** (i / (points - 1)) for i in range(points)]
+        step = (hi - lo) / n
+        return [lo + i * step for i in range(n)] + [hi]
+    return [lo * (hi / lo) ** (i / n) for i in range(n)] + [hi]
 
 
 def _emit(

@@ -136,9 +136,11 @@ class OscillatorModel:
 
         The pair (x-, x+) fixes both the cubic strength mu and the energy:
         mu = -(3/2)(x- + x+)/(x+^2 + x+ x- + x-^2) and E = V at either end.
+        The factor is [(R(0) + R(pi))/2, (R(0) - R(pi))/2] from its end values.
         """
-        x_minus, x_plus = _cubic_points(x_minus, x_plus)
-        factor, _, mu, energy, _ = _cubic_factor(x_minus, x_plus)
+        (end_0, end_pi), mu, energy = _cubic_factor(x_minus, x_plus)
+        x_minus, x_plus = float(x_minus), float(x_plus)
+        factor = TrigPolynomial([0.5 * (end_0 + end_pi), 0.5 * (end_0 - end_pi)])
         return cls(
             {"mu": mu, "x_minus": x_minus, "x_plus": x_plus},
             TurningPoints(x_minus, x_plus, factor),
@@ -203,7 +205,9 @@ class OscillatorModel:
         """V(x) = 1 - cos(x), truncated at the given Taylor order in x.
 
         Order 2 is the harmonic oscillator and order 4 the quartic family with
-        mu = -1/6, so both factor through _even_factor.
+        mu = -1/6, so both factor through _even_factor.  Order 4 has its
+        barrier at A = sqrt(6), where rho = -A^2/6 reaches -1; an amplitude at
+        or past it raises NoPeriodicMotion.
         """
         if taylor_order not in (2, 4, 6):
             raise DomainError(f"taylor_order must be 2, 4 or 6, got {taylor_order!r}")
@@ -215,6 +219,11 @@ class OscillatorModel:
             factor = TrigPolynomial([0.5 - c4 + c6, 0.0, c6 - c4, 0.0, c6])
         else:
             rho = 0.0 if taylor_order == 2 else -a2 / 6.0
+            if not rho > -1.0:
+                raise NoPeriodicMotion(
+                    f"pendulum amplitude {amplitude!r} is not below the Taylor-4 "
+                    f"barrier sqrt(6) = {math.sqrt(6.0)!r}: no periodic motion"
+                )
             factor = _even_factor(2, rho)
         return cls(
             {"taylor_order": int(taylor_order)},
@@ -273,98 +282,57 @@ def _even_factor(K: int, rho: float) -> TrigPolynomial:
     return TrigPolynomial(coeffs)
 
 
-def _cubic_factor(
-    x_minus: float, x_plus: float
-) -> tuple[TrigPolynomial, float, float, float, tuple[float, float]]:
-    """Factor polynomial in theta for the cubic family, with xi, mu, the energy
-    and the factor's end values R(0) and R(pi).
+def _cubic_factor(x_minus: float, x_plus: float) -> tuple[tuple[float, float], float, float]:
+    """End values (R(0), R(pi)) of the cubic family's factor, with mu and the energy.
 
-    Validates that the pair brackets single-well periodic motion: the points
-    lie on either side of the origin, the third zero of the cubic lies
-    outside [x-, x+], and equivalently the energy stays below the barrier top.
-    The factor, xi, the end values and the barrier test mu^2 E are ratios of
-    terms of equal degree in the points.  Where sigma = x+^2 + x+ x- + x-^2
-    is not a normal float, or x+^2 + 4 x+ x- + x-^2 overflows, they are
-    formed from the points scaled by a power of two to a largest magnitude in
-    [1/2, 1).  The scaling is exact, so a pair near 1e-160, whose sigma is
-    subnormal, keeps its digits, and every other pair its bits.  mu and the
-    energy are scaled back; where either leaves the float range, the pair is
-    refused.  The energy p^2/(2 sigma) is formed as p (p/sigma)/2 with
-    |p/sigma| <= 1.  The end values R(0) = -x+ (2 x- + x+)/(2 sigma) and
-    R(pi) = -x- (x- + 2 x+)/(2 sigma) are formed from the points, not summed
-    from the factor's coefficients, so they keep their digits as R(0) -> 0 at
-    the separatrix.
+    The points are checked here, once: they must be finite, straddle the
+    origin and bracket motion in one well.  R is linear in cos(theta), so its
+    ends fix it: omega^2 = (R(0) + R(pi))/2 and
+    xi = (R(0) - R(pi))/(R(0) + R(pi)).  With sigma = x+^2 + x+ x- + x-^2,
+    R(0) = -x+ (2 x- + x+)/(2 sigma) and R(pi) = -x- (x- + 2 x+)/(2 sigma),
+    so the motion stays in one well exactly when 2 x- + x+ <= 0 <= x- + 2 x+.
+    Each sum is one correctly rounded sum of exact terms, so its sign is
+    exact.  A zero sum is the separatrix, where R vanishes at a turning
+    point; a sum of the wrong sign raises BarrierCrossed.
+
+    The ends are ratios of terms of equal degree in the points, formed as
+    -(x+/sigma)(2 x- + x+)/2 so that no product overflows.  Where sigma is
+    not a normal float they are formed from the points scaled by a power of
+    two to a largest magnitude in [1/2, 1).  The scaling is exact, so a pair
+    near 1e-160, whose sigma is subnormal, keeps its digits, and every other
+    pair its bits.  mu and the energy p^2/(2 sigma), p = x- x+, are scaled
+    back; where either leaves the float range, the pair is refused.
     """
-    x_minus, x_plus = points = _cubic_points(x_minus, x_plus)
+    x_minus, x_plus = points = float(x_minus), float(x_plus)
+    if not -math.inf < x_minus < 0.0 < x_plus < math.inf:
+        raise DomainError(
+            f"cubic turning points must be finite and straddle the origin, got {points!r}"
+        )
     shift = 0
-    try:
-        p, sigma, denom = _cubic_sums(x_minus, x_plus)
-    except OverflowError:
-        sigma = math.inf
-    if not (sys.float_info.min <= sigma < math.inf and math.isfinite(denom)):
+    sigma = x_plus * x_plus + x_plus * x_minus + x_minus * x_minus
+    if not sys.float_info.min <= sigma < math.inf:
         shift = math.frexp(max(-x_minus, x_plus))[1]
         x_minus, x_plus = math.ldexp(x_minus, -shift), math.ldexp(x_plus, -shift)
-        p, sigma, denom = _cubic_sums(x_minus, x_plus)
-    s = x_minus + x_plus
-    mu_scaled = -1.5 * s / sigma
-    energy_scaled = 0.5 * p * (p / sigma)
+        sigma = x_plus * x_plus + x_plus * x_minus + x_minus * x_minus
+    left, right = 2.0 * x_minus + x_plus, x_minus + 2.0 * x_plus
+    if left > 0.0 or right < 0.0:
+        end, sign = ("x+", "2 x- + x+ > 0") if left > 0.0 else ("x-", "x- + 2 x+ < 0")
+        raise BarrierCrossed(
+            f"cubic turning points {points!r} cross the barrier: the factor is "
+            f"negative at {end} ({sign}), so the motion is not periodic in a single well"
+        )
+    p = x_minus * x_plus
     try:
-        mu = math.ldexp(mu_scaled, -shift)
-        energy = math.ldexp(energy_scaled, 2 * shift)
+        mu = math.ldexp(-1.5 * (x_minus + x_plus) / sigma, -shift)
+        energy = math.ldexp(0.5 * p * (p / sigma), 2 * shift)
     except OverflowError:
         mu = energy = math.inf
-    if s != 0.0:
-        # Strict checks: the separatrix itself (third zero AT a turning point)
-        # still factors cleanly, though the period there is infinite.
-        third_zero = -p / s
-        if x_minus < third_zero < x_plus:
-            raise BarrierCrossed(
-                f"the third zero {math.ldexp(third_zero, shift)!r} of the cubic lies "
-                f"inside {points!r}: the energy exceeds the barrier and the motion "
-                "is not periodic in a single well"
-            )
-        # E > 1/(6 mu^2), the barrier top, on the scaled values: mu^2 E is
-        # scale-free, and mu^2 may underflow at the inputs' own scale.
-        if 6.0 * mu_scaled * (mu_scaled * energy_scaled) > 1.0:
-            raise BarrierCrossed(
-                f"energy {energy!r} exceeds the barrier top 1/(6 mu^2), mu = {mu!r}"
-            )
     if not 0.0 < energy < math.inf:
         raise DomainError(
             f"cubic turning points {points!r} are out of floating-point range: "
             "mu or the energy leaves it"
         )
-    b0 = -p / (2.0 * sigma)
-    b1 = -s / (2.0 * sigma)
-    m = 0.5 * (x_minus + x_plus)
-    h = 0.5 * (x_plus - x_minus)
-    factor = TrigPolynomial([b0 + b1 * m, b1 * h])
-    if denom >= 0.0:
-        raise NoPeriodicMotion(
-            "no real stationary frequency for this turning-point pair"
-        )
-    xi = (x_plus**2 - x_minus**2) / denom
-    ends = (
-        -x_plus * (2.0 * x_minus + x_plus) / (2.0 * sigma),
-        -x_minus * (x_minus + 2.0 * x_plus) / (2.0 * sigma),
-    )
-    return factor, xi, mu, energy, ends
-
-
-def _cubic_sums(x_minus: float, x_plus: float) -> tuple[float, float, float]:
-    """p = x- x+, sigma = x+^2 + p + x-^2 and x+^2 + 4p + x-^2."""
-    p = x_minus * x_plus
-    return p, x_plus**2 + p + x_minus**2, x_plus**2 + 4.0 * p + x_minus**2
-
-
-def _cubic_points(x_minus: float, x_plus: float) -> tuple[float, float]:
-    x_minus, x_plus = float(x_minus), float(x_plus)
-    if not -math.inf < x_minus < 0.0 < x_plus < math.inf:
-        raise DomainError(
-            f"cubic turning points must be finite and straddle the origin, got "
-            f"({x_minus!r}, {x_plus!r})"
-        )
-    return x_minus, x_plus
+    return (-0.5 * (x_plus / sigma) * left, -0.5 * (x_minus / sigma) * right), mu, energy
 
 
 def turning_points(model: OscillatorModel) -> TurningPoints:
@@ -684,15 +652,18 @@ def even_power_exact_period(K: int, rho: float) -> float:
 def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     """Cubic-well period partial sum through pair index `order`.
 
-    T = sqrt(2) pi/omega * sum_j (-1)^j hb(j) hb(2j) xi^(2j) with
-    xi = (x+^2 - x-^2)/(x+^2 + 4 x+ x- + x-^2); the same coefficient pattern
-    as the quartic family.  Odd expansion terms vanish identically at the
-    stationary frequency, so `order` counts pairs.
+    T = sqrt(2) pi/omega * sum_j (-1)^j hb(j) hb(2j) xi^(2j), the same
+    coefficient pattern as the quartic family, with omega and xi read from
+    the factor's end values: omega^2 = (R(0) + R(pi))/2, so
+    sqrt(2) pi/omega = 2 pi/sqrt(R(0) + R(pi)), and
+    xi = (R(0) - R(pi))/(R(0) + R(pi)).  Odd expansion terms vanish
+    identically at the stationary frequency, so `order` counts pairs.  On the
+    separatrix |xi| = 1 and the terms still sum.
     """
     order = _check_order(order)
-    factor, xi, _, _, _ = _cubic_factor(x_minus, x_plus)
-    omega = pms_first_order(factor)
-    return math.sqrt(2.0) * math.pi / omega * _pair_sum(xi, order)
+    (end_0, end_pi), _, _ = _cubic_factor(x_minus, x_plus)
+    total = end_0 + end_pi
+    return 2.0 * math.pi / math.sqrt(total) * _pair_sum((end_0 - end_pi) / total, order)
 
 
 def cubic_exact_period(x_minus: float, x_plus: float) -> float:
@@ -702,7 +673,7 @@ def cubic_exact_period(x_minus: float, x_plus: float) -> float:
     separatrix R vanishes at a turning point and the period is infinite,
     which raises NoPeriodicMotion.
     """
-    *_, (end_0, end_pi) = _cubic_factor(x_minus, x_plus)
+    (end_0, end_pi), _, _ = _cubic_factor(x_minus, x_plus)
     if not min(end_0, end_pi) > 0.0:
         raise NoPeriodicMotion(
             f"({x_minus!r}, {x_plus!r}) lies on the separatrix: the period is infinite"

@@ -90,20 +90,22 @@ def _gm_over_l(orbit: OrbitParams) -> tuple[int, int, int, int]:
     return gn * ad * ed * ed, gd * an * (ed * ed - en * en), en, ed
 
 
-def _omega(orbit: OrbitParams) -> tuple[float, float]:
-    """x = 6GM/L and the reference frequency omega = sqrt(1 - x).
+def _omega(orbit: OrbitParams) -> tuple[float, float, float]:
+    """x = 6GM/L, the reference frequency omega = sqrt(1 - x), and xi.
 
-    x and 1 - x are exact rationals in the float inputs, each rounded once,
-    so omega carries only the rounding of its square root.  An infinite a
-    with finite GM is the Newtonian limit x = 0; an infinite GM leaves no
-    real frequency.
+    xi = 2 eps (GM/L)/(6 GM/L - 1) = (R(0) - R(pi))/(R(0) + R(pi)) is the
+    factor's relative swing about its mean.  x, 1 - x and xi are exact
+    rationals in the float inputs, each rounded once, so omega carries only
+    the rounding of its square root and nothing cancels next to the
+    critical axis.  An infinite a with finite GM is the Newtonian limit
+    x = xi = 0; an infinite GM leaves no real frequency.
     """
     if orbit.GM < math.inf:
         if orbit.a == math.inf:
-            return 0.0, 1.0
-        g, d, _, _ = _gm_over_l(orbit)
+            return 0.0, 1.0, 0.0
+        g, d, en, ed = _gm_over_l(orbit)
         if 6 * g < d:
-            return 6 * g / d, math.sqrt((d - 6 * g) / d)
+            return 6 * g / d, math.sqrt((d - 6 * g) / d), 2 * g * en / (ed * (6 * g - d))
     raise BeyondCritical(
         f"semilatus rectum {orbit.semilatus_rectum!r} does not exceed "
         f"6 GM = {6.0 * orbit.GM!r}: no real reference frequency"
@@ -115,18 +117,21 @@ def precession_series(orbit: OrbitParams, order: int) -> float:
 
     Delta phi = 2 pi [ (1/omega) sum_j (-1)^j hb(j) hb(2j) xi^(2j) - 1 ]
     with omega = sqrt(1 - x), x = 6GM/L, and
-    xi = GM (z+ - z-) / (3 GM (z+ + z-) - 1).  At order 0 this is the classic
-    leading formula 2 pi (1/omega - 1); a circular orbit has xi = 0 and the
-    series terminates there exactly.
+    xi = GM (z+ - z-)/(3 GM (z+ + z-) - 1) = 2 g eps_n/(eps_d (6 g - d)),
+    where GM/L = g/d and eps = eps_n/eps_d are the inputs as integer ratios.
+    x, omega and xi come from one `_omega` call, each from one rounded
+    integer quotient, so an orbit next to the critical axis at low
+    eccentricity keeps its digits.  At order 0 this is the classic leading
+    formula 2 pi (1/omega - 1); a circular orbit has xi = 0 and the series
+    terminates there exactly.  Below the critical axis, while x < 1, the
+    series is still summed, with a DivergentExpansion warning at |xi| >= 1.
 
     It is evaluated as 2 pi [x/(omega (1 + omega)) + (S - 1)/omega], with
     1/omega - 1 = x/(omega (1 + omega)) and S - 1 the pair sum from j = 1,
     so a weak-field orbit, where S/omega is close to 1, keeps its digits.
     """
     order = _check_order(order)
-    x, omega = _omega(orbit)
-    denom = 3.0 * orbit.GM * (orbit.z_plus + orbit.z_minus) - 1.0
-    xi = orbit.GM * (orbit.z_plus - orbit.z_minus) / denom
+    x, omega, xi = _omega(orbit)
     if abs(xi) >= 1.0:
         warnings.warn(
             f"|xi| = {abs(xi):.6f} >= 1: the precession series need not converge",

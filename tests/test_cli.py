@@ -2,9 +2,11 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +306,33 @@ def test_extreme_cubic_turning_points_exit_2(capsys, argv):
     assert "floating-point range" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["period", "cubic", "--x-minus", "-6.070788974335778", "--x-plus", "12.141577948671555"],
+        ["period", "cubic", "--x-minus", "-2.2332635753248495", "--x-plus", "4.466527150649697",
+         "--exact"],
+    ],
+    ids=["separatrix", "next-to-separatrix"],
+)
+def test_cubic_pairs_at_the_separatrix_exit_0(capsys, argv):
+    # x+ = -2 x- exactly, where the series sums; and 2 x- + x+ = -2^-49,
+    # a regular pair.  Rounded barrier tests refused both.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert len(rows) == 5
+    assert all(0.0 < float(cell) < math.inf for row in rows for cell in row[1:])
+
+
+def test_crossed_cubic_pair_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "period", "cubic", "--x-minus", "-6.070788974335777", "--x-plus", "12.141577948671555"
+    )
+    assert code == 2 and out == ""
+    assert "cross the barrier" in err and err.count("\n") == 1
+
+
 def test_even_power_exponent_past_float_powers_of_four(capsys):
     # The stationary kappa sums C(2j, j)/4^j for j < K; 4.0**512 overflowed.
     code, out, err = run_cli(
@@ -326,6 +355,22 @@ def test_duffing_rho_sweep_past_minus_two_thirds(capsys):
 
 
 @pytest.mark.parametrize(
+    "rho_min, rho_max",
+    [("-0.999999999", "1"), ("1.43", "121.5")],
+    ids=["linear", "geometric"],
+)
+def test_sweep_grid_ends_at_its_bounds(capsys, rho_min, rho_max):
+    # lo + 2 step gave 0.99999999999999989 and lo * (hi/lo) 121.50000000000001.
+    code, out, err = run_cli(
+        capsys, "convergence", "duffing-rho", "--rho-min", rho_min, "--rho-max", rho_max,
+        "--points", "3",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert (float(rows[0][0]), float(rows[-1][0])) == (float(rho_min), float(rho_max))
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["convergence", "duffing-rho", "--rho-min", "1", "--rho-max", "1e308", "--points", "3"],
@@ -344,6 +389,25 @@ def test_huge_rho_exits_0_or_2(capsys, argv):
         return
     _, rows = parse_csv(out)
     assert all(0.0 < float(cell) < math.inf for row in rows for cell in row[1:3])
+
+
+def _readme_cli_examples():
+    """The `pmsdelta ...` lines of README's `## CLI` code block, as argv lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pmsdelta ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if "--out" in argv:
+        table = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    else:
+        table = out
+    assert table.count("\n") >= 2
 
 
 def test_module_entry_point_runs(child_env):

@@ -630,6 +630,58 @@ def test_cubic_rejects_infinite_turning_points():
         cubic_exact_period(-math.inf, 1.0)
 
 
+def _ulps(x, steps):
+    """x moved by `steps` ulps (toward +inf when steps > 0)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Pairs drawn at random, on both separatrix lines x+ = -2 x- and
+# x- = -2 x+, and within a few ulps of them, scaled by a power of two.
+_MAGNITUDE = st.floats(1e-3, 1e3)
+_STEPS = st.integers(-4, 4)
+CUBIC_PAIRS = st.tuples(
+    st.one_of(
+        st.tuples(st.floats(-1e3, -1e-3), _MAGNITUDE),
+        _MAGNITUDE.map(lambda x: (-x, 2.0 * x)),
+        _MAGNITUDE.map(lambda x: (-2.0 * x, x)),
+        st.tuples(_MAGNITUDE, _STEPS, _STEPS).map(
+            lambda a: (_ulps(-a[0], a[1]), _ulps(2.0 * a[0], a[2]))
+        ),
+        st.tuples(_MAGNITUDE, _STEPS, _STEPS).map(
+            lambda a: (_ulps(-2.0 * a[0], a[1]), _ulps(a[0], a[2]))
+        ),
+    ),
+    st.integers(-500, 500),
+).map(lambda a: (math.ldexp(a[0][0], a[1]), math.ldexp(a[0][1], a[1])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(pair=CUBIC_PAIRS)
+@example(pair=(-6.070788974335778, 12.141577948671555))
+@example(pair=(-2.2332635753248495, 4.466527150649697))
+def test_cubic_single_well_test_is_exact(pair):
+    # The float sign tests 2 x- + x+ and x- + 2 x+ must agree with exact
+    # arithmetic: BarrierCrossed exactly for crossed pairs; on the
+    # separatrix a finite series and no exact period; elsewhere both finite.
+    x_minus, x_plus = pair
+    left = 2 * Fraction(x_minus) + Fraction(x_plus)
+    right = Fraction(x_minus) + 2 * Fraction(x_plus)
+    if left > 0 or right < 0:
+        with pytest.raises(BarrierCrossed):
+            cubic_series(x_minus, x_plus, 6)
+        with pytest.raises(BarrierCrossed):
+            cubic_exact_period(x_minus, x_plus)
+        return
+    assert math.isfinite(cubic_series(x_minus, x_plus, 6))
+    if left == 0 or right == 0:
+        with pytest.raises(NoPeriodicMotion, match="separatrix"):
+            cubic_exact_period(x_minus, x_plus)
+    else:
+        assert math.isfinite(cubic_exact_period(x_minus, x_plus))
+
+
 def test_cubic_separatrix_has_no_exact_period():
     # (-1, 2) puts the third zero of the cubic on x+: R vanishes at theta = 0
     # and the period is infinite.  The series still sums its terms.
@@ -737,8 +789,8 @@ def test_pendulum_taylor6_improves():
 
 def test_pendulum_taylor4_beyond_sqrt6_has_no_periodic_motion():
     # Taylor 4 is the quartic family at rho = -A^2/6, which reaches -1 at
-    # A = sqrt(6).
-    with pytest.raises(NoPeriodicMotion, match="rho must exceed -1"):
+    # A = sqrt(6).  The refusal names the amplitude the caller gave, not rho.
+    with pytest.raises(NoPeriodicMotion, match=r"amplitude 2\.6 .* Taylor-4 barrier sqrt\(6\)"):
         pendulum_approx(2.6, 4, 4)
     assert math.isfinite(pendulum_approx(2.4, 4, 4))
 

@@ -225,6 +225,18 @@ def _mp_precession_series(GM, a, eps, order):
         return 2 * mpmath.pi * (pair_sum / omega - 1)
 
 
+@pytest.mark.parametrize("eps, excess", [(1e-6, 1e-6), (1e-8, 1e-9), (1e-3, 1e-12)])
+def test_series_near_critical_low_eccentricity_keeps_digits(eps, excess):
+    # xi = GM (z+ - z-)/(3 GM (z+ + z-) - 1) formed from float z+- loses
+    # digits to both differences here; as one integer quotient it does not.
+    GM = DEFAULT_GM
+    a = critical_semimajor_axis(GM, eps) * (1.0 + excess)
+    orbit = OrbitParams(GM=GM, a=a, epsilon=eps)
+    for order in (0, 2, 6):
+        reference = _mp_precession_series(GM, a, eps, order)
+        assert abs(precession_series(orbit, order) - reference) <= 1e-15 * reference
+
+
 @pytest.mark.parametrize("GM, a, eps", [(1476.6, 5.7909e10, 0.2056), (DEFAULT_GM, 1e8, 0.2506)])
 def test_exact_weak_field_keeps_digits(GM, a, eps):
     # Mercury: 2 int dtheta/sqrt(R) - 2 pi kept 9 of 17 digits when the
