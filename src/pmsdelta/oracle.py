@@ -31,42 +31,49 @@ __all__ = [
     "fit_log_linear",
 ]
 
-# Embedded low/high order Gauss-Legendre pair, one panel evaluation each:
-# the nodes and weights of numpy.polynomial.legendre.leggauss(7) and (15),
-# which are machine-exact, written out so that importing the oracle does not
-# load numpy.  15 points integrate polynomials through degree 29.
-_LOW_NODES = (
-    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
-    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+# Embedded Gauss-Kronrod rule, the 21-point Kronrod extension of the
+# 10-point Gauss-Legendre rule (QUADPACK's QK21): the Gauss nodes are the
+# zeros of P_10, the 11 Kronrod-only nodes the zeros of the Stieltjes
+# polynomial E_11 (Laurie, Math. Comp. 66 (1997) 1133), and both weight sets
+# interpolatory.  Each literal is the correctly rounded double of the value
+# at 50 digits, written out so that importing the oracle does not load
+# numpy.  The Gauss weights are zero at the Kronrod-only nodes, so one pass
+# over the 21 nodes gives both sums.  21 points integrate polynomials
+# through degree 31, and 10 through degree 19.
+_NODES = (
+    -0.9956571630258081, -0.9739065285171717, -0.9301574913557082,
+    -0.8650633666889845, -0.7808177265864169, -0.6794095682990244,
+    -0.5627571346686047, -0.4333953941292472, -0.2943928627014602,
+    -0.14887433898163122, 0.0, 0.14887433898163122, 0.2943928627014602,
+    0.4333953941292472, 0.5627571346686047, 0.6794095682990244,
+    0.7808177265864169, 0.8650633666889845, 0.9301574913557082,
+    0.9739065285171717, 0.9956571630258081,
 )
-_LOW_WEIGHTS = (
-    0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
-    0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
-    0.12948496616886973,
+_KRONROD_WEIGHTS = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+    0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+    0.14773910490133849, 0.1494455540029169, 0.14773910490133849,
+    0.14277593857706009, 0.13470921731147334, 0.12349197626206584,
+    0.10938715880229764, 0.0931254545836976, 0.07503967481091996,
+    0.054755896574351995, 0.032558162307964725, 0.011694638867371874,
 )
-_HIGH_NODES = (
-    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
-    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
-    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
-    0.9372733924007058, 0.9879925180204854,
+_GAUSS_WEIGHTS = (
+    0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0,
+    0.21908636251598204, 0.0, 0.26926671930999635, 0.0, 0.29552422471475287,
+    0.0, 0.29552422471475287, 0.0, 0.26926671930999635, 0.0,
+    0.21908636251598204, 0.0, 0.1494513491505806, 0.0, 0.06667134430868814,
+    0.0,
 )
-_HIGH_WEIGHTS = (
-    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
-    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
-    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
-    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
-)
-_PANEL_COST = len(_LOW_NODES) + len(_HIGH_NODES)
+_PANEL_COST = len(_NODES)
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Outcome of one adaptive integration.
 
-    value:          the integral estimate from the high-order rule.
-    error_estimate: accumulated |high - low| over accepted panels; at most the
+    value:          the integral estimate from the Kronrod rule K21.
+    error_estimate: accumulated |K21 - G10| over accepted panels; at most the
                     requested tolerance on success.
     evaluations:    number of integrand calls spent.
     """
@@ -91,22 +98,30 @@ _NOISE_FLOOR = 8.0 * 2.0 ** -52
 def _panel(
     f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, float]:
-    """High-order estimate, embedded error, and |f| scale for one panel."""
+    """Kronrod estimate, embedded error, and |f| scale for one panel.
+
+    The 21 weighted samples of the Kronrod sum are added with math.fsum, so
+    the panel value is their correctly rounded sum; the Gauss sum, which
+    only enters the error estimate, and the scale are plain sums.
+    """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    low = 0.0
-    for node, weight in zip(_LOW_NODES, _LOW_WEIGHTS):
-        low += weight * f(center + half * node)
-    high = 0.0
+    terms = []
+    gauss = 0.0
     scale = 0.0
-    for node, weight in zip(_HIGH_NODES, _HIGH_WEIGHTS):
+    for node, kronrod_weight, gauss_weight in zip(_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS):
         x = center + half * node
         y = f(x)
         if not math.isfinite(y):
             raise NonFiniteIntegrand(f"integrand is not finite at x={x!r}")
-        high += weight * y
-        scale += weight * abs(y)
-    value, err = half * high, abs(half * (high - low))
+        terms.append(kronrod_weight * y)
+        gauss += gauss_weight * y
+        scale += kronrod_weight * abs(y)
+    try:
+        kronrod = math.fsum(terms)
+    except OverflowError:  # an intermediate partial sum left the float range
+        kronrod = math.inf
+    value, err = half * kronrod, abs(half * (kronrod - gauss))
     if not (math.isfinite(value) and math.isfinite(err)):
         raise NonFiniteIntegrand(f"panel [{lo!r}, {hi!r}] leaves the float range")
     return value, err, half * scale
@@ -122,8 +137,8 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate f over [a, b] to max(abs_tol, rel_tol * |integral|).
 
-    Globally adaptive bisection with an embedded low/high order rule per
-    panel: the panel with the worst error estimate is split first, until the
+    Globally adaptive bisection with the embedded G10/K21 rule per panel:
+    the panel with the worst error estimate is split first, until the
     accumulated estimate drops below the tolerance, taken against the running
     estimate of the integral.  The panel values and error estimates are
     summed with math.fsum, so each is the correctly rounded sum, whatever

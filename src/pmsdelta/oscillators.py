@@ -658,12 +658,20 @@ def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     sqrt(2) pi/omega = 2 pi/sqrt(R(0) + R(pi)), and
     xi = (R(0) - R(pi))/(R(0) + R(pi)).  Odd expansion terms vanish
     identically at the stationary frequency, so `order` counts pairs.  On the
-    separatrix |xi| = 1 and the terms still sum.
+    separatrix |xi| = 1, max |Delta| = |xi| reaches 1, and the terms still
+    sum, with a DivergentExpansion warning.
     """
     order = _check_order(order)
     (end_0, end_pi), _, _ = _cubic_factor(x_minus, x_plus)
     total = end_0 + end_pi
-    return 2.0 * math.pi / math.sqrt(total) * _pair_sum((end_0 - end_pi) / total, order)
+    xi = (end_0 - end_pi) / total
+    if abs(xi) >= 1.0:
+        warnings.warn(
+            f"|xi| = {abs(xi):.6f} >= 1: the cubic series need not converge",
+            DivergentExpansion,
+            stacklevel=2,
+        )
+    return 2.0 * math.pi / math.sqrt(total) * _pair_sum(xi, order)
 
 
 def cubic_exact_period(x_minus: float, x_plus: float) -> float:

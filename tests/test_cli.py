@@ -307,19 +307,21 @@ def test_extreme_cubic_turning_points_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected_err",
     [
-        ["period", "cubic", "--x-minus", "-6.070788974335778", "--x-plus", "12.141577948671555"],
-        ["period", "cubic", "--x-minus", "-2.2332635753248495", "--x-plus", "4.466527150649697",
-         "--exact"],
+        (["period", "cubic", "--x-minus", "-6.070788974335778", "--x-plus", "12.141577948671555"],
+         "DivergentExpansion: |xi| = 1.000000 >= 1: the cubic series need not converge\n"),
+        (["period", "cubic", "--x-minus", "-2.2332635753248495", "--x-plus", "4.466527150649697",
+          "--exact"], ""),
     ],
     ids=["separatrix", "next-to-separatrix"],
 )
-def test_cubic_pairs_at_the_separatrix_exit_0(capsys, argv):
-    # x+ = -2 x- exactly, where the series sums; and 2 x- + x+ = -2^-49,
-    # a regular pair.  Rounded barrier tests refused both.
+def test_cubic_pairs_at_the_separatrix_exit_0(capsys, argv, expected_err):
+    # x+ = -2 x- exactly, where the series sums with the divergence warning;
+    # and 2 x- + x+ = -2^-49, a regular pair.  Rounded barrier tests refused
+    # both.
     code, out, err = run_cli(capsys, *argv)
-    assert code == 0 and err == ""
+    assert code == 0 and err == expected_err
     _, rows = parse_csv(out)
     assert len(rows) == 5
     assert all(0.0 < float(cell) < math.inf for row in rows for cell in row[1:])

@@ -16,16 +16,72 @@ from pmsdelta import oracle
 from pmsdelta.oracle import elliptic_k, find_root, fit_log_linear, integrate
 
 
-def test_gauss_legendre_literals_are_leggauss():
-    for n, nodes, weights in (
-        (7, oracle._LOW_NODES, oracle._LOW_WEIGHTS),
-        (15, oracle._HIGH_NODES, oracle._HIGH_WEIGHTS),
-    ):
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(np.array(nodes).view(np.uint64), ref_nodes.view(np.uint64))
-        assert np.array_equal(
-            np.array(weights).view(np.uint64), ref_weights.view(np.uint64)
+def _newton_zeros(mpmath, coeffs, guesses):
+    """Zeros of the polynomial sum coeffs[k] x^k, by Newton from each guess."""
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    zeros = []
+    for x in guesses:
+        for _ in range(100):
+            step = mpmath.polyval(coeffs[::-1], x) / mpmath.polyval(slope[::-1], x)
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -45:
+                break
+        zeros.append(x)
+    return zeros
+
+
+def _interpolatory_weights(mpmath, nodes):
+    """Weights w with sum_i w_i P_k(x_i) = integral of P_k over [-1, 1], k < n."""
+    n = len(nodes)
+    system = mpmath.matrix([[mpmath.legendre(k, x) for x in nodes] for k in range(n)])
+    return list(mpmath.lu_solve(system, mpmath.matrix([2] + [0] * (n - 1))))
+
+
+def test_gauss_kronrod_literals_are_correctly_rounded():
+    # G10/K21 derived at 50 digits (Laurie, Math. Comp. 66 (1997) 1133): the
+    # Gauss nodes by Newton on P_10; the Kronrod-only nodes as the zeros of
+    # the Stieltjes polynomial E_11, the odd monic polynomial orthogonal to
+    # every degree <= 10 under the weight P_10, one between each pair of
+    # neighbouring Gauss nodes and the ends; interpolatory weights.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        p_prev, p10 = [mpf(1)], [mpf(0), mpf(1)]
+        for m in range(1, 10):
+            nxt = [mpf(0)] + [mpf(2 * m + 1) / (m + 1) * c for c in p10]
+            for k, c in enumerate(p_prev):
+                nxt[k] -= mpf(m) / (m + 1) * c
+            p_prev, p10 = p10, nxt
+        gauss = sorted(
+            _newton_zeros(
+                mpmath, p10, [mpmath.cos(mpmath.pi * (k - 0.25) / 10.5) for k in range(1, 11)]
+            )
         )
+
+        def moment(m):  # integral of x^m P_10(x) over [-1, 1]
+            return mpmath.fsum(2 * c / (k + m + 1) for k, c in enumerate(p10) if (k + m) % 2 == 0)
+
+        odd = (1, 3, 5, 7, 9)
+        lower = mpmath.lu_solve(
+            mpmath.matrix([[moment(k + j) for j in odd] for k in odd]),
+            mpmath.matrix([-moment(k + 11) for k in odd]),
+        )
+        e11 = [mpf(0)] * 11 + [mpf(1)]
+        for j, c in zip(odd, lower):
+            e11[j] = c
+        ends = [mpf(-1)] + gauss + [mpf(1)]
+        kronrod = _newton_zeros(mpmath, e11, [(a + b) / 2 for a, b in zip(ends, ends[1:])])
+        assert all(a < x < b for a, x, b in zip(ends, kronrod, ends[1:]))
+        nodes = sorted(gauss + kronrod)
+        kronrod_weights = _interpolatory_weights(mpmath, nodes)
+        gauss_weights = _interpolatory_weights(mpmath, gauss)
+
+        assert oracle._NODES == tuple(float(x) for x in nodes)
+        assert oracle._KRONROD_WEIGHTS == tuple(float(w) for w in kronrod_weights)
+        expected_gauss = [0.0] * 21
+        expected_gauss[1::2] = [float(w) for w in gauss_weights]
+        assert oracle._GAUSS_WEIGHTS == tuple(expected_gauss)
+        assert oracle._PANEL_COST == 21
 
 
 def test_integrate_known_values():
@@ -41,11 +97,11 @@ def test_integrate_known_values():
         print(f"integral over [{a:g}, {b:g}]: {res.value:.15f}  |err| = {err:.2e}")
         assert err < 1e-12
         assert res.error_estimate <= 1e-13
-        assert res.evaluations >= 22
+        assert res.evaluations >= oracle._PANEL_COST
 
 
 def test_integrate_polynomials_near_exact():
-    # A single 15-point panel already integrates degree <= 29 exactly;
+    # A single 21-point Kronrod panel already integrates degree <= 31 exactly;
     # adaptivity must not spoil that beyond roundoff.
     rng = np.random.default_rng(7)
     for deg in range(13):

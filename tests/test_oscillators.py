@@ -541,14 +541,18 @@ def test_even_power_k5_divergence_and_balance():
 
 def _mp_even_period(K, rho):
     """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits, tanh-sinh with
-    breakpoints clustered at theta = 0, where R dips as 1 + rho -> 0."""
+    breakpoints clustered at theta = 0, where R dips as 1 + rho -> 0.  At
+    rho = inf, R/rho = g/(2K) gives the strong-coupling coefficient."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        weight = mpmath.mpf(rho) / (2 * K)
+        if rho == math.inf:
+            base, weight = 0, mpmath.mpf(1) / (2 * K)
+        else:
+            base, weight = mpmath.mpf(0.5), mpmath.mpf(rho) / (2 * K)
 
         def f(theta):
             c = mpmath.cos(theta) ** 2
-            return 1 / mpmath.sqrt(0.5 + weight * mpmath.fsum(c**j for j in range(K)))
+            return 1 / mpmath.sqrt(base + weight * mpmath.fsum(c**j for j in range(K)))
 
         points = [0] + [mpmath.mpf(10) ** -k for k in range(8, 0, -1)] + [mpmath.pi / 2]
         return 2 * mpmath.sqrt(2) * mpmath.quad(f, points)
@@ -566,6 +570,81 @@ def test_even_power_exact_matches_mpmath(K, rho):
     reference = _mp_even_period(K, rho)
     value = sextic_exact_period(rho) if K == 3 else even_power_exact_period(K, rho)
     assert abs(value - reference) <= 1e-15 * reference
+
+
+def _count_evaluations(monkeypatch):
+    """Route the oscillators' quadrature through a counting integrand; the
+    returned list receives the integrand calls of each integrate call."""
+    from pmsdelta import oscillators
+
+    counts = []
+
+    def counting_integrate(f, *args, **kwargs):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        result = integrate(counted, *args, **kwargs)
+        assert result.evaluations == calls
+        counts.append(calls)
+        return result
+
+    monkeypatch.setattr(oscillators, "integrate", counting_integrate)
+    return counts
+
+
+# Cells of the benchmark's oracle sweep that end in a quadrature, at their
+# centres, with each call's evaluation budget.  The two cells at
+# 1 + rho = 1e-6 are its near-singular set: their integrand peaks at
+# theta = 0 with a width of about 1e-3, and they resolve it in 23 panels.
+EVEN_POWER_PERIOD_CELLS = (
+    [("even-power", K, rho, 147) for K in (2, 3, 4, 5)
+     for rho in (-0.8, -0.3, 2.0, 40.0, math.inf)]
+    + [("sextic", 3, rho, 147)
+       for rho in (-0.85, -0.5, -0.2, 0.05, 0.3, 1.0, 3.0, 10.0, 30.0, 90.0)]
+    + [("even-power", K, -1.0 + 1e-6, 483) for K in (3, 5)]
+)
+QUARTIC_CUBIC_PERIOD_CELLS = [  # (a2, a4, x-, x+)
+    (0.5, 0.1, -0.5, 0.6), (0.8, 0.3, -1.0, 0.8), (0.4, 0.2, -0.7, 1.1), (0.9, 0.05, -1.1, 1.0),
+]
+
+
+@pytest.mark.parametrize("family, K, rho, budget", EVEN_POWER_PERIOD_CELLS)
+def test_even_power_quadrature_periods_match_mpmath_within_budget(
+    monkeypatch, family, K, rho, budget
+):
+    counts = _count_evaluations(monkeypatch)
+    value = sextic_exact_period(rho) if family == "sextic" else even_power_exact_period(K, rho)
+    reference = _mp_even_period(K, rho)
+    assert abs(value - reference) <= 1e-15 * reference
+    assert len(counts) == 1 and counts[0] <= budget
+
+
+@pytest.mark.parametrize("a2, a4, x_minus, x_plus", QUARTIC_CUBIC_PERIOD_CELLS)
+def test_quartic_cubic_periods_match_mpmath_within_budget(monkeypatch, a2, a4, x_minus, x_plus):
+    mpmath = pytest.importorskip("mpmath")
+    # a3 puts both turning points at one potential, as the benchmark does.
+    a3 = -(a2 * (x_plus**2 - x_minus**2) + a4 * (x_plus**4 - x_minus**4)) / (
+        x_plus**3 - x_minus**3
+    )
+    counts = _count_evaluations(monkeypatch)
+    value = quartic_cubic_exact_period(a2, a3, a4, x_minus, x_plus)
+    with mpmath.workdps(50):
+        a2_, a3_, a4_, lo, hi = map(mpmath.mpf, (a2, a3, a4, x_minus, x_plus))
+        s, p = lo + hi, lo * hi
+        # E - V = (x+ - x)(x - x-) R(x), R = b0 + b1 x + a4 x^2.
+        b0, b1 = a2_ + a3_ * s + a4_ * (s * s - p), a3_ + a4_ * s
+
+        def f(theta):
+            x = (lo + hi) / 2 + (hi - lo) / 2 * mpmath.cos(theta)
+            return 1 / mpmath.sqrt(b0 + b1 * x + a4_ * x * x)
+
+        reference = mpmath.sqrt(2) * mpmath.quad(f, [0, mpmath.pi])
+    assert abs(value - reference) <= 1e-15 * reference
+    assert len(counts) == 1 and counts[0] <= 147
 
 
 # Cells of the benchmark's oracle sweep: (x-, x+).
@@ -674,11 +753,13 @@ def test_cubic_single_well_test_is_exact(pair):
         with pytest.raises(BarrierCrossed):
             cubic_exact_period(x_minus, x_plus)
         return
-    assert math.isfinite(cubic_series(x_minus, x_plus, 6))
     if left == 0 or right == 0:
+        with pytest.warns(DivergentExpansion):
+            assert math.isfinite(cubic_series(x_minus, x_plus, 6))
         with pytest.raises(NoPeriodicMotion, match="separatrix"):
             cubic_exact_period(x_minus, x_plus)
     else:
+        assert math.isfinite(cubic_series(x_minus, x_plus, 6))
         assert math.isfinite(cubic_exact_period(x_minus, x_plus))
 
 
@@ -687,7 +768,25 @@ def test_cubic_separatrix_has_no_exact_period():
     # and the period is infinite.  The series still sums its terms.
     with pytest.raises(NoPeriodicMotion, match="separatrix"):
         cubic_exact_period(-1.0, 2.0)
-    assert math.isfinite(cubic_series(-1.0, 2.0, 4))
+    with pytest.warns(DivergentExpansion):
+        assert math.isfinite(cubic_series(-1.0, 2.0, 4))
+
+
+@pytest.mark.parametrize(
+    "separatrix, regular",
+    [((-1.0, 2.0), (-1.0, math.nextafter(2.0, 0.0))),
+     ((-2.0, 1.0), (math.nextafter(-2.0, 0.0), 1.0)),
+     ((-6.070788974335778, 12.141577948671555),
+      (-6.070788974335778, math.nextafter(12.141577948671555, 0.0)))],
+)
+def test_cubic_series_on_the_separatrix_warns_divergent(separatrix, regular):
+    # On either separatrix line one end of R is 0, so max |Delta| = |xi| = 1;
+    # one ulp inside the well |xi| < 1 and nothing is said.
+    with pytest.warns(DivergentExpansion, match=r"\|xi\| = 1\.000000 >= 1"):
+        cubic_series(*separatrix, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DivergentExpansion)
+        cubic_series(*regular, 6)
 
 
 def test_quartic_cubic_pms_improves_with_order():
