@@ -2,9 +2,12 @@
 
 Every exact reference rests on two primitives: adaptive quadrature, and the
 arithmetic-geometric mean as the integral of 1/sqrt(R) over [0, pi] for R
-linear in cos(theta).  Beside them: a bracketing root finder and a fit of
-exponential decay.  Standard-library Python, deliberately self-contained, so
-that the series machinery is checked against arithmetic it does not share.
+linear in cos(theta).  A factor quadratic in cos(theta) or cos^2(theta)
+reaches the AGM through one Gauss step (DLMF 19.8, 19.29); the quadrature
+is left to factors of higher degree, where the integral is hyperelliptic.
+Beside them: a bracketing root finder and a fit of exponential decay.
+Standard-library Python, deliberately self-contained, so that the series
+machinery is checked against arithmetic it does not share.
 """
 
 from __future__ import annotations
@@ -228,6 +231,13 @@ def _agm_integral(
     the excess is pi p/x and never subtracts pi.  gap_0 = 1 - R(0) and
     gap_pi = 1 - R(pi), when given exactly, keep its digits for R close to
     1; they default to 1 - R.  An infinite end value gives the limit 0.
+
+    A factor quadratic in cos(theta) or cos^2(theta) comes here too: with
+    t = tan(theta/2) or t = tan(theta) its integral is one over the whole
+    t axis of 1/sqrt(A + B t^2 + C t^4), and one Gauss step on the roots in
+    t^2 makes that this integral at the end values (sqrt(AC) + B/2)/2 and
+    sqrt(AC) (DLMF 19.8, and 19.29 for the reduction).  The oscillators'
+    _quadratic_agm forms them.
     """
     x, y = math.sqrt(end_0), math.sqrt(end_pi)
     p = (1.0 - end_0 if gap_0 is None else gap_0) / (1.0 + x)

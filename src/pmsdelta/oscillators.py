@@ -5,7 +5,8 @@ points, maps R onto a polynomial in cos(theta), and hands the result to the
 expansion engine.  The period is sqrt(2) times the expanded integral.  Closed
 forms are provided where the series collapses to a known hypergeometric-style
 sum, together with exact reference periods computed through the independent
-oracle.
+oracle: the AGM wherever R is at most quadratic in cos(theta) or
+cos^2(theta), the quadrature for the even powers K >= 4.
 """
 
 from __future__ import annotations
@@ -530,7 +531,10 @@ def sextic_series(rho: float, order: int) -> float:
 
 
 def sextic_exact_period(rho: float) -> float:
-    """Exact sextic period: the even-power period at K = 3."""
+    """Exact sextic period: the even-power period at K = 3, by the AGM.
+
+    R = 1/2 + (rho/6)(1 + c + c^2) is quadratic in c = cos^2(theta).
+    """
     return even_power_exact_period(3, _check_rho(rho))
 
 
@@ -604,24 +608,44 @@ def even_power_series(K: int, rho: float, kappa: float, order: int) -> float:
 
 
 def even_power_exact_period(K: int, rho: float) -> float:
-    """Exact even-power period by adaptive quadrature of sqrt(2)/sqrt(R).
+    """Exact even-power period: by the AGM for K <= 3, by quadrature beyond.
 
-    R = 1/2 + (rho/2K) g(c), g = sum_{j<K} c^j and c = cos^2(theta), depends
-    on theta through c alone, so the integral over [0, pi] is twice the one
-    over [0, pi/2].  R is summed from terms of one sign.  For rho >= 0 that
-    is the form above.  For rho < 0 it is
-    R = (1 + rho)/2 + (|rho|/2K) u sum_{l<K-1} (K-1-l) c^l, u = sin^2(theta),
-    because g - K = -u sum_l (K-1-l) c^l.  There R(0) = (1 + rho)/2 is formed
-    from rho itself.  Summed from the cos^k coefficients, R(0) carries about
-    1e-16 of absolute noise, which is all of R as 1 + rho -> 0.  (Powers of u
-    would do as well for small K, but their binomial coefficients alternate
-    in sign and cancel as K grows.)  The tolerance is 1e-14 of the integral.
+    R = 1/2 + (rho/2K) g(c), g = sum_{j<K} c^j and c = cos^2(theta).  For
+    K <= 3, R = alpha + beta c + gamma c^2 is at most quadratic in c, and
+    _quadratic_agm takes the period from A = R(0), B = 2 alpha + beta and
+    C = R(pi/2) = alpha.  A = (1 + rho)/2 is formed from rho itself, and
+    B = 1 + 3 rho/(2K) and C = 1/2 + rho/(2K) stay above 1/4 for every
+    rho > -1, so nothing cancels as rho -> -1.  For K >= 4 the integral is
+    hyperelliptic, and _even_power_quadrature gives it.
 
     With rho = math.inf, returns the strong-coupling coefficient
     c0 = lim sqrt(rho) T, from R/rho = g/(2K).
     """
     K = _check_exponent(K)
     rho = float(rho)
+    if K > 3:
+        return _even_power_quadrature(K, rho)
+    if rho == math.inf:
+        base, weight, end_0 = 0.0, 1.0 / (2.0 * K), 0.5
+    else:
+        base, weight, end_0 = 0.5, _check_rho(rho) / (2.0 * K), 0.5 * (1.0 + rho)
+    return _quadratic_agm(end_0, 2.0 * base + 3.0 * weight, base + weight)
+
+
+def _even_power_quadrature(K: int, rho: float) -> float:
+    """Even-power period by adaptive quadrature of sqrt(2)/sqrt(R), any K.
+
+    R depends on theta through c = cos^2(theta) alone, so the integral over
+    [0, pi] is twice the one over [0, pi/2].  R is summed from terms of one
+    sign.  For rho >= 0 that is the form in even_power_exact_period.  For
+    rho < 0 it is
+    R = (1 + rho)/2 + (|rho|/2K) u sum_{l<K-1} (K-1-l) c^l, u = sin^2(theta),
+    because g - K = -u sum_l (K-1-l) c^l.  There R(0) = (1 + rho)/2 is formed
+    from rho itself.  Summed from the cos^k coefficients, R(0) carries about
+    1e-16 of absolute noise, which is all of R as 1 + rho -> 0.  (Powers of u
+    would do as well for small K, but their binomial coefficients alternate
+    in sign and cancel as K grows.)  The tolerance is 1e-14 of the integral.
+    """
     if rho == math.inf:
         base, weight, coeffs = 0.0, 1.0 / (2.0 * K), (1.0,) * K
     elif _check_rho(rho) >= 0.0:
@@ -642,6 +666,38 @@ def even_power_exact_period(K: int, rho: float) -> float:
 
     result = integrate(integrand, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14)
     return 2.0 * math.sqrt(2.0) * result.value
+
+
+def _quadratic_agm(
+    end_0: float, middle: float, end_far: float, excess: tuple[int, int] | None = None
+) -> float:
+    """Period sqrt(2) x (integral of dtheta/sqrt(R) over [0, pi]) for a quadratic R.
+
+    R is quadratic in cos^2(theta) or in cos(theta).  The substitution
+    t = tan(theta) or t = tan(theta/2) turns the integral into twice
+    integral_0^inf dt/sqrt(A + B t^2 + C t^4), with A = end_0 = R(0),
+    B = middle and C = end_far = R(pi/2) or R(pi).  One Gauss step on the
+    roots in t^2, real or complex conjugate, makes that pi/(2 agm(sqrt(e0),
+    sqrt(e1))), e0 = (sqrt(AC) + B/2)/2 and e1 = sqrt(AC) (DLMF 19.8, and
+    19.29 for the reduction).  So the period is pi/agm(sqrt(e0/2),
+    sqrt(e1/2)), one _agm_integral call: halving is exact, where a factor
+    sqrt(2) would round twice.  sqrt(AC) is formed as sqrt(A) sqrt(C), which
+    does not overflow.
+
+    For B < 0, sqrt(AC) + B/2 cancels as R nears zero inside the interval.
+    There the caller passes excess = AC - B^2/4 exactly, as a pair of
+    integers (numerator, denominator), and the sum is formed as
+    excess/(sqrt(AC) - B/2), whose terms share a sign.  That quotient is one
+    integer division, correctly rounded.
+    """
+    root = math.sqrt(end_0) * math.sqrt(end_far)
+    if middle >= 0.0:
+        half_sum = root + 0.5 * middle
+    else:
+        numerator, denominator = excess
+        top, bottom = (root - 0.5 * middle).as_integer_ratio()
+        half_sum = numerator * bottom / (denominator * top)
+    return _agm_integral(0.25 * half_sum, 0.5 * root)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -709,18 +765,30 @@ def quartic_cubic_pms(
 def quartic_cubic_exact_period(
     a2: float, a3: float, a4: float, x_minus: float, x_plus: float
 ) -> float:
-    """Exact period of the quartic-cubic potential: sqrt(2) times the
-    adaptive quadrature of 1/sqrt(R) over [0, pi].
+    """Exact period of the quartic-cubic potential by the AGM.
 
-    R is quadratic in cos(theta), the one factor here with no closed form in
-    use.  Raises NoPeriodicMotion on the same inputs as quartic_cubic_pms.
+    R = r0 + r1 cos(theta) + r2 cos^2(theta) is quadratic in cos(theta), and
+    t = tan(theta/2) gives _quadratic_agm A = R(0) and C = R(pi), each one
+    correctly rounded sum, and B = 2 (r0 - r2).  Where B < 0, the excess
+    AC - B^2/4 = 4 r0 r2 - r1^2 of the factor as stored is formed exactly in
+    integers, so a well whose factor nearly vanishes between the turning
+    points keeps its digits.  Raises NoPeriodicMotion on the same inputs as
+    quartic_cubic_pms, and BarrierCrossed where the stored factor reaches
+    zero at the resolution limit of that check.
     """
     factor = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.factor
-
-    def integrand(theta: float) -> float:
-        return 1.0 / math.sqrt(factor.evaluate(theta))
-
-    return math.sqrt(2.0) * integrate(integrand, 0.0, math.pi, abs_tol=1e-13).value
+    r0, r1, r2 = factor.coeffs + (0.0,) * (3 - len(factor.coeffs))
+    end_0, end_pi = math.fsum((r0, r1, r2)), math.fsum((r0, -r1, r2))
+    excess = None
+    if r2 > r0:
+        (n0, d0), (n1, d1), (n2, d2) = (r.as_integer_ratio() for r in (r0, r1, r2))
+        excess = (4 * n0 * n2 * d1 * d1 - n1 * n1 * d0 * d2, d0 * d2 * d1 * d1)
+    if not min(end_0, end_pi) > 0.0 or (excess is not None and excess[0] <= 0):
+        raise BarrierCrossed(
+            f"the factor {factor.coeffs!r} reaches zero between the turning points; "
+            "the particle crosses a barrier"
+        )
+    return _quadratic_agm(end_0, 2.0 * (r0 - r2), end_pi, excess)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Checks for the oscillator families against closed forms and the oracle."""
 
+import functools
 import math
 import sys
 import warnings
@@ -41,6 +42,7 @@ from pmsdelta.oscillators import (
     sextic_wl_period,
     turning_points,
     virial_omega_check,
+    _even_power_quadrature,
     _even_power_spec,
     _sextic_weight,
 )
@@ -539,6 +541,7 @@ def test_even_power_k5_divergence_and_balance():
     assert errors[-1] < 1e-2 * c0_exact
 
 
+@functools.lru_cache(maxsize=None)
 def _mp_even_period(K, rho):
     """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits, tanh-sinh with
     breakpoints clustered at theta = 0, where R dips as 1 + rho -> 0.  At
@@ -596,8 +599,10 @@ def _count_evaluations(monkeypatch):
     return counts
 
 
-# Cells of the benchmark's oracle sweep that end in a quadrature, at their
-# centres, with each call's evaluation budget.  The two cells at
+# Cells of the benchmark's oracle sweep at their centres, with the
+# evaluation budget of the quadrature on each.  The exact periods of the
+# K <= 3 cells come from the AGM; the quadrature is checked on every cell
+# all the same, as the method that gives K >= 4.  The two cells at
 # 1 + rho = 1e-6 are its near-singular set: their integrand peaks at
 # theta = 0 with a width of about 1e-3, and they resolve it in 23 panels.
 EVEN_POWER_PERIOD_CELLS = (
@@ -617,21 +622,38 @@ def test_even_power_quadrature_periods_match_mpmath_within_budget(
     monkeypatch, family, K, rho, budget
 ):
     counts = _count_evaluations(monkeypatch)
-    value = sextic_exact_period(rho) if family == "sextic" else even_power_exact_period(K, rho)
+    value = _even_power_quadrature(K, rho)
     reference = _mp_even_period(K, rho)
     assert abs(value - reference) <= 1e-15 * reference
     assert len(counts) == 1 and counts[0] <= budget
 
 
-@pytest.mark.parametrize("a2, a4, x_minus, x_plus", QUARTIC_CUBIC_PERIOD_CELLS)
-def test_quartic_cubic_periods_match_mpmath_within_budget(monkeypatch, a2, a4, x_minus, x_plus):
-    mpmath = pytest.importorskip("mpmath")
-    # a3 puts both turning points at one potential, as the benchmark does.
+@pytest.mark.parametrize(
+    "family, K, rho",
+    [cell[:3] for cell in EVEN_POWER_PERIOD_CELLS if cell[1] <= 3],
+)
+def test_quadratic_even_power_agm_matches_mpmath(monkeypatch, family, K, rho):
+    counts = _count_evaluations(monkeypatch)
+    value = sextic_exact_period(rho) if family == "sextic" else even_power_exact_period(K, rho)
+    reference = _mp_even_period(K, rho)
+    assert abs(value - reference) <= 1e-15 * reference
+    assert counts == []
+
+
+def _quartic_cubic_args(a2, a4, x_minus, x_plus):
+    """(a2, a3, a4, x-, x+) with a3 putting both turning points at one
+    potential, as the benchmark does."""
     a3 = -(a2 * (x_plus**2 - x_minus**2) + a4 * (x_plus**4 - x_minus**4)) / (
         x_plus**3 - x_minus**3
     )
-    counts = _count_evaluations(monkeypatch)
-    value = quartic_cubic_exact_period(a2, a3, a4, x_minus, x_plus)
+    return a2, a3, a4, x_minus, x_plus
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_quartic_cubic_period(a2, a3, a4, x_minus, x_plus):
+    """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits, R formed from the
+    potential's parameters."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         a2_, a3_, a4_, lo, hi = map(mpmath.mpf, (a2, a3, a4, x_minus, x_plus))
         s, p = lo + hi, lo * hi
@@ -642,9 +664,99 @@ def test_quartic_cubic_periods_match_mpmath_within_budget(monkeypatch, a2, a4, x
             x = (lo + hi) / 2 + (hi - lo) / 2 * mpmath.cos(theta)
             return 1 / mpmath.sqrt(b0 + b1 * x + a4_ * x * x)
 
-        reference = mpmath.sqrt(2) * mpmath.quad(f, [0, mpmath.pi])
+        return mpmath.sqrt(2) * mpmath.quad(f, [0, mpmath.pi])
+
+
+@pytest.mark.parametrize("a2, a4, x_minus, x_plus", QUARTIC_CUBIC_PERIOD_CELLS)
+def test_quartic_cubic_periods_match_mpmath_within_budget(a2, a4, x_minus, x_plus):
+    # The exact period comes from the AGM; the quadrature, the oracle's method
+    # for factors of higher degree, is held to its budget on these cells too.
+    args = _quartic_cubic_args(a2, a4, x_minus, x_plus)
+    factor = turning_points(OscillatorModel.quartic_cubic(*args)).factor
+    calls = 0
+
+    def integrand(theta):
+        nonlocal calls
+        calls += 1
+        return 1.0 / math.sqrt(factor.evaluate(theta))
+
+    result = integrate(integrand, 0.0, math.pi, abs_tol=1e-13)
+    value = math.sqrt(2.0) * result.value
+    reference = _mp_quartic_cubic_period(*args)
     assert abs(value - reference) <= 1e-15 * reference
-    assert len(counts) == 1 and counts[0] <= 147
+    assert result.evaluations == calls <= 147
+
+
+@pytest.mark.parametrize("a2, a4, x_minus, x_plus", QUARTIC_CUBIC_PERIOD_CELLS)
+def test_quartic_cubic_agm_matches_mpmath(a2, a4, x_minus, x_plus):
+    args = _quartic_cubic_args(a2, a4, x_minus, x_plus)
+    reference = _mp_quartic_cubic_period(*args)
+    value = quartic_cubic_exact_period(*args)
+    assert abs(value - reference) <= 1e-15 * reference
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    K=st.sampled_from((2, 3)),
+    rho=st.one_of(
+        st.floats(min_value=-1.0, max_value=1e300, exclude_min=True), st.just(math.inf)
+    ),
+)
+def test_quadratic_even_power_agm_matches_quadrature(K, rho):
+    value = even_power_exact_period(K, rho)
+    assert 0.0 < value < math.inf
+    assert abs(value - _even_power_quadrature(K, rho)) <= 2e-15 * value
+
+
+def _near_barrier_well(a2):
+    """A quartic-cubic well whose factor is least inside (0, pi); the
+    factor's minimum falls to zero as a2 rises to about 0.81735."""
+    return _quartic_cubic_args(a2, 0.5, -0.3, 1.0)
+
+
+def _mp_factor_period(coeffs):
+    """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits for R with the given
+    cos(theta) coefficients, breakpoints clustered where R is least."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r0, r1, r2 = map(mpmath.mpf, coeffs)
+        lowest = mpmath.acos(-r1 / (2 * r2))
+        points = sorted(
+            {mpmath.mpf(0), mpmath.pi, lowest}
+            | {lowest + sign * mpmath.mpf(10) ** -k for k in range(1, 12) for sign in (-1, 1)}
+        )
+
+        def f(theta):
+            c = mpmath.cos(theta)
+            return 1 / mpmath.sqrt(r0 + r1 * c + r2 * c * c)
+
+        return mpmath.sqrt(2) * mpmath.quad(f, [t for t in points if 0 <= t <= mpmath.pi])
+
+
+def test_quartic_cubic_agm_keeps_digits_up_to_the_barrier():
+    # Near the barrier sqrt(AC) + B/2 cancels (B < 0).  Formed directly, it
+    # put 1.6e-15 of error in the period at a factor minimum of 3.6e-3 R(0),
+    # and 1.3e-4 at 5e-14 R(0).
+    # The reference integrates the factor as stored: its own rounding moves
+    # the period by more than 1e-15 here, and the AGM is what is checked.
+    accepted, refused = 0.8, 0.82
+    OscillatorModel.quartic_cubic(*_near_barrier_well(accepted))
+    with pytest.raises(BarrierCrossed):
+        OscillatorModel.quartic_cubic(*_near_barrier_well(refused))
+    while (mid := 0.5 * (accepted + refused)) not in (accepted, refused):
+        try:
+            OscillatorModel.quartic_cubic(*_near_barrier_well(mid))
+            accepted = mid
+        except BarrierCrossed:
+            refused = mid
+    for a2, low, high in ((0.81731792, 5e-4, 2e-3), (accepted, 0.0, 1e-13)):
+        factor = turning_points(OscillatorModel.quartic_cubic(*_near_barrier_well(a2))).factor
+        r0, r1, r2 = factor.coeffs
+        assert r2 > r0  # B = 2 (r0 - r2) < 0
+        assert low < _extrema(factor)[1] / factor.evaluate(0.0) < high
+        reference = _mp_factor_period(factor.coeffs)
+        value = quartic_cubic_exact_period(*_near_barrier_well(a2))
+        assert abs(value - reference) <= 1e-15 * reference
 
 
 # Cells of the benchmark's oracle sweep: (x-, x+).
@@ -819,6 +931,18 @@ def test_quartic_cubic_rejects_dip_between_grid_nodes():
     for fn in (quartic_cubic_pms, quartic_cubic_exact_period):
         with pytest.raises(NoPeriodicMotion):
             fn(-1.000001, 0.0, 1.0, -1.0, 1.0)
+
+
+def test_quartic_cubic_exact_embeds_cubic_and_duffing():
+    # a4 = 0 leaves a factor linear in cos(theta), and a3 = 0 at a2 = 1/2,
+    # a4 = 1/4 is Duffing at rho = 1: both have their own AGM references.
+    mu = OscillatorModel.cubic(-1.0, 1.05).params["mu"]
+    assert quartic_cubic_exact_period(0.5, mu / 3.0, 0.0, -1.0, 1.05) == pytest.approx(
+        cubic_exact_period(-1.0, 1.05), rel=1e-14
+    )
+    assert quartic_cubic_exact_period(0.5, 0.0, 0.25, -1.0, 1.0) == pytest.approx(
+        duffing_exact_period(1.0), rel=1e-15
+    )
 
 
 def test_quartic_cubic_embeds_cubic_frequency():
