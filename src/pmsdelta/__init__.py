@@ -35,7 +35,6 @@ _EXPORTS = {
     "DivergentExpansion": "errors",
     "DomainError": "errors",
     "NoPeriodicMotion": "errors",
-    "NoSignChange": "errors",
     "NonFiniteIntegrand": "errors",
     "NonPositiveMean": "errors",
     "OrderTooHigh": "errors",
@@ -45,7 +44,6 @@ _EXPORTS = {
     "FitResult": "oracle",
     "QuadratureResult": "oracle",
     "elliptic_k": "oracle",
-    "find_root": "oracle",
     "fit_log_linear": "oracle",
     "integrate": "oracle",
     "OscillatorModel": "oscillators",
@@ -86,7 +84,6 @@ _EXPORTS = {
     "half_binomial": "series_core",
     "pms_derivative_check": "series_core",
     "pms_first_order": "series_core",
-    "pms_solve": "series_core",
     "term": "series_core",
 }
 

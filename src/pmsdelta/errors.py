@@ -21,10 +21,6 @@ class NonPositiveMean(DomainError):
     """
 
 
-class NoSignChange(PmsDeltaError):
-    """A bracketing solver was given a bracket that does not straddle a root."""
-
-
 class OrderTooHigh(DomainError):
     """Requested expansion order exceeds the supported cap."""
 

@@ -5,9 +5,10 @@ arithmetic-geometric mean as the integral of 1/sqrt(R) over [0, pi] for R
 linear in cos(theta).  A factor quadratic in cos(theta) or cos^2(theta)
 reaches the AGM through one Gauss step (DLMF 19.8, 19.29); the quadrature
 is left to factors of higher degree, where the integral is hyperelliptic.
-Beside them: a bracketing root finder and a fit of exponential decay.
-Standard-library Python, deliberately self-contained, so that the series
-machinery is checked against arithmetic it does not share.
+Beside them: a fit of exponential decay.  Standard-library Python,
+deliberately self-contained: it imports nothing from the expansion engine,
+nor the engine from it, so that the series machinery is checked against
+arithmetic it does not share.
 """
 
 from __future__ import annotations
@@ -17,20 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (
-    DegenerateFit,
-    DomainError,
-    NonFiniteIntegrand,
-    NoSignChange,
-    ToleranceNotMet,
-)
+from .errors import DegenerateFit, DomainError, NonFiniteIntegrand, ToleranceNotMet
 
 __all__ = [
     "QuadratureResult",
     "FitResult",
     "integrate",
     "elliptic_k",
-    "find_root",
     "fit_log_linear",
 ]
 
@@ -253,61 +247,6 @@ def _agm_integral(
         x, y = 0.5 * (x + y), math.sqrt(x * y)
         p, q = 0.5 * (p + q), (p + q - p * q) / (1.0 + y)
     return math.pi / x, math.pi * p / x
-
-
-def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of g on [lo, hi] by Brent's method.
-
-    Requires a sign change on the bracket (NoSignChange otherwise).  Inverse
-    quadratic and secant steps are used when they behave, with bisection as the
-    fallback, so convergence is guaranteed.  Returns x once the bracket has
-    shrunk to machine-adjacent floats.
-    """
-    a, b = float(lo), float(hi)
-    fa, fb = g(a), g(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoSignChange(f"g({lo!r}) and g({hi!r}) have the same sign")
-
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(200):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * math.ulp(abs(b))
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:  # inverse quadratic
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = g(b)
-    return b
 
 
 def fit_log_linear(points: Sequence[tuple[float, float]]) -> FitResult:

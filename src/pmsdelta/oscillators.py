@@ -30,7 +30,6 @@ from .series_core import (
     IntegrandSpec,
     TrigPolynomial,
     _check_order,
-    _extrema,
     _pair_sum,
     expand,
     half_binomial,
@@ -155,9 +154,9 @@ class OscillatorModel:
         """V(x) = a2 x^2 + a3 x^3 + a4 x^4 between the given turning points.
 
         The two points must sit at equal potential; the shared value is the
-        energy of the motion.  The factor's minimum over [0, pi] is taken
-        exactly, because a positivity grid misses a dip below zero between
-        its nodes: a factor that is not positive is a barrier crossing.
+        energy of the motion.  The factor's positivity is decided exactly, by
+        _quartic_cubic_agm_args, because a positivity grid misses a dip below
+        zero between its nodes: a factor that is not positive is a barrier.
         """
         a2, a3, a4, x_minus, x_plus = map(float, (a2, a3, a4, x_minus, x_plus))
         if not all(map(math.isfinite, (a2, a3, a4, x_minus, x_plus))):
@@ -189,12 +188,7 @@ class OscillatorModel:
         )
         if not all(map(math.isfinite, factor.coeffs)):
             raise DomainError("the factor polynomial overflows")
-        _, lowest = _extrema(factor)
-        if not lowest > 0.0:
-            raise BarrierCrossed(
-                f"factor falls to {lowest!r} between the turning points; "
-                "the particle crosses a barrier"
-            )
+        _quartic_cubic_agm_args(factor)
         return cls(
             {"a2": a2, "a3": a3, "a4": a4, "x_minus": x_minus, "x_plus": x_plus},
             TurningPoints(x_minus, x_plus, factor),
@@ -336,6 +330,37 @@ def _cubic_factor(x_minus: float, x_plus: float) -> tuple[tuple[float, float], f
     return (-0.5 * (x_plus / sigma) * left, -0.5 * (x_minus / sigma) * right), mu, energy
 
 
+def _quartic_cubic_agm_args(
+    factor: TrigPolynomial,
+) -> tuple[float, float, float, tuple[int, int] | None]:
+    """_quadratic_agm's arguments for R = r0 + r1 cos(theta) + r2 cos^2(theta),
+    or BarrierCrossed unless R > 0 on [0, pi], decided exactly for R as stored.
+
+    t = tan(theta/2) gives A = R(0) and C = R(pi), each one correctly rounded
+    sum with an exact sign, and B = 2 (r0 - r2).  Positive ends give
+    |r1| < r0 + r2.  Where r2 <= r0, a minimum r0 - r1^2/(4 r2) inside, where
+    |r1| <= 2 r2, is then at least r0 - r2, and zero only where an end is.
+    Where r2 > r0 (B < 0) the minimum is inside and has the sign of the
+    excess AC - B^2/4 = 4 r0 r2 - r1^2, formed exactly in integers as
+    (numerator, denominator); _quadratic_agm reads it too.
+    """
+    r0, r1, r2 = factor.coeffs + (0.0,) * (3 - len(factor.coeffs))
+    try:
+        end_0, end_pi = math.fsum((r0, r1, r2)), math.fsum((r0, -r1, r2))
+    except OverflowError:
+        raise DomainError("the factor's end values overflow") from None
+    excess = None
+    if r2 > r0:
+        (n0, d0), (n1, d1), (n2, d2) = (r.as_integer_ratio() for r in (r0, r1, r2))
+        excess = (4 * n0 * n2 * d1 * d1 - n1 * n1 * d0 * d2, d0 * d2 * d1 * d1)
+    if not min(end_0, end_pi) > 0.0 or (excess is not None and excess[0] <= 0):
+        raise BarrierCrossed(
+            f"the factor {factor.coeffs!r} reaches zero between the turning points; "
+            "the particle crosses a barrier"
+        )
+    return end_0, 2.0 * (r0 - r2), end_pi, excess
+
+
 def turning_points(model: OscillatorModel) -> TurningPoints:
     """Turning points and factor polynomial of a model, built with the model."""
     return model.points
@@ -372,15 +397,12 @@ def duffing_period_series(rho: float, order: int) -> float:
 
 
 def duffing_exact_period(rho: float) -> float:
-    """Exact period 4/sqrt(1+rho) K(rho/(2(1+rho))) via the AGM oracle.
+    """Exact period 4/sqrt(1+rho) K(rho/(2(1+rho))): the even-power period at K = 2.
 
-    R = 1/2 + (rho/4)(1 + cos^2(theta)) is linear in cos(2 theta), so the
-    period sqrt(2) x (the integral of 1/sqrt(R)) is pi / agm(sqrt(R(0)/2),
-    sqrt(R(pi/2)/2)), from R(0) = (1 + rho)/2 and R(pi/2) = (2 + rho)/4 formed
-    from rho: halving is exact, where a factor sqrt(2) would round twice.
+    R = 1/2 + (rho/4)(1 + c) is linear in c = cos^2(theta), and
+    even_power_exact_period takes it to the AGM through _quadratic_agm.
     """
-    rho = _check_rho(rho)
-    return _agm_integral(0.25 * (1.0 + rho), 0.125 * (2.0 + rho))[0]
+    return even_power_exact_period(2, _check_rho(rho))
 
 
 def duffing_nayfeh_series(rho: float, order: int) -> float:
@@ -767,28 +789,15 @@ def quartic_cubic_exact_period(
 ) -> float:
     """Exact period of the quartic-cubic potential by the AGM.
 
-    R = r0 + r1 cos(theta) + r2 cos^2(theta) is quadratic in cos(theta), and
-    t = tan(theta/2) gives _quadratic_agm A = R(0) and C = R(pi), each one
-    correctly rounded sum, and B = 2 (r0 - r2).  Where B < 0, the excess
-    AC - B^2/4 = 4 r0 r2 - r1^2 of the factor as stored is formed exactly in
-    integers, so a well whose factor nearly vanishes between the turning
-    points keeps its digits.  Raises NoPeriodicMotion on the same inputs as
-    quartic_cubic_pms, and BarrierCrossed where the stored factor reaches
-    zero at the resolution limit of that check.
+    R = r0 + r1 cos(theta) + r2 cos^2(theta) is quadratic in cos(theta);
+    _quartic_cubic_agm_args gives _quadratic_agm its end values and, where
+    B < 0, the exact excess 4 r0 r2 - r1^2, so a well whose factor nearly
+    vanishes between the turning points keeps its digits.  The model's
+    constructor runs the same exact test, so this refuses exactly the wells
+    the model refuses.
     """
     factor = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.factor
-    r0, r1, r2 = factor.coeffs + (0.0,) * (3 - len(factor.coeffs))
-    end_0, end_pi = math.fsum((r0, r1, r2)), math.fsum((r0, -r1, r2))
-    excess = None
-    if r2 > r0:
-        (n0, d0), (n1, d1), (n2, d2) = (r.as_integer_ratio() for r in (r0, r1, r2))
-        excess = (4 * n0 * n2 * d1 * d1 - n1 * n1 * d0 * d2, d0 * d2 * d1 * d1)
-    if not min(end_0, end_pi) > 0.0 or (excess is not None and excess[0] <= 0):
-        raise BarrierCrossed(
-            f"the factor {factor.coeffs!r} reaches zero between the turning points; "
-            "the particle crosses a barrier"
-        )
-    return _quadratic_agm(end_0, 2.0 * (r0 - r2), end_pi, excess)
+    return _quadratic_agm(*_quartic_cubic_agm_args(factor))
 
 
 # ---------------------------------------------------------------------------

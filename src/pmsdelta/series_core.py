@@ -34,10 +34,9 @@ import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainError, NonPositiveMean, OrderTooHigh, ToleranceNotMet
-from .oracle import find_root
+from .errors import DomainError, NonPositiveMean, OrderTooHigh
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,7 +54,6 @@ __all__ = [
     "expand",
     "pms_derivative_check",
     "pms_first_order",
-    "pms_solve",
 ]
 
 # Expansion orders beyond this are refused: the binomial weights and the
@@ -447,38 +445,6 @@ def pms_first_order(factor: TrigPolynomial) -> float:
     return math.sqrt(mean)
 
 
-def pms_solve(
-    spec_family: Callable[[float], IntegrandSpec],
-    order: int,
-    bracket: tuple[float, float],
-) -> float:
-    """Stationary omega at an odd order, found by bracketing I_N(omega) = 0.
-
-    spec_family maps a candidate omega to the corresponding IntegrandSpec.
-    The bracket must straddle a sign change of the order-N term.  The root
-    is refined to machine-adjacent floats and then required to satisfy
-    |I_N| < 1e-12 * pi/omega.
-    """
-    order = _check_order(order)
-    if order % 2 == 0:
-        raise DomainError(f"stationarity is solved at odd orders, got {order}")
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise DomainError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
-
-    def last_term(omega: float) -> float:
-        return term(spec_family(omega), order)
-
-    root = find_root(last_term, lo, hi)
-    residual = abs(last_term(root))
-    ceiling = 1e-12 * math.pi / root
-    if residual > ceiling:
-        raise ToleranceNotMet(
-            f"|I_{order}| = {residual:.3e} at omega = {root!r} exceeds {ceiling:.3e}"
-        )
-    return root
-
-
 def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
     """(max, min) of the polynomial over [0, pi].
 
@@ -488,7 +454,8 @@ def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
     [-1, 1], and a double root that the eigenvalue solver splits into a
     near-real pair is not lost.  A constant has no derivative to solve.  A
     leading coefficient tiny next to the others sends a root to infinity;
-    such a root lies outside [-1, 1] and is dropped.
+    such a root lies outside [-1, 1] and is dropped.  Tests use it as a
+    reference; near zero it is too rough to decide a factor's positivity.
     """
     if poly.degree == 0:
         return poly.coeffs[0], poly.coeffs[0]

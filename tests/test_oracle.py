@@ -1,19 +1,13 @@
-"""Checks for the ground-truth numerics: quadrature, AGM, roots, fitting."""
+"""Checks for the ground-truth numerics: quadrature, AGM, fitting."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pmsdelta.errors import (
-    DegenerateFit,
-    DomainError,
-    NonFiniteIntegrand,
-    NoSignChange,
-    ToleranceNotMet,
-)
+from pmsdelta.errors import DegenerateFit, DomainError, NonFiniteIntegrand, ToleranceNotMet
 from pmsdelta import oracle
-from pmsdelta.oracle import elliptic_k, find_root, fit_log_linear, integrate
+from pmsdelta.oracle import elliptic_k, fit_log_linear, integrate
 
 
 def _newton_zeros(mpmath, coeffs, guesses):
@@ -229,30 +223,6 @@ def test_elliptic_k_matches_mpmath_across_its_range():
         for m in ms:
             reference = mpmath.ellipk(mpmath.mpf(m))
             assert abs(elliptic_k(m) - reference) <= 1e-15 * reference, m
-
-
-def test_find_root_basic():
-    root = find_root(lambda x: x * x - 2.0, 0.0, 2.0)
-    assert root == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    root = find_root(math.cos, 1.0, 2.0)
-    assert root == pytest.approx(math.pi / 2.0, abs=1e-14)
-    print(f"root of cos on [1, 2] = {root:.16f}")
-
-
-def test_find_root_endpoint_hits():
-    assert find_root(lambda x: x, 0.0, 1.0) == 0.0
-    assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-
-def test_find_root_requires_sign_change():
-    with pytest.raises(NoSignChange):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_find_root_hard_bracket():
-    # Steep function whose root sits close to one end of the bracket.
-    g = lambda x: math.tanh(50.0 * (x - 0.99))
-    assert find_root(g, 0.0, 1.0) == pytest.approx(0.99, abs=1e-12)
 
 
 def test_fit_log_linear_exact_decay():

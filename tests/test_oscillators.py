@@ -171,6 +171,52 @@ def test_rho_functions_are_finite_or_refuse(function, rho, order):
         assert 0.0 < result < math.inf
 
 
+# Expansion orders as callers pass them: ints, and integral floats such as 4.0.
+ORDERS = st.one_of(st.integers(0, MAX_ORDER), st.integers(0, MAX_ORDER).map(float))
+
+
+def _finite_or_refused(function, *args):
+    """function(*args), or None where it raises a package error.  A
+    DivergentExpansion warning is allowed; a RuntimeWarning still fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergentExpansion)
+        try:
+            return function(*args)
+        except PmsDeltaError:
+            return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    K=st.integers(2, 12),
+    rho=st.floats(min_value=-1.0, exclude_min=True),
+    kappa=st.one_of(
+        st.sampled_from((even_power_kappa_pms, even_power_kappa_balanced)), st.floats()
+    ),
+    order=ORDERS,
+)
+def test_even_power_entry_points_are_finite_or_refuse(K, rho, kappa, order):
+    # rho over (-1, inf], kappa by either rule or any float.
+    if callable(kappa):
+        kappa = kappa(K)
+    series = _finite_or_refused(even_power_series, K, rho, kappa, order)
+    assert series is None or math.isfinite(series)
+    exact = _finite_or_refused(even_power_exact_period, K, rho)
+    assert exact is None or 0.0 < exact < math.inf
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    amplitude=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True),
+    taylor_order=st.sampled_from((2, 4, 6)),
+    order=ORDERS,
+)
+def test_pendulum_entry_points_are_finite_or_refuse(amplitude, taylor_order, order):
+    approx = _finite_or_refused(pendulum_approx, amplitude, taylor_order, order)
+    assert approx is None or math.isfinite(approx)
+    assert 0.0 < pendulum_exact(amplitude) < math.inf
+
+
 def test_extrema_drops_roots_sent_to_infinity():
     # A4 of 1e-320 sends a root of the factor's derivative to infinity; numpy's
     # overflow warning used to escape _extrema instead of BarrierCrossed.
@@ -749,6 +795,11 @@ def test_quartic_cubic_agm_keeps_digits_up_to_the_barrier():
             accepted = mid
         except BarrierCrossed:
             refused = mid
+    # The exact period runs the model's own exact test: it refuses the first
+    # a2 the model refuses and returns at the last one the model accepts.
+    with pytest.raises(BarrierCrossed):
+        quartic_cubic_exact_period(*_near_barrier_well(refused))
+    assert 0.0 < quartic_cubic_exact_period(*_near_barrier_well(accepted)) < math.inf
     for a2, low, high in ((0.81731792, 5e-4, 2e-3), (accepted, 0.0, 1e-13)):
         factor = turning_points(OscillatorModel.quartic_cubic(*_near_barrier_well(a2))).factor
         r0, r1, r2 = factor.coeffs
@@ -931,6 +982,14 @@ def test_quartic_cubic_rejects_dip_between_grid_nodes():
     for fn in (quartic_cubic_pms, quartic_cubic_exact_period):
         with pytest.raises(NoPeriodicMotion):
             fn(-1.000001, 0.0, 1.0, -1.0, 1.0)
+
+
+def test_quartic_cubic_refuses_factor_whose_ends_overflow():
+    # Each coefficient is finite, but R(0) = r0 + r1 + r2 is not: the exact
+    # barrier test refuses the well instead of overflowing.
+    for fn in (OscillatorModel.quartic_cubic, quartic_cubic_pms, quartic_cubic_exact_period):
+        with pytest.raises(DomainError):
+            fn(1.5e308, 0.0, 0.8e308, -0.5, 0.5)
 
 
 def test_quartic_cubic_exact_embeds_cubic_and_duffing():

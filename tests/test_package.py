@@ -1,7 +1,9 @@
 """Tests for the package namespace: one table from public name to module."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -49,3 +51,30 @@ def test_a_name_read_once_is_bound_in_the_package():
     # Bound in the module globals, so a later read skips __getattr__.
     assert vars(pmsdelta)["duffing_period_series"] is first
     assert pmsdelta.duffing_period_series is first
+
+
+def _package_imports(module: str) -> set[str]:
+    """Submodules of pmsdelta that pmsdelta.<module> imports, read from its
+    source: relative and absolute, `import` and `from ... import`."""
+    source = pathlib.Path(pmsdelta.__file__).with_name(f"{module}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"pmsdelta.{base}" if base else "pmsdelta"
+            dotted = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("pmsdelta."))
+    return found
+
+
+def test_engine_and_oracle_share_no_code():
+    # The oracle is the engine's independent check, so neither may import the
+    # other.  The families import both, which shows the parse finds imports.
+    assert "oracle" not in _package_imports("series_core")
+    assert "series_core" not in _package_imports("oracle")
+    assert {"errors", "oracle", "series_core"} <= _package_imports("oscillators")

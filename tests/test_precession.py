@@ -4,13 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import warnings
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM
 from pmsdelta.errors import (
     BeyondCritical,
     DivergentExpansion,
     DomainError,
+    PmsDeltaError,
     ThirdRootInsideInterval,
 )
 from pmsdelta.oracle import integrate
@@ -20,6 +24,7 @@ from pmsdelta.precession import (
     precession_exact,
     precession_series,
 )
+from pmsdelta.series_core import MAX_ORDER
 
 
 def test_orbit_params_derived_quantities():
@@ -273,3 +278,34 @@ def test_weak_field_leading_order_dominates():
         exact = precession_exact(orbit)
         leading = precession_series(orbit, 0)
         assert leading == pytest.approx(exact, rel=50.0 * GM)
+
+
+@st.composite
+def orbit_arguments(draw):
+    """(GM, a, epsilon) over the whole float range, half of them with a
+    drawn from the critical axis a_c upwards."""
+    GM = draw(st.floats(min_value=0.0))
+    epsilon = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    if GM > 0.0 and draw(st.booleans()):
+        a = critical_semimajor_axis(GM, epsilon) * (1.0 + draw(st.floats(0.0, 1.0)))
+    else:
+        a = draw(st.floats(min_value=0.0, exclude_min=True))
+    return GM, a, epsilon
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    arguments=orbit_arguments(),
+    order=st.one_of(st.integers(0, MAX_ORDER), st.integers(0, MAX_ORDER).map(float)),
+)
+def test_precession_entry_points_are_finite_or_refuse(arguments, order):
+    # Every orbit gives a finite precession or a package error, never a NaN,
+    # an infinity or a stray exception.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergentExpansion)
+        for function, args in ((precession_series, (order,)), (precession_exact, ())):
+            try:
+                value = function(OrbitParams(*arguments), *args)
+            except PmsDeltaError:
+                continue
+            assert math.isfinite(value)

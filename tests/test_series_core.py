@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pmsdelta.errors import DomainError, NonPositiveMean, NoSignChange, OrderTooHigh
+from pmsdelta.errors import DomainError, NonPositiveMean, OrderTooHigh
 from pmsdelta.oracle import elliptic_k, integrate
 from pmsdelta.oscillators import OscillatorModel
 from pmsdelta.series_core import (
@@ -26,7 +26,6 @@ from pmsdelta.series_core import (
     half_binomial,
     pms_derivative_check,
     pms_first_order,
-    pms_solve,
     term,
 )
 
@@ -440,31 +439,6 @@ def test_pms_first_order_closed_forms():
     assert pms_first_order(TrigPolynomial([2.25])) == 1.5
     with pytest.raises(NonPositiveMean):
         pms_first_order(TrigPolynomial([-1.0]))
-
-
-def test_pms_solve_duffing():
-    root = pms_solve(lambda w: duffing_spec(4.0, w), 1, (0.5, 3.0))
-    assert root == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    # The third-order condition lands on the same frequency.
-    root3 = pms_solve(lambda w: duffing_spec(4.0, w), 3, (0.5, 3.0))
-    assert root3 == pytest.approx(math.sqrt(2.0), rel=1e-9)
-
-
-def test_pms_solve_rejects_even_order_and_bad_bracket():
-    with pytest.raises(DomainError):
-        pms_solve(lambda w: duffing_spec(1.0, w), 2, (0.5, 3.0))
-    with pytest.raises(DomainError):
-        pms_solve(lambda w: duffing_spec(1.0, w), 1, (0.0, 3.0))
-    with pytest.raises(NoSignChange):
-        pms_solve(lambda w: duffing_spec(1.0, w), 1, (2.0, 3.0))
-
-
-def test_pms_solve_order_must_be_an_integer():
-    family = lambda w: duffing_spec(4.0, w)  # noqa: E731
-    for order in (2.5, math.nan):
-        with pytest.raises(DomainError):
-            pms_solve(family, order, (0.5, 3.0))
-    assert pms_solve(family, 3.0, (0.5, 3.0)) == pms_solve(family, 3, (0.5, 3.0))
 
 
 def even_power_deviation(big_k):
