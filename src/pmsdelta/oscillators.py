@@ -204,8 +204,7 @@ class OscillatorModel:
         barrier at A = sqrt(6), where rho = -A^2/6 reaches -1; an amplitude at
         or past it raises NoPeriodicMotion.
         """
-        if taylor_order not in (2, 4, 6):
-            raise DomainError(f"taylor_order must be 2, 4 or 6, got {taylor_order!r}")
+        taylor_order = _check_taylor(taylor_order)
         amplitude = _check_pendulum_amplitude(amplitude)
         a2 = amplitude * amplitude
         if taylor_order == 6:
@@ -221,10 +220,16 @@ class OscillatorModel:
                 )
             factor = _even_factor(2, rho)
         return cls(
-            {"taylor_order": int(taylor_order)},
+            {"taylor_order": taylor_order},
             TurningPoints(-amplitude, amplitude, factor, rho),
             amplitude=amplitude,
         )
+
+
+def _check_taylor(taylor_order: int) -> int:
+    if taylor_order not in (2, 4, 6):
+        raise DomainError(f"taylor_order must be 2, 4 or 6, got {taylor_order!r}")
+    return int(taylor_order)
 
 
 def _check_pendulum_amplitude(amplitude: float) -> float:
@@ -590,14 +595,23 @@ def even_power_kappa_balanced(K: int) -> float:
     return (K + 1) / (2 * K)
 
 
+@lru_cache(maxsize=1)
 def _even_power_spec(K: int, rho: float, kappa: float) -> IntegrandSpec:
+    """The even-power spec at omega^2 = (1 + kappa rho)/2, or kappa/2 at rho = inf.
+
+    Cached for one entry, so a table of orders at fixed (K, rho, kappa)
+    builds and checks its spec once.  Callers pass the checked int K and
+    floats, which hash; a refused input raises on every call, since a cache
+    keeps no exceptions.
+    """
     factor = _even_factor(K, rho)
     # At rho = inf the factor is R/rho, so the reference omega^2 is too.
-    omega_sq = kappa / 2.0 if rho == math.inf else (1.0 + kappa * rho) / 2.0
+    if rho == math.inf:
+        rule, omega_sq = "kappa/2", kappa / 2.0
+    else:
+        rule, omega_sq = "(1 + kappa rho)/2", (1.0 + kappa * rho) / 2.0
     if omega_sq <= 0.0:
-        raise DomainError(
-            f"omega^2 = (1 + kappa rho)/2 = {omega_sq!r} must be positive"
-        )
+        raise DomainError(f"omega^2 = {rule} = {omega_sq!r} must be positive")
     return IntegrandSpec(-1.0, 1.0, factor, math.sqrt(omega_sq))
 
 
@@ -614,9 +628,13 @@ def even_power_series(K: int, rho: float, kappa: float, order: int) -> float:
     Every cos^(2j) coefficient of Delta with j >= 1 carries the sign of rho
     (all are positive at rho = inf), so Delta is monotone in cos^2(theta) and
     max |Delta| is exact from its values at cos^2 = 0 and cos^2 = 1.
+
+    The spec is reused from the previous call when K, rho and kappa are
+    equal, so a table of orders 0..N builds and checks it once; the warning
+    and the expansion still come with every call.
     """
     K = _check_exponent(K)
-    spec = _even_power_spec(K, rho, kappa)
+    spec = _even_power_spec(K, float(rho), float(kappa))
     coeffs = spec.delta.coeffs
     max_dev = max(abs(coeffs[0]), abs(math.fsum(coeffs)))
     if max_dev >= 1.0:
@@ -823,8 +841,18 @@ def pendulum_approx(amplitude: float, taylor_order: int, series_order: int) -> f
     factor polynomial is formed between the turning points +-A, and the
     generic expansion is summed through Delta-order series_order at the
     first-order stationary frequency.  Truncation at order 2 gives 2 pi for
-    every amplitude; order 4 is the quartic family with mu = -1/6.
+    every amplitude; order 4 is the quartic family with mu = -1/6.  As in
+    even_power_series, a table of orders at one amplitude and truncation
+    builds its spec once.
     """
     series_order = _check_order(series_order)
-    points = OscillatorModel.pendulum(amplitude, taylor_order).points
-    return math.sqrt(2.0) * expand(points.spec_at(), series_order).value
+    taylor_order = _check_taylor(taylor_order)
+    spec = _pendulum_spec(float(amplitude), taylor_order)
+    return math.sqrt(2.0) * expand(spec, series_order).value
+
+
+@lru_cache(maxsize=1)
+def _pendulum_spec(amplitude: float, taylor_order: int) -> IntegrandSpec:
+    """The truncated pendulum's spec at its first-order stationary frequency,
+    cached for one entry like _even_power_spec."""
+    return OscillatorModel.pendulum(amplitude, taylor_order).points.spec_at()

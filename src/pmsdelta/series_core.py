@@ -22,10 +22,13 @@ nodes, its powers are elementwise products of the samples, and each mean is
 exact up to rounding, with no cancellation between monomial coefficients.
 
 A call's fixed cost is kept small, since a convergence table makes one call
-per order: Delta's coefficients are formed once per spec, its samples come
-from an in-place Horner pass over the cached node cosines, the spec's
-positivity check is one product with a cached table of cos^k on its grid,
-and the sums of the terms are taken by math.fsum, correctly rounded.
+per order.  The even-power and pendulum entry points keep the spec of their
+previous call, so a table at fixed parameters builds and checks it once.
+Delta's coefficients are formed once per spec, and its samples come from an
+in-place Horner pass over the cached node cosines that skips the zero
+coefficients, the odd ones of an even Delta.  A spec's positivity check is
+one product with a cached table of cos^k on its grid, and the sums of the
+terms are taken by math.fsum, correctly rounded.
 """
 
 from __future__ import annotations
@@ -340,11 +343,12 @@ def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
 
     Row 1 of the powers array takes Delta's samples by Horner's rule in
     place, with the roundings of _horner (its first step, 0 x + c, is c), so
-    the samples have numpy polyval's bits.  |Delta| <= B = sum |c_k| on the
-    nodes, so no step can overflow while m B^N < 2^500 (the spec keeps
-    pi/omega below 2^514); above that, numpy's overflow and invalid-value
-    checks are switched on, and a term that leaves the float range raises
-    DomainError.
+    the samples have numpy polyval's bits, up to the sign of a zero: a zero
+    coefficient is not added, which can only leave a sample -0.0 where
+    polyval has +0.0.  |Delta| <= B = sum |c_k| on the nodes, so no step
+    can overflow while m B^N < 2^500 (the spec keeps pi/omega below
+    2^514); above that, numpy's overflow and invalid-value checks are
+    switched on, and a term that leaves the float range raises DomainError.
     """
     order = _check_order(order)
     import numpy as np
@@ -367,7 +371,8 @@ def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
                 row.fill(coeffs[-1])
                 for c in coeffs[-2::-1]:
                     row *= x
-                    row += c
+                    if c:
+                        row += c
                 powers[2:] = row
                 powers.cumprod(axis=0, out=powers)
             terms = powers.sum(axis=1)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import shlex
@@ -9,8 +11,11 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pmsdelta.analysis import negative_rho_study, sextic_c0_study
 from pmsdelta.cli import main
+from pmsdelta.oscillators import _even_power_spec, _pendulum_spec
 
 ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
 
@@ -391,6 +396,87 @@ def test_huge_rho_exits_0_or_2(capsys, argv):
         return
     _, rows = parse_csv(out)
     assert all(0.0 < float(cell) < math.inf for row in rows for cell in row[1:3])
+
+
+def test_a_table_builds_its_spec_once(capsys):
+    # One spec per run of calls at equal parameters: each table below is one
+    # cache miss, however many orders it prints.
+    _even_power_spec.cache_clear()
+    code, _, err = run_cli(capsys, "period", "even-power", "--exponent", "3", "--rho", "2",
+                           "--order", "16")
+    assert code == 0, err
+    assert _even_power_spec.cache_info().misses == 1
+    for study in (lambda: sextic_c0_study(16), lambda: negative_rho_study(5, -0.9, 16)):
+        _even_power_spec.cache_clear()
+        study()
+        assert _even_power_spec.cache_info().misses == 1
+    _pendulum_spec.cache_clear()
+    code, _, err = run_cli(capsys, "period", "pendulum", "--taylor", "6", "--amplitude", "2",
+                           "--order", "16")
+    assert code == 0, err
+    assert _pendulum_spec.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "rho, kappa, message",
+    [
+        ("inf", "0", "omega^2 = kappa/2 = 0.0 must be positive"),
+        ("2", "-1", "omega^2 = (1 + kappa rho)/2 = -0.5 must be positive"),
+    ],
+    ids=["rho-inf", "rho-finite"],
+)
+def test_nonpositive_omega_squared_names_the_formula_used(capsys, rho, kappa, message):
+    # At rho = inf the reference is omega^2 = kappa/2, of the factor R/rho.
+    code, out, err = run_cli(capsys, "period", "even-power", "--exponent", "3",
+                             f"--rho={rho}", f"--kappa={kappa}")
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def _cli_holds_its_contract(argv):
+    """Run main in-process; it exits 0, 2 or 3, and on 0 prints a table of
+    finite numbers, one row per order, else nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+        return
+    header, rows = parse_csv(out.getvalue())
+    assert header == ["order", "period"] + ["exact"] * ("--exact" in argv)
+    assert [int(row[0]) for row in rows] == list(range(int(argv[argv.index("--order") + 1]) + 1))
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row), out.getvalue()
+
+
+# Numbers are passed as --name=value, so a value such as -inf or -1e-05 is
+# not read as an option.
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    K=st.integers(2, 12),
+    rho=st.floats(min_value=-1.0, exclude_min=True),
+    kappa=st.one_of(st.sampled_from(("pms", "balanced")), st.floats().map(repr)),
+    order=st.integers(0, 64),
+    exact=st.booleans(),
+)
+def test_period_even_power_cli_holds_its_contract(K, rho, kappa, order, exact):
+    _cli_holds_its_contract(
+        ["period", "even-power", f"--exponent={K}", f"--rho={rho!r}", f"--kappa={kappa}",
+         "--order", str(order)] + ["--exact"] * exact
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    amplitude=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True),
+    taylor=st.sampled_from((2, 4, 6)),
+    order=st.integers(0, 64),
+    exact=st.booleans(),
+)
+def test_period_pendulum_cli_holds_its_contract(amplitude, taylor, order, exact):
+    _cli_holds_its_contract(
+        ["period", "pendulum", f"--amplitude={amplitude!r}", f"--taylor={taylor}",
+         "--order", str(order)] + ["--exact"] * exact
+    )
 
 
 def _readme_cli_examples():

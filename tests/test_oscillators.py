@@ -44,6 +44,7 @@ from pmsdelta.oscillators import (
     virial_omega_check,
     _even_power_quadrature,
     _even_power_spec,
+    _pendulum_spec,
     _sextic_weight,
 )
 from pmsdelta.precession import OrbitParams, precession_series
@@ -1084,3 +1085,86 @@ def test_pendulum_approx_rejections():
         pendulum_approx(3.3, 4, 0)
     with pytest.raises(DomainError):
         pendulum_approx(1.0, 4, -1)
+
+
+# ---------------------------------------------------------------------------
+# Spec reuse: a table of orders builds its spec once and keeps every bit
+# ---------------------------------------------------------------------------
+
+
+def _even_power_uncached(K, rho, kappa, order):
+    spec = _even_power_spec.__wrapped__(int(K), float(rho), float(kappa))
+    return math.sqrt(2.0) * expand(spec, order).value
+
+
+def _pendulum_uncached(amplitude, taylor_order, order):
+    spec = _pendulum_spec.__wrapped__(float(amplitude), int(taylor_order))
+    return math.sqrt(2.0) * expand(spec, order).value
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "rule", [even_power_kappa_pms, even_power_kappa_balanced], ids=["pms", "balanced"]
+)
+def test_even_power_table_with_a_reused_spec_keeps_every_bit(K, rule):
+    # Parameter sets A, B, A: the cache holds B when A comes back.
+    kappa = rule(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergentExpansion)
+        for rho in (-0.5, math.inf, -0.5):
+            for order in range(33):
+                value = even_power_series(K, rho, kappa, order)
+                assert value.hex() == _even_power_uncached(K, rho, kappa, order).hex()
+
+
+@pytest.mark.parametrize("taylor_order", [2, 4, 6])
+def test_pendulum_table_with_a_reused_spec_keeps_every_bit(taylor_order):
+    for amplitude in (1.3, 2.2, 1.3):
+        for order in range(33):
+            value = pendulum_approx(amplitude, taylor_order, order)
+            assert value.hex() == _pendulum_uncached(amplitude, taylor_order, order).hex()
+
+
+def test_equal_keys_of_other_types_give_the_floats_bits():
+    # Each input is used right after an equal one of another type, so the
+    # spec comes from the cache; a 0-d array is accepted as a float, as it
+    # was before the cache, rather than failing to hash.
+    kappa = even_power_kappa_pms(3)
+    for rho in (0.0, -0.0, 0.0, 2, 2.0, np.float64(2.0), np.array(2.0), np.array(-0.0)):
+        for K in (3, 3.0, np.int64(3)):
+            value = even_power_series(K, rho, np.array(kappa), 6)
+            assert value.hex() == _even_power_uncached(3, rho, kappa, 6).hex()
+    for amplitude in (1, 1.0, np.float64(1.0), np.array(1.0)):
+        for taylor_order in (6, 6.0, np.int64(6), np.array(6)):
+            value = pendulum_approx(amplitude, taylor_order, 6)
+            assert value.hex() == _pendulum_uncached(1.0, 6, 6).hex()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: even_power_series(3, -1.0, 0.5, 4), NoPeriodicMotion),
+        (lambda: even_power_series(3, 2.0, -1.0, 4), DomainError),
+        (lambda: even_power_series(3, math.inf, 0.0, 4), DomainError),
+        (lambda: pendulum_approx(2.6, 4, 4), NoPeriodicMotion),
+    ],
+    ids=["rho-minus-one", "omega-squared-negative", "omega-squared-zero-at-inf",
+         "pendulum-barrier"],
+)
+def test_a_refused_input_raises_on_every_call(call, error):
+    # A cache keeps no exceptions, so the second call checks again.
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            call()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def test_divergence_warning_comes_with_every_call():
+    kappa = even_power_kappa_pms(5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for order in range(6):
+            even_power_series(5, math.inf, kappa, order)
+    assert [w.category for w in caught] == [DivergentExpansion] * 6

@@ -78,3 +78,43 @@ def test_engine_and_oracle_share_no_code():
     assert "oracle" not in _package_imports("series_core")
     assert "series_core" not in _package_imports("oracle")
     assert {"errors", "oracle", "series_core"} <= _package_imports("oscillators")
+
+
+def _lru_caches() -> dict[str, tuple[object, bool]]:
+    """{module.function: (maxsize, keyed on a float)} for every lru_cache in
+    the package, read from its source.  maxsize is the literal the decorator
+    gives, or None where it gives none or an expression."""
+    found = {}
+    for path in sorted(pathlib.Path(pmsdelta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) != "lru_cache":
+                    continue
+                given = []
+                if call:
+                    given = call.args + [k.value for k in call.keywords if k.arg == "maxsize"]
+                maxsize = given[0].value if given and isinstance(given[0], ast.Constant) else None
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                keyed_on_float = any(
+                    isinstance(part, ast.Name) and part.id == "float"
+                    for arg in arguments if arg.annotation is not None
+                    for part in ast.walk(arg.annotation)
+                )
+                found[f"{path.stem}.{node.name}"] = (maxsize, keyed_on_float)
+    return found
+
+
+def test_float_keyed_caches_are_bounded():
+    # An unbounded cache keyed on floats grows with every distinct input; the
+    # unbounded ones are keyed on small ints.
+    caches = _lru_caches()
+    float_keyed = {name: maxsize for name, (maxsize, keyed) in caches.items() if keyed}
+    # The parse finds the known caches of each kind.
+    assert {"oscillators._even_power_spec", "oscillators._pendulum_spec"} <= set(float_keyed)
+    assert "series_core.half_binomial" in caches and "series_core.half_binomial" not in float_keyed
+    for name, maxsize in float_keyed.items():
+        assert type(maxsize) is int, f"{name} caches float keys without an integer maxsize"
