@@ -13,7 +13,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it.  `import pmsdelta` loads no
+# Public name -> the submodule that defines it, the one list of public names:
+# each submodule's __all__ is its slice (_names).  `import pmsdelta` loads no
 # submodule: the first read of a name imports its module (PEP 562) and binds
 # the value here, so later reads are plain attribute lookups.
 _EXPORTS = {
@@ -88,6 +89,11 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
+
+
+def _names(module: str) -> list[str]:
+    """The __all__ of the submodule named `module`: its entries in _EXPORTS."""
+    return [name for name, home in _EXPORTS.items() if f"{__name__}.{home}" == module]
 
 
 def __getattr__(name: str):

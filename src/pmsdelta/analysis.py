@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
+from . import _names
 from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, _csv, _json
 from .errors import DomainError, PmsDeltaError
 from .oracle import FitResult, fit_log_linear
@@ -26,16 +27,9 @@ from .oscillators import (
     even_power_series,
 )
 from .precession import OrbitParams, precession_exact, precession_series
+from .series_core import _check_order
 
-__all__ = [
-    "StudyPoint",
-    "ConvergenceStudy",
-    "duffing_b0_study",
-    "duffing_error_vs_rho",
-    "sextic_c0_study",
-    "negative_rho_study",
-    "precession_error_table",
-]
+__all__ = _names(__name__)
 
 
 @dataclass(frozen=True)
@@ -113,6 +107,7 @@ def duffing_b0_study(max_order: int) -> ConvergenceStudy:
     """
     if max_order < 3:
         raise DomainError("max_order must be >= 3")
+    max_order = _check_order(max_order)
     reference = 2.0 * math.pi / even_power_exact_period(2, math.inf)
     orders = range(max_order + 1)
     values = [duffing_b0(n) for n in orders]
@@ -164,6 +159,7 @@ def sextic_c0_study(max_order: int) -> ConvergenceStudy:
     """
     if max_order < 3:
         raise DomainError("max_order must be >= 3")
+    max_order = _check_order(max_order)
     kappa = even_power_kappa_pms(3)
     reference = even_power_exact_period(3, math.inf)
     orders = range(max_order + 1)
@@ -187,6 +183,7 @@ def negative_rho_study(
         raise DomainError(f"K must be 3, 4 or 5, got {K!r}")
     if max_order < 6:
         raise DomainError("max_order must be >= 6")
+    max_order = _check_order(max_order)
     kappa = even_power_kappa_pms(K)
     reference = even_power_exact_period(K, rho)
     studies = []
@@ -218,6 +215,8 @@ def precession_error_table(
         raise DomainError("a_grid must not be empty")
     if not orders:
         raise DomainError("orders must not be empty")
+    for order in orders:
+        _check_order(order)
     cases = []
     for a in a_grid:
         orbit = OrbitParams(GM=GM, a=a, epsilon=eccentricity)

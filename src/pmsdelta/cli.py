@@ -122,10 +122,11 @@ def _period_functions(args: argparse.Namespace) -> tuple[Callable, Callable]:
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise DomainError("order must be >= 0")
+    from .series_core import _check_order
+
+    order = _check_order(args.order)
     series, oracle = _period_functions(args)
-    values = [series(n) for n in range(args.order + 1)]
+    values = [series(n) for n in range(order + 1)]
     payload = {
         "model": args.model,
         "rows": [{"order": n, "period": v} for n, v in enumerate(values)],
@@ -313,9 +314,35 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     sys.stderr.write(f"{category.__name__}: {message}\n")
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each pair such as `--name -1e-05` written `--name=-1e-05`.
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like -1 or -.5, so a separate value such as -1e-05 or -inf would not
+    reach its option; joined, every number does.
+    """
+    joined: list[str] = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        negative = token.startswith("-") and _is_number(token)
+        if negative and option.startswith("--") and "=" not in option:
+            joined[-1] = f"{option}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

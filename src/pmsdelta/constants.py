@@ -23,13 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = [
-    "DEFAULT_GM",
-    "DEFAULT_ECCENTRICITY",
-    "ReferenceValue",
-    "ReferenceConstants",
-    "REFERENCE",
-]
+from . import _names
+
+__all__ = _names(__name__)
 
 # Worked example orbit: GM = (G/c^2) * M in meters.
 DEFAULT_GM = 7.425e-30 * 1.97e30

@@ -4,6 +4,10 @@ Every failure mode that callers are expected to handle gets its own class so
 that tests and the CLI can map them to exit codes without string matching.
 """
 
+from . import _names
+
+__all__ = _names(__name__)
+
 
 class PmsDeltaError(Exception):
     """Base class for all errors raised by this package."""

@@ -18,15 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from . import _names
 from .errors import DegenerateFit, DomainError, NonFiniteIntegrand, ToleranceNotMet
 
-__all__ = [
-    "QuadratureResult",
-    "FitResult",
-    "integrate",
-    "elliptic_k",
-    "fit_log_linear",
-]
+__all__ = _names(__name__)
 
 # Embedded Gauss-Kronrod rule, the 21-point Kronrod extension of the
 # 10-point Gauss-Legendre rule (QUADPACK's QK21): the Gauss nodes are the

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
+from . import _names
 from .errors import (
     BarrierCrossed,
     DivergentExpansion,
@@ -36,31 +37,7 @@ from .series_core import (
     pms_first_order,
 )
 
-__all__ = [
-    "OscillatorModel",
-    "TurningPoints",
-    "turning_points",
-    "duffing_omega_pms",
-    "duffing_period_series",
-    "duffing_exact_period",
-    "duffing_nayfeh_series",
-    "duffing_b0",
-    "virial_omega_check",
-    "sextic_wl_period",
-    "sextic_t4",
-    "sextic_series",
-    "sextic_exact_period",
-    "even_power_series",
-    "even_power_exact_period",
-    "even_power_kappa_pms",
-    "even_power_kappa_balanced",
-    "cubic_series",
-    "cubic_exact_period",
-    "quartic_cubic_pms",
-    "quartic_cubic_exact_period",
-    "pendulum_exact",
-    "pendulum_approx",
-]
+__all__ = _names(__name__)
 
 
 @dataclass(frozen=True)

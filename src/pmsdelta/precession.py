@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from . import _names
 from .errors import (
     BeyondCritical,
     DivergentExpansion,
@@ -23,12 +24,7 @@ from .errors import (
 from .oracle import _agm_integral
 from .series_core import _check_order, _pair_sum
 
-__all__ = [
-    "OrbitParams",
-    "precession_series",
-    "precession_exact",
-    "critical_semimajor_axis",
-]
+__all__ = _names(__name__)
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,6 @@ class OrbitParams:
     def semilatus_rectum(self) -> float:
         """a(1 - epsilon^2), equal to 2/(z+ + z-) and still defined for a = inf."""
         return self.a * (1.0 - self.epsilon**2)
-
-    @property
-    def L(self) -> float:
-        """Alias for the semilatus rectum."""
-        return self.semilatus_rectum
 
 
 def _gm_over_l(orbit: OrbitParams) -> tuple[int, int, int, int]:

@@ -39,25 +39,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
+from . import _names
 from .errors import DomainError, NonPositiveMean, OrderTooHigh
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "MAX_ORDER",
-    "MAX_EXPONENT",
-    "TrigPolynomial",
-    "IntegrandSpec",
-    "SeriesExpansion",
-    "half_binomial",
-    "cos_moment",
-    "delta_of",
-    "term",
-    "expand",
-    "pms_derivative_check",
-    "pms_first_order",
-]
+__all__ = _names(__name__)
 
 # Expansion orders beyond this are refused: the binomial weights and the
 # polynomial degrees grow without buying accuracy at 64-bit precision.
@@ -92,7 +80,12 @@ def _positivity_cosines() -> "np.ndarray":
     return _frozen(np.cos(np.linspace(0.0, math.pi, 512)))
 
 
-@lru_cache(maxsize=None)
+# The array caches keyed on a size are bounded: one positivity table per
+# factor degree would reach 4.3 GB over the exponents up to MAX_EXPONENT.  The
+# largest entries the families make (K = 1024; the nodes at MAX_ORDER) are
+# 8.4 MB and 0.26 MB, so the two caches hold at most 134 MB and 67 MB.
+# perfbench's in-process plans use 4 tables and 93 node sets, so none is evicted.
+@lru_cache(maxsize=16)
 def _positivity_powers(degree: int) -> "np.ndarray":
     """cos^k(theta_i) on the positivity grid, row k for k = 0..degree."""
     import numpy as np
@@ -104,7 +97,7 @@ def _positivity_powers(degree: int) -> "np.ndarray":
     return _frozen(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _node_cosines(m: int, s: int) -> "np.ndarray":
     """cos(theta_j) at the midpoint nodes theta_j = (j + 1/2) pi/(s m), j < m."""
     import numpy as np

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pmsdelta import analysis
 from pmsdelta.analysis import (
     ConvergenceStudy,
     StudyPoint,
@@ -15,7 +16,7 @@ from pmsdelta.analysis import (
     sextic_c0_study,
 )
 from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM
-from pmsdelta.errors import DomainError, ThirdRootInsideInterval
+from pmsdelta.errors import DomainError, OrderTooHigh, ThirdRootInsideInterval
 from pmsdelta.oracle import elliptic_k
 from pmsdelta.oscillators import duffing_exact_period, duffing_period_series
 from pmsdelta.precession import critical_semimajor_axis
@@ -181,6 +182,27 @@ def test_precession_table_rejections():
         precession_error_table([], orders=[0])
     with pytest.raises(DomainError):
         precession_error_table([300.0], orders=[])
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda: duffing_b0_study(70),
+        lambda: sextic_c0_study(70),
+        lambda: negative_rho_study(5, -0.9, 70),
+        lambda: precession_error_table([300.0], orders=[2, 70]),
+    ],
+    ids=["duffing-b0", "sextic-c0", "negative-rho", "precession"],
+)
+def test_an_order_above_the_cap_is_refused_before_any_work(monkeypatch, study):
+    def no_work(*args):
+        raise AssertionError("a study worked before checking its orders")
+
+    for name in ("duffing_b0", "even_power_exact_period", "even_power_series",
+                 "precession_exact", "precession_series"):
+        monkeypatch.setattr(analysis, name, no_work)
+    with pytest.raises(OrderTooHigh, match="^order 70 exceeds the cap of 64$"):
+        study()
 
 
 def test_csv_round_trip():

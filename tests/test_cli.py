@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -13,9 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmsdelta import analysis, oscillators
 from pmsdelta.analysis import negative_rho_study, sextic_c0_study
-from pmsdelta.cli import main
+from pmsdelta.cli import build_parser, main
 from pmsdelta.oscillators import _even_power_spec, _pendulum_spec
+from pmsdelta.series_core import MAX_ORDER
 
 ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
 
@@ -149,6 +153,64 @@ def test_non_finite_and_uncapped_inputs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv, requested",
+    [
+        (["period", "duffing", "--order", "100"], 100),
+        (["period", "pendulum", "--order", "65"], 65),
+        (["convergence", "sextic-c0", "--max-order", "70"], 70),
+        (["convergence", "precession", "--orders", "0,2,70"], 70),
+    ],
+    ids=["period-duffing", "period-pendulum", "sextic-c0", "precession"],
+)
+def test_an_order_above_the_cap_is_refused_before_any_work(capsys, monkeypatch, argv, requested):
+    def no_work(*args):
+        raise AssertionError("a command worked before checking its order")
+
+    for name in ("duffing_period_series", "pendulum_approx"):
+        monkeypatch.setattr(oscillators, name, no_work)
+    for name in ("even_power_exact_period", "even_power_series", "precession_exact"):
+        monkeypatch.setattr(analysis, name, no_work)
+    assert run_cli(capsys, *argv) == (2, "", f"order {requested} exceeds the cap of 64\n")
+
+
+def _reader(command, option):
+    """argv of a run of the command in which the option is read."""
+    if command == "period":
+        model = {"--exponent": "even-power", "--kappa": "even-power", "--x-minus": "cubic",
+                 "--x-plus": "cubic", "--amplitude": "pendulum", "--taylor": "pendulum"}
+        return ["period", model.get(option, "duffing")]
+    if command == "convergence":
+        study = {"--max-order": "duffing-b0", "--rho": "negative-rho",
+                 "--exponent": "negative-rho", "--rho-min": "duffing-rho",
+                 "--rho-max": "duffing-rho", "--fixed-order": "duffing-rho"}
+        return ["convergence", study.get(option, "precession")]
+    return ["precession"] + ["--a", "300"] * (option != "--a")
+
+
+# (command, option) for every option that takes a number, and --kappa.
+(_COMMANDS,) = [
+    action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+]
+_NUMERIC_OPTIONS = [
+    (command, action.option_strings[0])
+    for command, parser in _COMMANDS.choices.items()
+    for action in parser._actions
+    if action.type in (int, float) or action.dest == "kappa"
+]
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-inf", "-2"])
+@pytest.mark.parametrize(
+    "command, option", _NUMERIC_OPTIONS, ids=[" ".join(pair) for pair in _NUMERIC_OPTIONS]
+)
+def test_a_negative_value_may_follow_its_option_as_a_separate_token(command, option, value):
+    # argparse alone reads -1e-05 and -inf after an option as options.
+    argv = _reader(command, option)
+    code, out, _ = _run_in_process([*argv, option, value])
+    assert (code, out) == _run_in_process([*argv, f"{option}={value}"])[:2]
 
 
 def test_unknown_study_exits_2(capsys):
@@ -432,24 +494,31 @@ def test_nonpositive_omega_squared_names_the_formula_used(capsys, rho, kappa, me
     assert (code, out, err) == (2, "", message + "\n")
 
 
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of main; argparse's refusals exit too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def _cli_holds_its_contract(argv):
     """Run main in-process; it exits 0, 2 or 3, and on 0 prints a table of
     finite numbers, one row per order, else nothing on stdout."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3), err.getvalue()
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 2, 3), err
     if code != 0:
-        assert out.getvalue() == ""
+        assert out == ""
         return
-    header, rows = parse_csv(out.getvalue())
+    header, rows = parse_csv(out)
     assert header == ["order", "period"] + ["exact"] * ("--exact" in argv)
     assert [int(row[0]) for row in rows] == list(range(int(argv[argv.index("--order") + 1]) + 1))
-    assert all(math.isfinite(float(cell)) for row in rows for cell in row), out.getvalue()
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row), out
 
 
-# Numbers are passed as --name=value, so a value such as -inf or -1e-05 is
-# not read as an option.
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(
     K=st.integers(2, 12),
@@ -476,6 +545,125 @@ def test_period_pendulum_cli_holds_its_contract(amplitude, taylor, order, exact)
     _cli_holds_its_contract(
         ["period", "pendulum", f"--amplitude={amplitude!r}", f"--taylor={taylor}",
          "--order", str(order)] + ["--exact"] * exact
+    )
+
+
+def _options(separate, **values):
+    """--name value pairs for main, as two tokens each or as --name=value;
+    a float is written with repr."""
+    argv = []
+    for name, value in values.items():
+        option, value = "--" + name.replace("_", "-"), str(value)
+        argv += [option, value] if separate else [f"{option}={value}"]
+    return argv
+
+
+def _prints_only_finite_numbers(argv):
+    """main exits 0, 2 or 3, and on 0 every number it prints is finite."""
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 2, 3), err
+    if code == 0:
+        for token in re.split(r'[\s,=:"\[\]{}]+', out + err):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (token, out, err)
+
+
+def _grid(lo, hi):
+    """(minimum, maximum) of a sweep."""
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True).map(sorted)
+
+
+_ORDERS = st.integers(-1, MAX_ORDER + 2)
+
+
+# The tests below pass each number as a separate token on half the
+# examples, negative values included.
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    model=st.sampled_from(("duffing", "sextic", "cubic")),
+    rho=st.floats(min_value=-1.5),
+    x_plus=st.floats(0.0, 20.0),
+    ratio=st.floats(0.45, 2.1),
+    order=_ORDERS,
+    exact=st.booleans(),
+    fmt=st.sampled_from(("csv", "json")),
+    separate=st.booleans(),
+)
+def test_period_cli_prints_only_finite_numbers(
+    model, rho, x_plus, ratio, order, exact, fmt, separate
+):
+    # x- = -ratio x+: a single well for ratio in [1/2, 2], the separatrix at
+    # either end, a crossed barrier outside.
+    values = {"x_minus": -ratio * x_plus, "x_plus": x_plus} if model == "cubic" else {"rho": rho}
+    _prints_only_finite_numbers(
+        ["period", model, *_options(separate, **values, order=order, format=fmt)]
+        + ["--exact"] * exact
+    )
+
+
+_SAME_ORDERS = st.fixed_dictionaries({"max_order": _ORDERS})
+_STUDY_OPTIONS = {
+    "duffing-b0": _SAME_ORDERS,
+    "sextic-c0": _SAME_ORDERS,
+    "duffing-rho": st.builds(
+        lambda grid, points, fixed_order: {
+            "rho_min": grid[0], "rho_max": grid[1], "points": points, "fixed_order": fixed_order,
+        },
+        _grid(-0.999, 1e4), st.integers(2, 24), _ORDERS,
+    ),
+    "negative-rho": st.fixed_dictionaries({
+        "exponent": st.integers(3, 5),
+        "rho": st.floats(-1.0, 0.5, exclude_min=True),
+        "max_order": _ORDERS,
+    }),
+    "precession": st.builds(
+        lambda grid, points, GM, eccentricity, orders: {
+            "a_min": grid[0], "a_max": grid[1], "points": points, "GM": GM,
+            "eccentricity": eccentricity, "orders": ",".join(map(str, orders)),
+        },
+        _grid(150.0, 1e5), st.integers(2, 24), st.floats(1e-3, 20.0), st.floats(0.0, 0.9),
+        st.lists(_ORDERS, min_size=1, max_size=4),
+    ),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    study=st.sampled_from(sorted(_STUDY_OPTIONS)).flatmap(
+        lambda name: st.tuples(st.just(name), _STUDY_OPTIONS[name])
+    ),
+    fmt=st.sampled_from(("csv", "json")),
+    separate=st.booleans(),
+)
+def test_convergence_cli_prints_only_finite_numbers(study, fmt, separate):
+    name, values = study
+    _prints_only_finite_numbers(["convergence", name, *_options(separate, **values, format=fmt)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    a=st.floats(min_value=0.0),
+    eccentricity=st.floats(0.0, 1.0),
+    source=st.one_of(
+        st.fixed_dictionaries({"GM": st.floats(0.0, 100.0)}),
+        st.fixed_dictionaries({"mass": st.floats(0.0, 1e31)}),
+    ),
+    order=_ORDERS,
+    units=st.sampled_from(("arcsec", "rad")),
+    series_only=st.booleans(),
+    separate=st.booleans(),
+)
+def test_precession_cli_prints_only_finite_numbers(
+    a, eccentricity, source, order, units, series_only, separate
+):
+    # The orbit is given by GM, or by the mass times the default G/c^2.
+    _prints_only_finite_numbers(
+        ["precession", *_options(
+            separate, a=a, eccentricity=eccentricity, **source, order=order, units=units,
+        )] + ["--series-only"] * series_only
     )
 
 

@@ -2,31 +2,50 @@
 
 import ast
 import importlib
-import inspect
 import pathlib
 
 import pytest
 
 import pmsdelta
-from pmsdelta import errors
 
 
-def test_table_matches_each_submodule():
+# The library modules: every name in _EXPORTS lives in one of them.
+LIBRARY = ("analysis", "constants", "errors", "oracle", "oscillators", "precession", "series_core")
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse(pathlib.Path(pmsdelta.__file__).with_name(f"{module}.py").read_text())
+
+
+def _defined_names(module: str) -> set[str]:
+    """Names without a leading underscore that pmsdelta.<module> binds at top
+    level by def, class or assignment."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_each_module_exports_exactly_its_public_definitions():
+    # One rule, one list: a module exports every top-level name without a
+    # leading underscore and nothing else, and its __all__ is read from
+    # _EXPORTS rather than written out.
     by_module = {}
     for name, module in pmsdelta._EXPORTS.items():
-        by_module.setdefault(module, set()).add(name)
-    assert set(by_module) == {
-        "analysis", "constants", "errors", "oracle", "oscillators", "precession", "series_core",
-    }
-    for module, names in by_module.items():
-        if module == "errors":
-            expected = {
-                name for name, value in vars(errors).items()
-                if inspect.isclass(value) and issubclass(value, Exception)
-            }
-        else:
-            expected = set(importlib.import_module(f"pmsdelta.{module}").__all__)
-        assert names == expected, module
+        by_module.setdefault(module, []).append(name)
+    assert set(by_module) == set(LIBRARY)
+    for module in LIBRARY:
+        assert set(by_module[module]) == _defined_names(module), module
+        assert importlib.import_module(f"pmsdelta.{module}").__all__ == by_module[module], module
+        (assign,) = [
+            node for node in _tree(module).body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ]
+        assert ast.unparse(assign.value) == "_names(__name__)", module
 
 
 def test_star_import_and_dir_list_every_name():
@@ -56,9 +75,8 @@ def test_a_name_read_once_is_bound_in_the_package():
 def _package_imports(module: str) -> set[str]:
     """Submodules of pmsdelta that pmsdelta.<module> imports, read from its
     source: relative and absolute, `import` and `from ... import`."""
-    source = pathlib.Path(pmsdelta.__file__).with_name(f"{module}.py").read_text()
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             dotted = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -80,9 +98,9 @@ def test_engine_and_oracle_share_no_code():
     assert {"errors", "oracle", "series_core"} <= _package_imports("oscillators")
 
 
-def _lru_caches() -> dict[str, tuple[object, bool]]:
-    """{module.function: (maxsize, keyed on a float)} for every lru_cache in
-    the package, read from its source.  maxsize is the literal the decorator
+def _lru_caches() -> dict[str, tuple[object, ast.FunctionDef]]:
+    """{module.function: (maxsize, definition)} for every lru_cache in the
+    package, read from its source.  maxsize is the literal the decorator
     gives, or None where it gives none or an expression."""
     found = {}
     for path in sorted(pathlib.Path(pmsdelta.__file__).parent.glob("*.py")):
@@ -98,23 +116,42 @@ def _lru_caches() -> dict[str, tuple[object, bool]]:
                 if call:
                     given = call.args + [k.value for k in call.keywords if k.arg == "maxsize"]
                 maxsize = given[0].value if given and isinstance(given[0], ast.Constant) else None
-                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-                keyed_on_float = any(
-                    isinstance(part, ast.Name) and part.id == "float"
-                    for arg in arguments if arg.annotation is not None
-                    for part in ast.walk(arg.annotation)
-                )
-                found[f"{path.stem}.{node.name}"] = (maxsize, keyed_on_float)
+                found[f"{path.stem}.{node.name}"] = (maxsize, node)
     return found
+
+
+def _arguments(node: ast.FunctionDef) -> list[ast.arg]:
+    return node.args.posonlyargs + node.args.args + node.args.kwonlyargs
 
 
 def test_float_keyed_caches_are_bounded():
     # An unbounded cache keyed on floats grows with every distinct input; the
     # unbounded ones are keyed on small ints.
     caches = _lru_caches()
-    float_keyed = {name: maxsize for name, (maxsize, keyed) in caches.items() if keyed}
+    float_keyed = {
+        name: maxsize for name, (maxsize, node) in caches.items()
+        if any(
+            isinstance(part, ast.Name) and part.id == "float"
+            for arg in _arguments(node) if arg.annotation is not None
+            for part in ast.walk(arg.annotation)
+        )
+    }
     # The parse finds the known caches of each kind.
     assert {"oscillators._even_power_spec", "oscillators._pendulum_spec"} <= set(float_keyed)
     assert "series_core.half_binomial" in caches and "series_core.half_binomial" not in float_keyed
     for name, maxsize in float_keyed.items():
         assert type(maxsize) is int, f"{name} caches float keys without an integer maxsize"
+
+
+def test_array_caches_keyed_on_a_size_are_bounded():
+    # One array per size adds up: a positivity table per factor degree would
+    # reach 4.3 GB over the exponents up to MAX_EXPONENT.  A cache keyed on
+    # the expansion order alone holds at most MAX_ORDER + 1 arrays.
+    sized = {
+        name: maxsize for name, (maxsize, node) in _lru_caches().items()
+        if node.returns is not None and "ndarray" in ast.unparse(node.returns)
+        and any(arg.arg != "order" for arg in _arguments(node))
+    }
+    assert set(sized) == {"series_core._positivity_powers", "series_core._node_cosines"}
+    for name, maxsize in sized.items():
+        assert type(maxsize) is int, f"{name} caches one array per size without an integer maxsize"

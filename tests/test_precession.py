@@ -33,7 +33,7 @@ def test_orbit_params_derived_quantities():
     assert orbit.z_plus == pytest.approx(1.0 / 50.0, rel=1e-15)
     # 1/L = (z+ + z-)/2 = a(1 - eps^2) inverted.
     assert orbit.semilatus_rectum == pytest.approx(100.0 * 0.75, rel=1e-14)
-    assert orbit.L == orbit.semilatus_rectum
+    assert not hasattr(orbit, "L")  # one public name per quantity
     assert OrbitParams(GM=1.0, a=math.inf, epsilon=0.5).semilatus_rectum == math.inf
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from pmsdelta.errors import DomainError, NonPositiveMean, OrderTooHigh
 from pmsdelta.oracle import elliptic_k, integrate
-from pmsdelta.oscillators import OscillatorModel
+from pmsdelta.oscillators import OscillatorModel, even_power_series
 from pmsdelta.series_core import (
     MAX_ORDER,
     IntegrandSpec,
@@ -166,6 +166,20 @@ def test_cached_tables_are_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def test_a_sweep_over_exponents_stays_within_the_cache_bounds():
+    # 39 factor degrees and 303 node sets: more than either cache holds, so
+    # the sweep evicts, and neither cache grows past its bound.
+    _positivity_powers.cache_clear()
+    _node_cosines.cache_clear()
+    for K in range(2, 41):
+        for n in range(1, 25):
+            even_power_series(K, 0.5, (K + 1) / (2 * K), n)
+    for cache in (_positivity_powers, _node_cosines):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 def test_positivity_table_holds_cosine_powers():
