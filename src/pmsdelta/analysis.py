@@ -90,12 +90,20 @@ def _points_and_fit(
     reference: float,
     fit_orders: Sequence[int],
 ) -> tuple[tuple[StudyPoint, ...], FitResult]:
+    """The study's points and the log-linear fit of their errors over the
+    fit window.  Fewer than two orders of the window with a nonzero error
+    leave nothing to fit: DomainError, naming the window."""
     points = tuple(_study_point(n, v, reference) for n, v in zip(orders, values))
     window = {float(n) for n in fit_orders}
-    fit = fit_log_linear(
-        [(p.n, p.rel_error) for p in points if p.n in window and p.rel_error > 0.0]
-    )
-    return points, fit
+    fitted = [(p.n, p.rel_error) for p in points if p.n in window and p.rel_error > 0.0]
+    if len(fitted) < 2:
+        step = fit_orders[1] - fit_orders[0] if len(fit_orders) > 1 else 1
+        steps = f" in steps of {step}" if step != 1 else ""
+        raise DomainError(
+            f"the fit window N = {fit_orders[0]}..{fit_orders[-1]}{steps} holds {len(fitted)} "
+            "order(s) with a nonzero error; a fit needs at least 2"
+        )
+    return points, fit_log_linear(fitted)
 
 
 def duffing_b0_study(max_order: int) -> ConvergenceStudy:
@@ -155,10 +163,11 @@ def sextic_c0_study(max_order: int) -> ConvergenceStudy:
     Computes c0^(N) = lim sqrt(rho) T at expansion orders N = 0..max_order
     (first-order stationary kappa throughout) against the oracle limit.
     The fit runs over even N from 2 up, because the even and odd
-    subsequences decay along two distinct tracks.
+    subsequences decay along two distinct tracks, so max_order below 4
+    leaves one point to fit and is refused.
     """
-    if max_order < 3:
-        raise DomainError("max_order must be >= 3")
+    if max_order < 4:
+        raise DomainError("max_order must be >= 4: the fit over even N from 2 needs two orders")
     max_order = _check_order(max_order)
     kappa = even_power_kappa_pms(3)
     reference = even_power_exact_period(3, math.inf)

@@ -17,23 +17,24 @@ Weideman, SIAM Review 56 (2014) 385).  Delta^n is a polynomial of degree
 deg(Delta)*n in cos(theta).  When Delta holds only even powers of cos(theta),
 as every even-power and pendulum factor does, it is a polynomial of degree
 deg(Delta)/2 in cos(2 theta), symmetric about pi/2, so half as many nodes on
-[0, pi/2] give the same exact mean.  So Delta is sampled once on enough
-nodes, its powers are elementwise products of the samples, and each mean is
-exact up to rounding, with no cancellation between monomial coefficients.
+[0, pi/2] give the same exact mean, and Delta is evaluated in cos^2(theta).
+So Delta is sampled once on enough nodes, its powers are elementwise products
+of the samples, and each mean is exact up to rounding, with no cancellation
+between monomial coefficients.
 
-A call's fixed cost is kept small, since a convergence table makes one call
-per order.  The even-power and pendulum entry points keep the spec of their
-previous call, so a table at fixed parameters builds and checks it once.
+Each spec is expanded once.  Its node count is the one that is exact through
+MAX_ORDER, and the spec keeps its samples, power rows and terms, so every
+order is a prefix of one expansion: term n has the same bits whichever call
+forms it, and a convergence table of orders 0..N costs two extensions.
 Delta's coefficients are formed once per spec, and its samples come from an
-in-place Horner pass over the cached node cosines that skips the zero
-coefficients, the odd ones of an even Delta.  A spec's positivity check is
-one product with a cached table of cos^k on its grid, and the sums of the
-terms are taken by math.fsum, correctly rounded.
+in-place Horner pass over the cached node abscissas that skips the zero
+coefficients.  A spec's positivity check is one product with a cached table
+of cos^k on its grid, and the sums of the terms are taken by math.fsum,
+correctly rounded.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -51,8 +52,8 @@ __all__ = _names(__name__)
 # polynomial degrees grow without buying accuracy at 64-bit precision.
 MAX_ORDER = 64
 # Even-power half-exponents K beyond this are refused: the factor, its
-# positivity table and the stationary kappa grow linearly in K, and an
-# order-64 period already takes about 0.2 s at K = 1024.
+# positivity table and the stationary kappa grow linearly in K, and a period
+# at K = 1024 already takes 25-50 ms at any order on a 2-vCPU host.
 MAX_EXPONENT = 1024
 
 
@@ -81,10 +82,12 @@ def _positivity_cosines() -> "np.ndarray":
 
 
 # The array caches keyed on a size are bounded: one positivity table per
-# factor degree would reach 4.3 GB over the exponents up to MAX_EXPONENT.  The
-# largest entries the families make (K = 1024; the nodes at MAX_ORDER) are
-# 8.4 MB and 0.26 MB, so the two caches hold at most 134 MB and 67 MB.
-# perfbench's in-process plans use 4 tables and 93 node sets, so none is evicted.
+# factor degree would reach 4.3 GB over the exponents up to MAX_EXPONENT.  A
+# spec's node set depends on its factor degree alone, so there is one node set
+# per degree too.  The largest entries the families make (K = 1024) are
+# 8.4 MB and 0.26 MB, so the two caches hold at most 134 MB and 17 MB.
+# perfbench's in-process plans use 4 tables and 4 or 5 node sets each, so none
+# is evicted.
 @lru_cache(maxsize=16)
 def _positivity_powers(degree: int) -> "np.ndarray":
     """cos^k(theta_i) on the positivity grid, row k for k = 0..degree."""
@@ -97,12 +100,13 @@ def _positivity_powers(degree: int) -> "np.ndarray":
     return _frozen(table)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _node_cosines(m: int, s: int) -> "np.ndarray":
-    """cos(theta_j) at the midpoint nodes theta_j = (j + 1/2) pi/(s m), j < m."""
+    """cos(theta_j)^s at the midpoint nodes theta_j = (j + 1/2) pi/(s m), j < m:
+    the abscissas of a Delta in cos(theta) (s = 1) or in cos^2(theta) (s = 2)."""
     import numpy as np
 
-    return _frozen(np.cos((np.arange(m) + 0.5) * (math.pi / (s * m))))
+    return _frozen(np.cos((np.arange(m) + 0.5) * (math.pi / (s * m))) ** s)
 
 
 @lru_cache(maxsize=None)
@@ -238,6 +242,21 @@ class IntegrandSpec:
     |R|, so the product cannot overflow), and omega^2, 1/omega^2 and the
     coefficients of Delta must be floats too.  Delta is formed here, once:
     every expansion of the spec reads it.
+
+    A spec holds its own expansion, filled by term() and expand() and read
+    by both.  It has one node set, m = (deg(Delta)/s) MAX_ORDER/2 + 1 nodes
+    (s = 2 for a Delta in cos^2(theta)), exact through MAX_ORDER, so term n
+    is the same number whatever order was asked for first.  The first call
+    forms the terms through its own order (order 0 needs no samples) and
+    keeps the power rows it made, at most MAX_ORDER m floats; any later call
+    that asks for more forms every term through MAX_ORDER, from the last kept
+    row if there is one, and drops the rows, leaving MAX_ORDER + 1 floats.
+    Later calls only read.
+    A single call thus multiplies m columns whatever its order, which makes
+    a low order at a large K (an order-4 expansion at K = 1024) several
+    times slower than on the order's own node count, and a table of orders
+    far faster.  The state is not guarded against two threads expanding one
+    spec at once; the package is single-threaded.
     """
 
     x_minus: float
@@ -245,6 +264,7 @@ class IntegrandSpec:
     factor: TrigPolynomial
     omega: float
     delta: TrigPolynomial = field(init=False, repr=False, compare=False)
+    _expansion: "_Expansion" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_minus < self.x_plus:
@@ -257,11 +277,15 @@ class IntegrandSpec:
         import numpy as np
 
         coeffs = self.factor.coeffs
-        if not sum(map(abs, coeffs)) < math.inf:
+        total = sum(map(abs, coeffs))
+        if not total < math.inf:
             raise DomainError(
                 "factor coefficients must be finite, with sum |c_k| inside the float range"
             )
-        if not np.dot(coeffs, _positivity_powers(len(coeffs) - 1)).min() > 0.0:
+        # A constant term that exceeds the sum of the other |c_k| by more than
+        # the grid product can round is positive everywhere, and on the grid.
+        dominant = 2.0 * coeffs[0] - total > 1e-15 * len(coeffs) * total
+        if not dominant and not np.dot(coeffs, _positivity_powers(len(coeffs) - 1)).min() > 0.0:
             raise DomainError("factor polynomial is not strictly positive on [0, pi]")
         try:
             scale = 1.0 / self.omega**2
@@ -274,6 +298,7 @@ class IntegrandSpec:
                 f"omega = {self.omega!r} takes omega^2 or factor/omega^2 out of the float range"
             )
         object.__setattr__(self, "delta", TrigPolynomial(deviation))
+        object.__setattr__(self, "_expansion", _Expansion())
 
     @property
     def midpoint(self) -> float:
@@ -321,84 +346,134 @@ def delta_of(spec: IntegrandSpec) -> TrigPolynomial:
     return spec.delta
 
 
-def _series_terms(spec: IntegrandSpec, order: int) -> "np.ndarray":
-    """Terms I_0..I_N from Delta sampled on the midpoint nodes
-    theta_j = (j + 1/2) pi/(s m), j < m.
+class _Expansion:
+    """A spec's expansion state: the terms formed so far, and the rows that
+    extend them.
 
-    s = 2 when Delta holds only even powers of cos(theta): Delta^n is then a
-    polynomial of degree deg(Delta) n/2 in cos(2 theta), and m nodes over
-    [0, pi/2] are exact for it up to degree 2m - 1.  Otherwise s = 1, and m
-    nodes over [0, pi] are exact for Delta^n as a polynomial of degree
-    deg(Delta) n in cos(theta).  m = (deg(Delta)/s) N//2 + 1 makes the rule
-    exact for every n <= N.  The weights are equal, so each mean is a row sum
-    over m; for the all-ones row it is exactly 1.0, and I_0 is pi/omega to
-    the last bit.
-
-    Row 1 of the powers array takes Delta's samples by Horner's rule in
-    place, with the roundings of _horner (its first step, 0 x + c, is c), so
-    the samples have numpy polyval's bits, up to the sign of a zero: a zero
-    coefficient is not added, which can only leave a sample -0.0 where
-    polyval has +0.0.  |Delta| <= B = sum |c_k| on the nodes, so no step
-    can overflow while m B^N < 2^500 (the spec keeps pi/omega below
-    2^514); above that, numpy's overflow and invalid-value checks are
-    switched on, and a term that leaves the float range raises DomainError.
+    terms:  I_0..I_k as floats, k = len(terms) - 1; empty on a fresh spec.
+    powers: Delta^1..Delta^k on the spec's nodes, row 0 the samples, while
+            0 < k < MAX_ORDER; None otherwise.
+    bad:    the first order whose term is not finite, MAX_ORDER + 1 while
+            every term is.
     """
-    order = _check_order(order)
+
+    __slots__ = ("terms", "powers", "bad")
+
+    def __init__(self):
+        self.terms: list[float] = []
+        self.powers: "np.ndarray | None" = None
+        self.bad = MAX_ORDER + 1
+
+
+def _extend(spec: IntegrandSpec, state: _Expansion, order: int) -> None:
+    """Form the terms of the spec's state through the order.
+
+    Delta is sampled on the midpoint nodes theta_j = (j + 1/2) pi/(s m),
+    j < m.  s = 2 when Delta holds only even powers of cos(theta): Delta^n is
+    then a polynomial of degree deg(Delta) n/2 in cos(2 theta), and m nodes
+    over [0, pi/2] are exact for it up to degree 2m - 1.  Otherwise s = 1,
+    and m nodes over [0, pi] are exact for Delta^n as a polynomial of degree
+    deg(Delta) n in cos(theta).  m = (deg(Delta)/s) MAX_ORDER/2 + 1 makes the
+    rule exact for every n <= MAX_ORDER, so each spec has one node set and
+    every order's term is the same whichever call forms it.  The weights are
+    equal, so each mean is a row sum over m, divided by m; the term of order
+    0 is pi/omega.
+
+    The samples come from Horner's rule run in place over c = cos^s(theta_j)
+    with the nonzero coefficients of Delta in c, in numpy polyval's order of
+    roundings (its first step, 0 c + a, is a); a zero coefficient is not
+    added.  Row n of the powers is row n - 1 times the samples, as a
+    cumulative product forms it; a second extension starts from the last row
+    the first one kept.  Overflow and invalid values are let through: the
+    first order whose term is not finite is recorded in state.bad.
+    """
     import numpy as np
 
+    terms = state.terms
+    if not terms:
+        terms.append(math.pi / spec.omega)
+    done = len(terms) - 1
+    if order <= done:
+        return
     coeffs = spec.delta.coeffs
     s = 1 if any(coeffs[1::2]) else 2
-    m = (len(coeffs) - 1) // s * order // 2 + 1
-    bound = sum(map(abs, coeffs))
-    if order * math.log2(max(bound, 1.0)) + math.log2(m) > 500.0:
-        checks = np.errstate(over="raise", invalid="raise")
-    else:
-        checks = contextlib.nullcontext()
-    powers = np.empty((order + 1, m))
-    powers[0] = 1.0
-    try:
-        with checks:
-            if order:
-                x = _node_cosines(m, s)
-                row = powers[1]
-                row.fill(coeffs[-1])
-                for c in coeffs[-2::-1]:
-                    row *= x
-                    if c:
-                        row += c
-                powers[2:] = row
-                powers.cumprod(axis=0, out=powers)
-            terms = powers.sum(axis=1)
-            terms /= m
-            terms *= _term_weights(order)
-            terms /= spec.omega
-    except FloatingPointError:
+    m = (len(coeffs) - 1) // s * (MAX_ORDER // 2) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if state.powers is None:
+            powers = np.empty((order, m))
+            row = powers[0]
+            row.fill(coeffs[-1])
+            x = _node_cosines(m, s)
+            for c in coeffs[-1 - s :: -s]:
+                row *= x
+                if c:
+                    row += c
+            powers[1:] = row
+            rows = powers
+        else:
+            previous = state.powers
+            powers = np.empty((order - done + 1, m))
+            powers[0] = previous[-1]
+            powers[1:] = previous[0]
+            rows = powers[1:]
+        powers.cumprod(axis=0, out=powers)
+        sums = rows.sum(axis=1)
+        sums /= m
+        sums *= _term_weights(MAX_ORDER)[done + 1 : order + 1]
+        sums /= spec.omega
+    new = sums.tolist()
+    if state.bad > MAX_ORDER and not math.isfinite(sum(new)):
+        bad = (done + 1 + i for i, t in enumerate(new) if not math.isfinite(t))
+        state.bad = next(bad, state.bad)
+    terms += new
+    state.powers = powers if order < MAX_ORDER else None
+
+
+def _series_terms(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
+    """Terms I_0..I_N of the spec, a prefix of its one expansion.
+
+    A fresh spec forms the terms through N only.  A spec that already holds
+    terms and is asked for more forms them all, through MAX_ORDER, and drops
+    its power rows, so an ascending table of orders pays for two extensions.
+    Each term is the same whatever the order of the calls: the node set is
+    the spec's, not the call's.  An order at or above the first term that
+    leaves the float range raises DomainError on every call; lower orders
+    still return.
+    """
+    order = _check_order(order)
+    state = spec._expansion
+    if order >= len(state.terms):
+        _extend(spec, state, order if not state.terms else MAX_ORDER)
+    if order >= state.bad:
         raise DomainError(
             f"a term through order {order} leaves the float range at omega = {spec.omega!r}"
-        ) from None
-    return terms
+        )
+    return tuple(state.terms[: order + 1])
 
 
 def term(spec: IntegrandSpec, n: int) -> float:
     """n-th series term: (-1/2 choose n)/omega times the moment of Delta^n.
 
-    Shares the sampled engine with expand(); term(spec, 0) is pi/omega for
-    every spec.  Orders above MAX_ORDER are refused.
+    Reads the spec's one expansion, as expand() does, so term(spec, n) is
+    expand(spec, N).terms[n] for every N >= n, to the bit; term(spec, 0) is
+    pi/omega for every spec.  Orders above MAX_ORDER are refused.
     """
-    return float(_series_terms(spec, n)[-1])
+    return _series_terms(spec, n)[-1]
 
 
 def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     """All terms through the requested order, and their partial sums.
 
-    Delta is sampled once on the midpoint nodes of _series_terms, and all
-    its powers come from one cumulative product over the samples, so the
-    cost is O(N^2 deg(Delta)/s) flops in a handful of array operations, with
-    s = 2 for a Delta in cos^2(theta).  The node cosines and the weights are
-    cached per node count and order.  The value and the partial sums are
+    The terms are a prefix of the spec's one expansion (see IntegrandSpec):
+    Delta is sampled once per spec on its fixed node set, and all its powers
+    come from one cumulative product over the samples, so expanding a fresh
+    spec to order N costs O(N m) flops in a handful of array operations,
+    m = (deg(Delta)/s) 32 + 1.  expand(spec, n) is therefore a prefix of
+    expand(spec, N) for n <= N, bit for bit, and its value is
+    expand(spec, N).partial_sums[n].  The value and the partial sums are
     math.fsum sums of the terms.  Orders above MAX_ORDER are refused.
     """
-    return SeriesExpansion(omega=spec.omega, terms=tuple(_series_terms(spec, order).tolist()))
+    return SeriesExpansion(omega=spec.omega, terms=_series_terms(spec, order))
 
 
 def _pair_sum(xi: float, order: int, first: int = 0) -> float:

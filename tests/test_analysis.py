@@ -2,8 +2,11 @@
 
 import json
 import math
+import warnings
+from dataclasses import astuple
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pmsdelta import analysis
 from pmsdelta.analysis import (
@@ -16,10 +19,17 @@ from pmsdelta.analysis import (
     sextic_c0_study,
 )
 from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM
-from pmsdelta.errors import DomainError, OrderTooHigh, ThirdRootInsideInterval
+from pmsdelta.errors import (
+    DivergentExpansion,
+    DomainError,
+    OrderTooHigh,
+    PmsDeltaError,
+    ThirdRootInsideInterval,
+)
 from pmsdelta.oracle import elliptic_k
 from pmsdelta.oscillators import duffing_exact_period, duffing_period_series
 from pmsdelta.precession import critical_semimajor_axis
+from pmsdelta.series_core import MAX_ORDER
 
 
 def test_duffing_b0_study_shape():
@@ -205,6 +215,34 @@ def test_an_order_above_the_cap_is_refused_before_any_work(monkeypatch, study):
         study()
 
 
+@pytest.mark.parametrize(
+    "study, minimum",
+    [
+        (lambda: duffing_b0_study(2), 3),
+        (lambda: sextic_c0_study(3), 4),
+        (lambda: negative_rho_study(5, -0.9, 5), 6),
+    ],
+    ids=["duffing-b0", "sextic-c0", "negative-rho"],
+)
+def test_an_order_below_the_minimum_is_refused_before_any_work(monkeypatch, study, minimum):
+    def no_work(*args):
+        raise AssertionError("a study worked before checking its orders")
+
+    for name in ("duffing_b0", "even_power_exact_period", "even_power_series"):
+        monkeypatch.setattr(analysis, name, no_work)
+    with pytest.raises(DomainError, match=f"^max_order must be >= {minimum}"):
+        study()
+
+
+def test_a_fit_window_without_two_nonzero_errors_is_named():
+    # Near rho = 0 the series meets the reference to the last bit from a low
+    # order on, so the even window keeps one nonzero error, or none.
+    with pytest.raises(DomainError, match=r"fit window N = 2\.\.10 in steps of 2 holds 1 "):
+        negative_rho_study(5, -1e-3, 10)
+    with pytest.raises(DomainError, match=r"fit window N = 2\.\.6 in steps of 2 holds 0 "):
+        negative_rho_study(4, 1e-9, 6)
+
+
 def test_csv_round_trip():
     study = duffing_b0_study(4)
     text = study.to_csv()
@@ -242,3 +280,121 @@ def test_study_is_plain_data():
     study = ConvergenceStudy(label="demo", points=(point,))
     assert study.fit is None
     assert study.to_csv() == "n,value,reference,rel_error\n1,2,2.5,0.25\n"
+
+
+# Property tests of the studies' library entry points: every input, inside
+# its domain or just outside it, gives a study whose numbers are all finite,
+# or a typed error.  A refusal at the edge of an order range names the bound.
+
+
+def assert_finite_study(study):
+    assert isinstance(study, ConvergenceStudy)
+    assert study.points
+    for point in study.points:
+        assert all(map(math.isfinite, astuple(point))), point
+    if study.fit is not None:
+        assert all(map(math.isfinite, study.fit)), study.fit
+
+
+def max_order_study(study, max_order, minimum):
+    """A study over orders 0..max_order, or the refusal that names the range."""
+    if max_order < minimum:
+        with pytest.raises(DomainError, match=f"^max_order must be >= {minimum}"):
+            study(max_order)
+    elif max_order > MAX_ORDER:
+        with pytest.raises(OrderTooHigh, match=f"cap of {MAX_ORDER}"):
+            study(max_order)
+    else:
+        assert_finite_study(study(max_order))
+
+
+STUDY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
+MAX_ORDERS = st.integers(0, MAX_ORDER + 2)
+# rho over (-1, inf], and just outside it.
+RHOS = st.one_of(
+    st.floats(-1.0, 1e6, exclude_min=True),
+    st.floats(-1.0, 1.0).map(lambda u: -1.0 + 10.0 ** (-12 * abs(u))),
+    st.sampled_from([-1.0, -1.5, math.inf]),
+)
+
+
+@STUDY_SETTINGS
+@given(max_order=MAX_ORDERS)
+@example(max_order=2)
+@example(max_order=3)
+def test_duffing_b0_study_gives_a_finite_study_or_names_its_range(max_order):
+    max_order_study(duffing_b0_study, max_order, 3)
+
+
+@STUDY_SETTINGS
+@given(max_order=MAX_ORDERS)
+@example(max_order=3)
+@example(max_order=4)
+def test_sextic_c0_study_gives_a_finite_study_or_names_its_range(max_order):
+    max_order_study(sextic_c0_study, max_order, 4)
+
+
+@STUDY_SETTINGS
+@given(K=st.integers(2, 6), rho=RHOS, max_order=st.integers(5, MAX_ORDER + 1))
+@example(K=5, rho=-1e-3, max_order=10)
+def test_negative_rho_study_gives_finite_studies_or_a_typed_error(K, rho, max_order):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergentExpansion)
+            studies = negative_rho_study(K, rho, max_order)
+    except PmsDeltaError as exc:
+        if K in (3, 4, 5) and rho > -1.0 and 6 <= max_order <= MAX_ORDER:
+            assert "fit window" in str(exc)
+        return
+    assert K in (3, 4, 5) and rho > -1.0 and 6 <= max_order <= MAX_ORDER
+    for study in studies:
+        assert_finite_study(study)
+
+
+@STUDY_SETTINGS
+@given(grid=st.lists(RHOS, min_size=0, max_size=4), order=st.integers(-1, MAX_ORDER + 1))
+def test_duffing_error_vs_rho_gives_a_finite_study_or_a_typed_error(grid, order):
+    inside = bool(grid) and all(-1.0 < rho < math.inf for rho in grid)
+    try:
+        study = duffing_error_vs_rho(grid, order)
+    except DomainError:
+        assert not (inside and 0 <= order <= MAX_ORDER)
+        return
+    assert inside and 0 <= order <= MAX_ORDER
+    assert_finite_study(study)
+
+
+@STUDY_SETTINGS
+@given(
+    factors=st.lists(
+        st.one_of(
+            st.floats(-12.0, 12.0).map(lambda u: 1.0 + 10.0**u),
+            st.sampled_from([1.0, 0.9, math.inf]),
+        ),
+        min_size=0,
+        max_size=3,
+    ),
+    orders=st.lists(st.integers(-1, MAX_ORDER + 1), min_size=0, max_size=3),
+    GM=st.floats(1e-3, 10.0),
+    eccentricity=st.floats(0.0, 0.95),
+)
+def test_precession_error_table_gives_finite_studies_or_a_typed_error(
+    factors, orders, GM, eccentricity
+):
+    # a = a_c (1 + 10^u) is regular; a_c itself and below are sub-critical,
+    # and a = inf has a zero exact precession.
+    a_c = critical_semimajor_axis(GM, eccentricity)
+    grid = [a_c * f for f in factors]
+    inside = (
+        bool(grid) and all(a_c < a < math.inf for a in grid)
+        and bool(orders) and all(0 <= n <= MAX_ORDER for n in orders)
+    )
+    try:
+        studies = precession_error_table(grid, orders, GM=GM, eccentricity=eccentricity)
+    except PmsDeltaError:
+        assert not inside
+        return
+    assert inside
+    assert len(studies) == len(orders)
+    for study in studies:
+        assert_finite_study(study)

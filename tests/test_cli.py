@@ -667,6 +667,22 @@ def test_precession_cli_prints_only_finite_numbers(
     )
 
 
+def test_sextic_c0_below_its_minimum_exits_2_naming_it(capsys):
+    code, out, err = run_cli(capsys, "convergence", "sextic-c0", "--max-order", "3")
+    assert (code, out) == (2, "")
+    assert "max_order must be >= 4" in err
+    code, out, err = run_cli(capsys, "convergence", "sextic-c0", "--max-order", "4")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 5
+    assert "fit[sextic-c0]:" in err
+
+
+def test_a_fit_window_without_two_nonzero_errors_exits_2_naming_it(capsys):
+    code, out, err = run_cli(capsys, "convergence", "negative-rho", "--rho", "-1e-3")
+    assert (code, out) == (2, "")
+    assert "fit window N = 2..10 in steps of 2" in err
+
+
 def _readme_cli_examples():
     """The `pmsdelta ...` lines of README's `## CLI` code block, as argv lists."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

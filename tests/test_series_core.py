@@ -8,7 +8,14 @@ import pytest
 
 from pmsdelta.errors import DomainError, NonPositiveMean, OrderTooHigh
 from pmsdelta.oracle import elliptic_k, integrate
-from pmsdelta.oscillators import OscillatorModel, even_power_series
+from pmsdelta import series_core
+from pmsdelta.oscillators import (
+    OscillatorModel,
+    even_power_kappa_balanced,
+    even_power_kappa_pms,
+    even_power_series,
+    pendulum_approx,
+)
 from pmsdelta.series_core import (
     MAX_ORDER,
     IntegrandSpec,
@@ -18,7 +25,6 @@ from pmsdelta.series_core import (
     _node_cosines,
     _positivity_cosines,
     _positivity_powers,
-    _series_terms,
     _term_weights,
     cos_moment,
     delta_of,
@@ -169,13 +175,14 @@ def test_cached_tables_are_read_only():
 
 
 def test_a_sweep_over_exponents_stays_within_the_cache_bounds():
-    # 39 factor degrees and 303 node sets: more than either cache holds, so
-    # the sweep evicts, and neither cache grows past its bound.
+    # One node set per factor degree: 69 degrees are more than either cache
+    # holds, so the sweep evicts, and neither cache grows past its bound.  At
+    # rho = inf no coefficient dominates, so every factor takes the table.
     _positivity_powers.cache_clear()
     _node_cosines.cache_clear()
-    for K in range(2, 41):
-        for n in range(1, 25):
-            even_power_series(K, 0.5, (K + 1) / (2 * K), n)
+    for K in range(2, 71):
+        for n in (1, 2):
+            even_power_series(K, math.inf, (K + 1) / (2 * K), n)
     for cache in (_positivity_powers, _node_cosines):
         info = cache.cache_info()
         assert info.misses > info.maxsize
@@ -220,27 +227,40 @@ def test_non_finite_term_raises_domain_error():
         term(spec, 2)
 
 
+def node_rule_terms(spec):
+    """Terms I_0..I_MAX_ORDER by the engine's rule, written out plainly.
+
+    One node set per spec: m = (deg(Delta)/s) MAX_ORDER/2 + 1 midpoint nodes,
+    Delta sampled by _horner in c = cos^s(theta) (s = 2 when Delta holds only
+    even powers of cos(theta)), and the cumulative product of the samples.
+    """
+    coeffs = delta_of(spec).coeffs
+    s = 1 if any(coeffs[1::2]) else 2
+    m = (len(coeffs) - 1) // s * MAX_ORDER // 2 + 1
+    powers = np.empty((MAX_ORDER + 1, m))
+    powers[0] = 1.0
+    powers[1:] = _horner(coeffs[::s], _node_cosines(m, s))
+    np.cumprod(powers, axis=0, out=powers)
+    return _term_weights(MAX_ORDER) * (powers.sum(axis=1) / m) / spec.omega
+
+
 def test_in_place_samples_keep_polyval_bits():
     # The engine's in-place Horner must give the terms that sampling Delta
-    # with _horner and taking the same cumulative product gives, to the bit.
+    # with _horner on the spec's one node set and taking the same cumulative
+    # product gives, to the bit, at every order of a fresh spec.
     rng = np.random.default_rng(5)
     specs = [duffing_spec(rho) for rho in (-0.9, 0.5, 10.0)]
     for degree in range(9):
         coeffs = rng.uniform(-0.3, 0.3, degree + 1)
         coeffs[0] = 1.0
         specs.append(IntegrandSpec(-1.0, 1.0, TrigPolynomial(coeffs), 1.05))
+        coeffs[1::2] = 0.0
+        specs.append(IntegrandSpec(-1.0, 1.0, TrigPolynomial(coeffs), 1.05))
     for spec in specs:
-        coeffs = delta_of(spec).coeffs
-        s = 1 if any(coeffs[1::2]) else 2
+        reference = node_rule_terms(spec)
         for order in (0, 1, 2, 9, 40, MAX_ORDER):
-            m = (len(coeffs) - 1) // s * order // 2 + 1
-            powers = np.empty((order + 1, m))
-            powers[0] = 1.0
-            powers[1:] = _horner(coeffs, _node_cosines(m, s))
-            np.cumprod(powers, axis=0, out=powers)
-            reference = _term_weights(order) * (powers.sum(axis=1) / m) / spec.omega
-            engine = _series_terms(spec, order)
-            assert np.array_equal(engine.view(np.uint64), reference.view(np.uint64))
+            engine = np.array(expand(spec.with_omega(spec.omega), order).terms)
+            assert np.array_equal(engine.view(np.uint64), reference[: order + 1].view(np.uint64))
 
 
 def test_value_and_partial_sums_are_fsums():
@@ -410,6 +430,135 @@ def test_high_order_terms_match_mpmath(case, order):
     reference = mpmath_term(spec, order)
     assert abs(term(spec, order) - reference) <= 1e-13 * abs(reference)
     assert abs(expand(spec, order).terms[-1] - reference) <= 1e-13 * abs(reference)
+
+
+def history_specs():
+    """Specs of every shape the families build, each as a factory of fresh
+    copies: a fresh spec holds no expansion yet."""
+    cases = {}
+    for K in (2, 3, 4, 5):
+        for rule in ("pms", "balanced"):
+            kappa = even_power_kappa_pms(K) if rule == "pms" else even_power_kappa_balanced(K)
+            for rho in (-0.9, 0.5, math.inf):
+                cases[f"K{K}-{rule}-rho{rho}"] = even_power_spec(K, rho, kappa)
+    for taylor in (2, 4, 6):
+        cases[f"pendulum-taylor{taylor}"] = OscillatorModel.pendulum(1.7, taylor).points.spec_at()
+    cases["cubic"] = OscillatorModel.cubic(-1.0, 1.366).points.spec_at()
+    cases["quartic-cubic"] = HIGH_ORDER_CASES["quartic-cubic"]()
+    assert any(delta_of(spec).coeffs[1::2] for spec in cases.values())
+    return {name: (lambda spec=spec: spec.with_omega(spec.omega)) for name, spec in cases.items()}
+
+
+HISTORY_SPECS = history_specs()
+
+
+@pytest.mark.parametrize("case", sorted(HISTORY_SPECS))
+def test_terms_do_not_depend_on_the_call_history(case):
+    fresh = HISTORY_SPECS[case]
+    full = expand(fresh(), MAX_ORDER).terms
+    assert all(map(math.isfinite, full))
+    rng = np.random.default_rng(len(case))
+    shuffled = [int(n) for n in rng.permutation(MAX_ORDER + 1)]
+    histories = {
+        "ascending": list(range(MAX_ORDER + 1)),
+        "descending": list(range(MAX_ORDER, -1, -1)),
+        "shuffled": shuffled,
+        "mixed": [3, 1, 17, 0, 64, 5],
+    }
+    for name, orders in histories.items():
+        spec = fresh()
+        for n in orders:
+            assert expand(spec, n).terms == full[: n + 1], (name, n)
+        spec = fresh()
+        for n in orders:
+            assert term(spec, n) == full[n], (name, n)
+    # A lone call at each order, and a term read from a spec that expand filled.
+    for n in (1, 2, 25, 63):
+        assert expand(fresh(), n).terms == full[: n + 1]
+        assert term(fresh(), n) == full[n]
+    spec = fresh()
+    expand(spec, 20)
+    assert [term(spec, n) for n in range(MAX_ORDER + 1)] == list(full)
+
+
+@pytest.mark.parametrize(
+    "K, rho, kappa", [(2, 1.0, 0.75), (3, -0.9, 0.625), (5, math.inf, 0.6), (8, 0.5, 0.5625)]
+)
+def test_a_per_order_table_is_the_partial_sums_of_one_expansion(K, rho, kappa):
+    N = 48
+    table = [even_power_series(K, rho, kappa, n) for n in range(N + 1)]
+    spec = even_power_spec(K, rho, kappa)
+    sums = expand(spec, N).partial_sums
+    assert table == [math.sqrt(2.0) * s for s in sums]
+    pendulum = [pendulum_approx(2.5, 6, n) for n in range(N + 1)]
+    sums = expand(OscillatorModel.pendulum(2.5, 6).points.spec_at(), N).partial_sums
+    assert pendulum == [math.sqrt(2.0) * s for s in sums]
+
+
+def raises_domain_error(spec, n):
+    try:
+        term(spec, n)
+    except DomainError:
+        return True
+    return False
+
+
+def test_a_term_past_the_float_range_raises_in_any_call_order():
+    # Delta is about 1e20 on every node, so Delta^n overflows part-way.
+    def fresh():
+        return IntegrandSpec(-1.0, 1.0, TrigPolynomial([1e20, 0.0, 1e20]), 1.0)
+
+    spec = fresh()
+    first_bad = next(n for n in range(MAX_ORDER + 1) if raises_domain_error(spec, n))
+    assert 10 < first_bad < 20
+    good = expand(fresh(), first_bad - 1).terms
+    assert all(map(math.isfinite, good))
+    rng = np.random.default_rng(7)
+    histories = [
+        list(range(MAX_ORDER + 1)),
+        list(range(MAX_ORDER, -1, -1)),
+        [int(n) for n in rng.permutation(MAX_ORDER + 1)],
+        [first_bad, first_bad - 1, MAX_ORDER, 0],
+    ]
+    for orders in histories:
+        spec = fresh()
+        for n in orders:
+            if n < first_bad:
+                assert expand(spec, n).terms == good[: n + 1]
+                assert term(spec, n) == good[n]
+                continue
+            for call in (expand, term):
+                with pytest.raises(DomainError, match=f"through order {n} leaves the float"):
+                    call(spec, n)
+
+
+def test_an_ascending_table_expands_twice_and_samples_once(monkeypatch):
+    extensions, samplings = [], []
+    extend, nodes = series_core._extend, series_core._node_cosines
+
+    def counting_extend(spec, state, order):
+        extensions.append(order)
+        return extend(spec, state, order)
+
+    def counting_nodes(m, s):
+        samplings.append(m)
+        return nodes(m, s)
+
+    monkeypatch.setattr(series_core, "_extend", counting_extend)
+    monkeypatch.setattr(series_core, "_node_cosines", counting_nodes)
+    for fresh in (HISTORY_SPECS["K5-pms-rho0.5"], HISTORY_SPECS["cubic"]):
+        for N in (1, 2, 30, MAX_ORDER):
+            extensions.clear()
+            samplings.clear()
+            spec = fresh()
+            for n in range(N + 1):
+                expand(spec, n)
+            assert len(extensions) <= 2 and len(samplings) == 1, (N, extensions)
+            # The completed expansion keeps its terms and drops its rows.
+            for n in range(N + 1):
+                term(spec, n)
+            assert len(extensions) <= 2 and len(samplings) == 1
+            assert spec._expansion.powers is None
 
 
 def test_omega_independence_of_limit():
