@@ -16,7 +16,7 @@ Exit codes: 0 on success, 2 when a precondition on the inputs is violated
 (one-line diagnostic on stderr), 3 when the requested orbit lies at or below
 the critical semimajor axis.
 A warning raised during a command, such as DivergentExpansion, is printed
-as one stderr line, "Category: message".
+as one stderr line, "Category: message", once per command.
 """
 
 from __future__ import annotations
@@ -309,9 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """One stderr line per warning, with no source path or quoted code."""
-    sys.stderr.write(f"{category.__name__}: {message}\n")
+def _show_warning(message, category, filename, lineno, file=None, line=None, *, shown) -> None:
+    """One stderr line per distinct warning, with no source path or quoted code.
+
+    A line already in `shown` is not written again: the interpreter's record
+    of the warnings it has shown is cleared whenever the warning filters
+    change, as they do when numpy is first imported, so a warning repeated
+    by a loop over orders would otherwise print twice.
+    """
+    text = f"{category.__name__}: {message}\n"
+    if text not in shown:
+        shown.add(text)
+        sys.stderr.write(text)
 
 
 def _is_number(token: str) -> bool:
@@ -344,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
+        warnings.showwarning = partial(_show_warning, shown=set())
         try:
             return args.func(args)
         except (ThirdRootInsideInterval, BeyondCritical) as exc:

@@ -28,9 +28,9 @@ order is a prefix of one expansion: term n has the same bits whichever call
 forms it, and a convergence table of orders 0..N costs two extensions.
 Delta's coefficients are formed once per spec, and its samples come from an
 in-place Horner pass over the cached node abscissas that skips the zero
-coefficients.  A spec's positivity check is one product with a cached table
-of cos^k on its grid, and the sums of the terms are taken by math.fsum,
-correctly rounded.
+coefficients.  A spec's factor is proved positive by a bound read off its
+coefficients, or else taken on a 512-point grid by the same Horner's rule,
+and the sums of the terms are taken by math.fsum, correctly rounded.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = _names(__name__)
 # polynomial degrees grow without buying accuracy at 64-bit precision.
 MAX_ORDER = 64
 # Even-power half-exponents K beyond this are refused: the factor, its
-# positivity table and the stationary kappa grow linearly in K, and a period
+# positivity check and the stationary kappa grow linearly in K, and a period
 # at K = 1024 already takes 25-50 ms at any order on a 2-vCPU host.
 MAX_EXPONENT = 1024
 
@@ -81,25 +81,10 @@ def _positivity_cosines() -> "np.ndarray":
     return _frozen(np.cos(np.linspace(0.0, math.pi, 512)))
 
 
-# The array caches keyed on a size are bounded: one positivity table per
-# factor degree would reach 4.3 GB over the exponents up to MAX_EXPONENT.  A
-# spec's node set depends on its factor degree alone, so there is one node set
-# per degree too.  The largest entries the families make (K = 1024) are
-# 8.4 MB and 0.26 MB, so the two caches hold at most 134 MB and 17 MB.
-# perfbench's in-process plans use 4 tables and 4 or 5 node sets each, so none
-# is evicted.
-@lru_cache(maxsize=16)
-def _positivity_powers(degree: int) -> "np.ndarray":
-    """cos^k(theta_i) on the positivity grid, row k for k = 0..degree."""
-    import numpy as np
-
-    table = np.empty((degree + 1, 512))
-    table[0] = 1.0
-    table[1:] = _positivity_cosines()
-    np.cumprod(table, axis=0, out=table)
-    return _frozen(table)
-
-
+# A spec's node set depends on its factor degree alone, so this cache, keyed
+# on a size, is bounded.  The largest node set the families make (K = 1024)
+# is 0.26 MB, so the cache holds at most 17 MB; perfbench's in-process plans
+# use 4 or 5 node sets each, so none is evicted.
 @lru_cache(maxsize=64)
 def _node_cosines(m: int, s: int) -> "np.ndarray":
     """cos(theta_j)^s at the midpoint nodes theta_j = (j + 1/2) pi/(s m), j < m:
@@ -190,10 +175,6 @@ class TrigPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
     def evaluate(self, theta):
         """Value at theta; accepts a scalar or an ndarray.
 
@@ -234,14 +215,17 @@ class IntegrandSpec:
     omega:           reference frequency of the harmonic comparison term,
                      positive and finite.
 
-    The factor is checked to be strictly positive on a 512-point theta grid,
-    as one product of its coefficients with a cached table of cos^k there.
-    This is the package's one generic positivity check: the families build
-    their specs here rather than sampling the factor again.  The factor's
-    coefficients must be finite, with sum |c_k| in the float range (it bounds
-    |R|, so the product cannot overflow), and omega^2, 1/omega^2 and the
-    coefficients of Delta must be floats too.  Delta is formed here, once:
-    every expansion of the spec reads it.
+    The factor is checked to be strictly positive on [0, pi] by one rule.
+    Its lower bound c_0 - sum_{k odd} |c_k| + sum_{k even >= 2} min(c_k, 0),
+    formed from the coefficients, accepts it when it clears a rounding
+    margin; otherwise the factor is taken by Horner's rule on a 512-point
+    theta grid and must be positive at every node.  This is the package's one
+    generic positivity check: the families build their specs here rather
+    than sampling the factor again.  The factor's coefficients must be
+    finite, with sum |c_k| in the float range (it bounds |R|, so Horner's
+    rule cannot overflow), and omega^2, 1/omega^2 and the coefficients of
+    Delta must be floats too.  Delta is formed here, once: every expansion of
+    the spec reads it.
 
     A spec holds its own expansion, filled by term() and expand() and read
     by both.  It has one node set, m = (deg(Delta)/s) MAX_ORDER/2 + 1 nodes
@@ -274,18 +258,21 @@ class IntegrandSpec:
             )
         if not 0.0 < self.omega < math.inf:
             raise DomainError(f"omega must be positive and finite, got {self.omega!r}")
-        import numpy as np
-
         coeffs = self.factor.coeffs
         total = sum(map(abs, coeffs))
         if not total < math.inf:
             raise DomainError(
                 "factor coefficients must be finite, with sum |c_k| inside the float range"
             )
-        # A constant term that exceeds the sum of the other |c_k| by more than
-        # the grid product can round is positive everywhere, and on the grid.
-        dominant = 2.0 * coeffs[0] - total > 1e-15 * len(coeffs) * total
-        if not dominant and not np.dot(coeffs, _positivity_powers(len(coeffs) - 1)).min() > 0.0:
+        # cos^k lies in [-1, 1] for odd k and in [0, 1] for even k, so c_0 less
+        # every odd |c_k| and every negative even c_k bounds R below on all of
+        # [0, pi].  Above a margin that covers its own rounding and that of
+        # Horner's rule, it proves R > 0 there and on the grid alike; below it,
+        # R is taken on the grid by Horner's rule.
+        lower = coeffs[0] - sum(map(abs, coeffs[1::2])) + sum(min(c, 0.0) for c in coeffs[2::2])
+        if not lower > 1e-15 * len(coeffs) * total and not (
+            _horner(coeffs, _positivity_cosines()) > 0.0
+        ).all():
             raise DomainError("factor polynomial is not strictly positive on [0, pi]")
         try:
             scale = 1.0 / self.omega**2
@@ -299,14 +286,6 @@ class IntegrandSpec:
             )
         object.__setattr__(self, "delta", TrigPolynomial(deviation))
         object.__setattr__(self, "_expansion", _Expansion())
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.x_minus + self.x_plus)
-
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.x_plus - self.x_minus)
 
     def with_omega(self, omega: float) -> "IntegrandSpec":
         return IntegrandSpec(self.x_minus, self.x_plus, self.factor, omega)
@@ -516,29 +495,3 @@ def pms_first_order(factor: TrigPolynomial) -> float:
             f"factor mean {mean!r} is not positive; no real stationary frequency"
         )
     return math.sqrt(mean)
-
-
-def _extrema(poly: TrigPolynomial) -> tuple[float, float]:
-    """(max, min) of the polynomial over [0, pi].
-
-    In c = cos(theta) the polynomial lives on [-1, 1], so its extrema sit at
-    c = +-1 or at a real root of its derivative.  Real parts of every
-    derivative root are kept as candidates: a spurious one is still a point of
-    [-1, 1], and a double root that the eigenvalue solver splits into a
-    near-real pair is not lost.  A constant has no derivative to solve.  A
-    leading coefficient tiny next to the others sends a root to infinity;
-    such a root lies outside [-1, 1] and is dropped.  Tests use it as a
-    reference; near zero it is too rough to decide a factor's positivity.
-    """
-    if poly.degree == 0:
-        return poly.coeffs[0], poly.coeffs[0]
-    import numpy as np
-
-    coeffs = np.asarray(poly.coeffs)
-    with np.errstate(all="ignore"):
-        roots = np.polynomial.polynomial.polyroots(coeffs[1:] * np.arange(1, coeffs.size)).real
-    roots = roots[np.isfinite(roots)]
-    nodes = np.concatenate(([-1.0, 1.0], np.clip(roots, -1.0, 1.0)))
-    values = _horner(poly.coeffs, nodes)
-    return float(values.max()), float(values.min())
-

@@ -785,6 +785,21 @@ def test_studies_do_not_load_the_command_line(child_env):
     assert result.returncode == 0, result.stderr
 
 
+def test_a_warning_repeated_over_orders_prints_once(child_env):
+    # Order 0 warns before numpy is loaded, order 1 after: loading numpy
+    # changes the warning filters, which clears the record of shown warnings.
+    argv = [
+        sys.executable, "-m", "pmsdelta", "period", "even-power",
+        "--exponent", "5", "--rho", "inf", "--kappa", "pms", "--order", "3",
+    ]
+    result = subprocess.run(argv, capture_output=True, text=True, env=child_env)
+    assert result.returncode == 0
+    assert result.stderr == (
+        "DivergentExpansion: max |Delta| = 1.031746 >= 1 at kappa = 0.4921875: "
+        "the expansion need not converge\n"
+    )
+
+
 def test_repeated_invocations_byte_identical(child_env):
     argv = [
         sys.executable, "-m", "pmsdelta", "convergence", "negative-rho",

@@ -51,11 +51,11 @@ from pmsdelta.precession import OrbitParams, precession_series
 from pmsdelta.series_core import (
     MAX_EXPONENT,
     MAX_ORDER,
-    _extrema,
     delta_of,
     expand,
     pms_first_order,
 )
+from trig_extrema import extrema
 
 
 def test_model_constructors_validate():
@@ -220,7 +220,8 @@ def test_pendulum_entry_points_are_finite_or_refuse(amplitude, taylor_order, ord
 
 def test_extrema_drops_roots_sent_to_infinity():
     # A4 of 1e-320 sends a root of the factor's derivative to infinity; numpy's
-    # overflow warning used to escape _extrema instead of BarrierCrossed.
+    # overflow warning used to escape the extrema search instead of
+    # BarrierCrossed.
     with pytest.raises(BarrierCrossed):
         OscillatorModel.quartic_cubic(-3.0, 1.0, 1e-320, -1.0, 2.0)
 
@@ -456,7 +457,7 @@ def test_even_power_kappa_balanced_closed_form(K):
 def test_even_power_kappa_balanced_equalizes_extrema(K, rho):
     # Exact extrema of Delta: equal and opposite at the balanced kappa.
     spec = _even_power_spec(K, rho, even_power_kappa_balanced(K))
-    hi, lo = _extrema(delta_of(spec))
+    hi, lo = extrema(delta_of(spec))
     assert abs(hi + lo) <= 4e-15
     if rho == math.inf:
         assert hi == pytest.approx((K - 1) / (K + 1), abs=2e-15)
@@ -805,7 +806,7 @@ def test_quartic_cubic_agm_keeps_digits_up_to_the_barrier():
         factor = turning_points(OscillatorModel.quartic_cubic(*_near_barrier_well(a2))).factor
         r0, r1, r2 = factor.coeffs
         assert r2 > r0  # B = 2 (r0 - r2) < 0
-        assert low < _extrema(factor)[1] / factor.evaluate(0.0) < high
+        assert low < extrema(factor)[1] / factor.evaluate(0.0) < high
         reference = _mp_factor_period(factor.coeffs)
         value = quartic_cubic_exact_period(*_near_barrier_well(a2))
         assert abs(value - reference) <= 1e-15 * reference

@@ -144,14 +144,14 @@ def test_float_keyed_caches_are_bounded():
 
 
 def test_array_caches_keyed_on_a_size_are_bounded():
-    # One array per size adds up: a positivity table per factor degree would
-    # reach 4.3 GB over the exponents up to MAX_EXPONENT.  A cache keyed on
-    # the expansion order alone holds at most MAX_ORDER + 1 arrays.
+    # One array per size adds up: a node set per factor degree would reach
+    # 134 MB over the exponents up to MAX_EXPONENT.  A cache keyed on the
+    # expansion order alone holds at most MAX_ORDER + 1 arrays.
     sized = {
         name: maxsize for name, (maxsize, node) in _lru_caches().items()
         if node.returns is not None and "ndarray" in ast.unparse(node.returns)
         and any(arg.arg != "order" for arg in _arguments(node))
     }
-    assert set(sized) == {"series_core._positivity_powers", "series_core._node_cosines"}
+    assert set(sized) == {"series_core._node_cosines"}
     for name, maxsize in sized.items():
         assert type(maxsize) is int, f"{name} caches one array per size without an integer maxsize"

@@ -1,16 +1,19 @@
 """Checks for the expansion engine: moments, terms, stationarity, extrema."""
 
+import contextlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pmsdelta.errors import DomainError, NonPositiveMean, OrderTooHigh
 from pmsdelta.oracle import elliptic_k, integrate
 from pmsdelta import series_core
 from pmsdelta.oscillators import (
     OscillatorModel,
+    _even_power_spec,
     even_power_kappa_balanced,
     even_power_kappa_pms,
     even_power_series,
@@ -20,11 +23,9 @@ from pmsdelta.series_core import (
     MAX_ORDER,
     IntegrandSpec,
     TrigPolynomial,
-    _extrema,
     _horner,
     _node_cosines,
     _positivity_cosines,
-    _positivity_powers,
     _term_weights,
     cos_moment,
     delta_of,
@@ -34,6 +35,7 @@ from pmsdelta.series_core import (
     pms_first_order,
     term,
 )
+from trig_extrema import extrema
 
 
 def duffing_spec(rho, omega=None):
@@ -74,8 +76,8 @@ def test_trig_polynomial_basics():
     p = TrigPolynomial([1.0, 0.0, 2.0, 0.0])  # trailing zero trimmed
     assert p.coeffs == (1.0, 0.0, 2.0)
     assert p.degree == 2
-    assert not p.is_zero
-    assert TrigPolynomial([0.0, 0.0]).is_zero
+    assert TrigPolynomial([0.0, 0.0]).coeffs == (0.0,)
+    assert TrigPolynomial([]).coeffs == (0.0,)
     # Even in theta.
     assert p.evaluate(0.7) == pytest.approx(p.evaluate(-0.7), abs=1e-15)
     # Value agrees with direct evaluation.
@@ -116,7 +118,7 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         IntegrandSpec(-1.0, 1.0, TrigPolynomial([-1.0, 0.0, 2.0]), 1.0)
     spec = IntegrandSpec(-1.0, 1.0, factor, 1.0)
-    assert spec.half_width == 1.0 and spec.midpoint == 0.0
+    assert (spec.x_minus, spec.x_plus, spec.factor, spec.omega) == (-1.0, 1.0, factor, 1.0)
 
 
 @pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan, -1.0])
@@ -128,8 +130,8 @@ def test_spec_requires_finite_positive_omega(omega):
 
 
 def test_positivity_product_verdict_matches_horner_on_grid():
-    # The spec's check takes the factor on the grid as one product with the
-    # cos^k table; its verdict must be the one Horner on the grid gives.
+    # The spec's check, a coefficient bound or else Horner on the grid, must
+    # give the verdict that Horner on the grid gives.
     rng = np.random.default_rng(11)
     verdicts = set()
     for case in range(400):
@@ -161,11 +163,124 @@ def test_factor_non_positive_at_one_grid_node_is_refused():
             IntegrandSpec(-1.0, 1.0, factor, 1.0)
 
 
+@contextlib.contextmanager
+def grid_calls():
+    """A list that gains an entry each time a spec takes its factor on the grid."""
+    calls = []
+    grid = series_core._positivity_cosines
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_core, "_positivity_cosines", lambda: calls.append(1) or grid())
+        yield calls
+
+
+@st.composite
+def factors_near_the_bound(draw):
+    """Coefficients of degree 0-12 whose odd and even (k >= 2) terms each
+    share a drawn sign, with c_0 a few rounding margins from where the bound
+    c_0 - sum_{k odd} |c_k| + sum_{k even >= 2} min(c_k, 0) is zero."""
+    degree = draw(st.integers(0, 12))
+    signs = draw(st.sampled_from((-1.0, 1.0))), draw(st.sampled_from((-1.0, 1.0)))
+    scale = draw(st.sampled_from((1e-300, 1e-8, 1.0, 1e8, 1e300)))
+    sizes = draw(st.lists(st.floats(0.0, 1.0), min_size=degree, max_size=degree))
+    rest = [scale * signs[k % 2] * size for k, size in enumerate(sizes)]  # c_1, c_2, ...
+    at_zero = sum(map(abs, rest[0::2])) - sum(min(c, 0.0) for c in rest[1::2])
+    margin = 1e-15 * (degree + 1) * max(at_zero + sum(map(abs, rest)), scale)
+    gap = draw(st.floats(-3.0, 3.0) | st.floats(-1e6, 1e6))
+    return [at_zero + gap * margin, *rest]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(factors_near_the_bound())
+@example([1.0, 0.5, -0.25])
+@example([1.0 - 1e-15, 0.5, -0.5])
+def test_a_factor_the_bound_accepts_is_positive(coeffs):
+    factor = TrigPolynomial(coeffs)
+    with grid_calls() as calls:
+        try:
+            IntegrandSpec(-1.0, 1.0, factor, 1.0)
+            accepted = True
+        except DomainError:
+            accepted = False
+    on_grid = _horner(factor.coeffs, _positivity_cosines())
+    if calls:
+        # The bound did not decide: the grid did.
+        assert accepted == bool((on_grid > 0.0).all())
+        return
+    # The bound accepted: it is positive in exact arithmetic, and so is R on
+    # the spec's grid, on a finer one, and at its exact minimum.
+    c = [Fraction(x) for x in factor.coeffs]
+    assert c[0] - sum(map(abs, c[1::2])) + sum(min(x, 0) for x in c[2::2]) > 0
+    fine = np.cos(np.linspace(0.0, math.pi, 2**16))
+    assert (on_grid > 0.0).all() and (_horner(factor.coeffs, fine) > 0.0).all()
+    assert extrema(factor)[1] > 0.0
+
+
+@pytest.mark.parametrize(
+    "coeffs, positive",
+    [
+        ([1.0, -1.0], False),  # bound 1 - 1 = 0; R = 0 at theta = 0
+        ([1.0, 0.0, -1.0], False),  # bound 1 - 1 = 0; R = 0 at theta = 0 and pi
+        ([1e-3, 0.0, 1.0, 0.0, -1.0], True),  # bound < 0; R = 1e-3 + c^2 (1 - c^2)
+        # c_3 is odd, so it counts as -0.5: as an even term it would count as
+        # 0 and the bound would accept a factor with R(pi) = -0.1.
+        ([0.4, 0.0, 0.0, 0.5], False),
+    ],
+)
+def test_factors_the_bound_leaves_to_the_grid(coeffs, positive):
+    factor = TrigPolynomial(coeffs)
+    with grid_calls() as calls:
+        if positive:
+            IntegrandSpec(-1.0, 1.0, factor, 1.0)
+        else:
+            with pytest.raises(DomainError, match="not strictly positive"):
+                IntegrandSpec(-1.0, 1.0, factor, 1.0)
+    assert len(calls) == 1
+
+
+def _quartic_cubic_cell(a2, a4, x_minus, x_plus):
+    """The quartic-cubic well through the turning points, V(x-) = V(x+)."""
+    a3 = -(a2 * (x_plus**2 - x_minus**2) + a4 * (x_plus**4 - x_minus**4)) / (
+        x_plus**3 - x_minus**3
+    )
+    return OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus)
+
+
+def test_the_families_take_the_grid_only_near_a_zero_of_the_factor():
+    # The specs of the families' usual inputs (both kappa rules for the even
+    # powers, the benchmark's cubic and quartic-cubic cells) are accepted by
+    # the coefficient bound, with no grid.
+    models = [OscillatorModel.pendulum(a, 2) for a in (0.5, 1.5, 3.1)]
+    models += [OscillatorModel.pendulum(a, 4) for a in (0.5, 1.5, 2.4)]
+    models += [OscillatorModel.pendulum(a, 6) for a in (0.5, 1.5, 2.5, 2.8)]
+    models += [
+        OscillatorModel.cubic(*points)
+        for points in ((-0.2, 0.15), (-0.5, 0.55), (-0.8, 0.6), (-0.85, 0.9))
+    ]
+    models += [
+        _quartic_cubic_cell(*cell)
+        for cell in (
+            (0.5, 0.1, -0.5, 0.6), (0.8, 0.3, -1.0, 0.8), (0.4, 0.2, -0.7, 1.1),
+            (0.9, 0.05, -1.1, 1.0),
+        )
+    ]
+    with grid_calls() as calls:
+        for K in (2, 3, 5, 64, 1024):
+            for rho in (-1.0 + 1e-9, -0.9, 0.0, 0.5, 3.0, 1e300, math.inf):
+                for kappa in (even_power_kappa_pms(K), even_power_kappa_balanced(K)):
+                    _even_power_spec.__wrapped__(K, rho, kappa)
+        for model in models:
+            model.points.spec_at()
+        assert calls == []
+        # Near a zero of the factor the bound falls below its margin.
+        _even_power_spec.__wrapped__(5, -1.0 + 1e-15, even_power_kappa_pms(5))
+        assert len(calls) == 1
+        OscillatorModel.pendulum(3.1, 6).points.spec_at()
+        assert len(calls) == 2
+
+
 def test_cached_tables_are_read_only():
     for table in (
         _positivity_cosines(),
-        _positivity_powers(0),
-        _positivity_powers(8),
         _node_cosines(17, 2),
         _term_weights(8),
     ):
@@ -175,25 +290,15 @@ def test_cached_tables_are_read_only():
 
 
 def test_a_sweep_over_exponents_stays_within_the_cache_bounds():
-    # One node set per factor degree: 69 degrees are more than either cache
-    # holds, so the sweep evicts, and neither cache grows past its bound.  At
-    # rho = inf no coefficient dominates, so every factor takes the table.
-    _positivity_powers.cache_clear()
+    # One node set per factor degree: 69 degrees are more than the cache
+    # holds, so the sweep evicts, and the cache does not grow past its bound.
     _node_cosines.cache_clear()
     for K in range(2, 71):
         for n in (1, 2):
             even_power_series(K, math.inf, (K + 1) / (2 * K), n)
-    for cache in (_positivity_powers, _node_cosines):
-        info = cache.cache_info()
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize
-
-
-def test_positivity_table_holds_cosine_powers():
-    table = _positivity_powers(12)
-    assert table.shape == (13, 512)
-    for k in range(13):
-        assert np.allclose(table[k], _positivity_cosines() ** k, rtol=1e-14, atol=0.0)
+    info = _node_cosines.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize(
@@ -276,7 +381,7 @@ def test_value_and_partial_sums_are_fsums():
 def test_delta_of():
     omega = 1.3
     flat = IntegrandSpec(-1.0, 1.0, TrigPolynomial([omega**2]), omega)
-    assert delta_of(flat).is_zero
+    assert delta_of(flat).coeffs == (0.0,)
     doubled = IntegrandSpec(-1.0, 1.0, TrigPolynomial([2.0 * omega**2]), omega)
     assert delta_of(doubled).coeffs == pytest.approx((1.0,), abs=1e-15)
     # Quartic case at the stationary frequency: deviation is cos(2 theta)/7.
@@ -623,7 +728,7 @@ def exact_value(poly, c):
 
 def test_extrema_cos2theta_profile():
     poly = TrigPolynomial([-0.3, 0.0, 0.6])  # 0.3 cos(2 theta)
-    hi, lo = _extrema(poly)
+    hi, lo = extrema(poly)
     assert hi == exact_value(poly, 1.0)
     assert lo == exact_value(poly, 0.0)
     assert (hi, lo) == pytest.approx((0.3, -0.3), abs=1e-16)
@@ -631,7 +736,7 @@ def test_extrema_cos2theta_profile():
 
 def test_extrema_k5_strong_coupling_at_kappa_06():
     poly = even_power_deviation(5)(0.6)
-    hi, lo = _extrema(poly)
+    hi, lo = extrema(poly)
     # Extremes at theta = 0 (c = 1) and theta = pi/2 (c = 0).
     assert abs(hi - exact_value(poly, 1.0)) <= math.ulp(hi)
     assert lo == exact_value(poly, 0.0)
@@ -640,5 +745,5 @@ def test_extrema_k5_strong_coupling_at_kappa_06():
 
 def test_kappa_balance_constant_family():
     # A constant Delta has no derivative roots; its extrema are the constant.
-    assert _extrema(TrigPolynomial([0.25])) == (0.25, 0.25)
+    assert extrema(TrigPolynomial([0.25])) == (0.25, 0.25)
 
