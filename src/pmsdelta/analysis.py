@@ -84,6 +84,13 @@ def _study_point(n: float, value: float, reference: float) -> StudyPoint:
     )
 
 
+# Relative errors at or below this many units of float epsilon are rounding
+# noise: a value and a reference that round differently by an ulp or two
+# differ this much even when both are right to the last bit, and ln of such
+# an error says nothing of the decay rate.
+_ERROR_FLOOR = 4.0 * sys.float_info.epsilon
+
+
 def _points_and_fit(
     orders: Sequence[int],
     values: Sequence[float],
@@ -91,17 +98,20 @@ def _points_and_fit(
     fit_orders: Sequence[int],
 ) -> tuple[tuple[StudyPoint, ...], FitResult]:
     """The study's points and the log-linear fit of their errors over the
-    fit window.  Fewer than two orders of the window with a nonzero error
-    leave nothing to fit: DomainError, naming the window."""
+    fit window, leaving out errors at the rounding floor (_ERROR_FLOOR).
+    Fewer than two orders of the window above it leave nothing to fit:
+    DomainError, naming the window."""
     points = tuple(_study_point(n, v, reference) for n, v in zip(orders, values))
     window = {float(n) for n in fit_orders}
-    fitted = [(p.n, p.rel_error) for p in points if p.n in window and p.rel_error > 0.0]
+    fitted = [
+        (p.n, p.rel_error) for p in points if p.n in window and p.rel_error > _ERROR_FLOOR
+    ]
     if len(fitted) < 2:
         step = fit_orders[1] - fit_orders[0] if len(fit_orders) > 1 else 1
         steps = f" in steps of {step}" if step != 1 else ""
         raise DomainError(
             f"the fit window N = {fit_orders[0]}..{fit_orders[-1]}{steps} holds {len(fitted)} "
-            "order(s) with a nonzero error; a fit needs at least 2"
+            "order(s) with an error above the rounding floor of 4 eps; a fit needs at least 2"
         )
     return points, fit_log_linear(fitted)
 

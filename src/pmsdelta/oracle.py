@@ -1,14 +1,17 @@
 """Independent ground-truth numerics.
 
-Every exact reference rests on two primitives: adaptive quadrature, and the
-arithmetic-geometric mean as the integral of 1/sqrt(R) over [0, pi] for R
-linear in cos(theta).  A factor quadratic in cos(theta) or cos^2(theta)
-reaches the AGM through one Gauss step (DLMF 19.8, 19.29); the quadrature
-is left to factors of higher degree, where the integral is hyperelliptic.
-Beside them: a fit of exponential decay.  Standard-library Python,
-deliberately self-contained: it imports nothing from the expansion engine,
-nor the engine from it, so that the series machinery is checked against
-arithmetic it does not share.
+Every exact reference rests on three primitives: adaptive quadrature, the
+trapezoidal rule for a periodic integrand, and the arithmetic-geometric
+mean as the integral of 1/sqrt(R) over [0, pi] for R linear in cos(theta).
+A factor quadratic in cos(theta) or cos^2(theta) reaches the AGM through
+one Gauss step (DLMF 19.8, 19.29); the quadratures are left to factors of
+higher degree, where the integral is hyperelliptic.  A function of
+cos^2(theta) that is analytic in a strip about the real axis takes the
+trapezoidal rule, which converges geometrically there; a narrower strip
+takes the adaptive rule.  Beside them: a fit of exponential decay.
+Standard-library Python, deliberately self-contained: it imports nothing
+from the expansion engine, nor the engine from it, so that the series
+machinery is checked against arithmetic it does not share.
 """
 
 from __future__ import annotations
@@ -62,11 +65,13 @@ _PANEL_COST = len(_NODES)
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Outcome of one adaptive integration.
+    """Outcome of one integration.
 
-    value:          the integral estimate from the Kronrod rule K21.
-    error_estimate: accumulated |K21 - G10| over accepted panels; at most the
-                    requested tolerance on success.
+    value:          the integral estimate: from the Kronrod rule K21 in
+                    integrate, from the finest level in _periodic_trapezoid.
+    error_estimate: accumulated |K21 - G10| over accepted panels, or the
+                    difference of the last two trapezoidal levels; at most
+                    the requested tolerance on success.
     evaluations:    number of integrand calls spent.
     """
 
@@ -188,6 +193,100 @@ def integrate(
             f"after {evals} evaluations"
         )
     return QuadratureResult(value=total, error_estimate=err_sum, evaluations=evals)
+
+
+# 2 pi as the double 2 * math.pi plus its low part, the double nearest to
+# 2 pi - 2 * math.pi; and Veltkamp's constant 2^27 + 1, which splits a
+# double into two halves whose products with each other are exact.
+_TWO_PI_LOW = 2.4492935982947064e-16
+_SPLITTER = 134217729.0
+
+# The first trapezoidal level samples [0, pi/2] at the ends of this many panels.
+_FIRST_PANELS = 8
+
+
+def _split(x: float) -> tuple[float, float]:
+    """x as high + low, each with at most 26 significant bits (Veltkamp)."""
+    t = _SPLITTER * x
+    high = t - (t - x)
+    return high, x - high
+
+
+def _times_two_pi(high: float, low: float) -> float:
+    """2 pi (high + low), rounded once, for |low| at most an ulp of high.
+
+    With 2 pi = hi + lo, hi = 2 * math.pi, the product hi high is p + e
+    exactly (Dekker's product of the Veltkamp splits), and math.fsum rounds
+    p + e + hi low + lo high once.  The roundings of hi low and lo high, and
+    the terms left out, are below 1e-31 of the value, so only a near-tie can
+    round the wrong way.  Both terms are scaled by the power of two that
+    brings high to [1/2, 1) first, exactly, so no split overflows.
+    """
+    mantissa, exponent = math.frexp(high)
+    low = math.ldexp(low, -exponent)
+    hi = 2.0 * math.pi
+    product = hi * mantissa
+    (hi_high, hi_low), (m_high, m_low) = _split(hi), _split(mantissa)
+    error = ((hi_high * m_high - product) + hi_high * m_low + hi_low * m_high) + hi_low * m_low
+    return math.ldexp(
+        math.fsum((product, error, hi * low, _TWO_PI_LOW * mantissa)), exponent
+    )
+
+
+def _periodic_trapezoid(
+    f: Callable[[float], float], rel_tol: float, max_evals: int = 10**6
+) -> QuadratureResult:
+    """Integral of f over [0, 2 pi] by the trapezoidal rule, for f even about
+    theta = 0 and about theta = pi/2, as a function of cos^2(theta) is.
+
+    Such an f is pi-periodic, so the integral is 2 pi times its mean, and the
+    trapezoidal mean over a period folds onto the nodes of [0, pi/2], the two
+    ends at half weight.  Where f is analytic in the strip |Im theta| < d,
+    the rule with n panels on [0, pi/2] errs by about exp(-4 d n)
+    (Trefethen & Weideman, SIAM Review 56 (2014) 385).  The panel count
+    starts at _FIRST_PANELS and doubles, each level reusing every earlier
+    sample, until two successive means agree to rel_tol of the later one;
+    that difference is about the coarser level's error, and the finer
+    level's is about its square.  The samples are summed with math.fsum, to
+    a sum and its rounding error, and 2 pi is applied to both by
+    _times_two_pi, so the value is rounded once after the samples.
+
+    Raises ToleranceNotMet when the next level would exceed max_evals
+    samples, and NonFiniteIntegrand when a mean is not finite.
+    """
+    quarter = 0.5 * math.pi
+    panels = _FIRST_PANELS
+    samples = [0.5 * f(0.0), 0.5 * f(quarter)]
+    samples += [f(quarter * j / panels) for j in range(1, panels)]
+
+    def level_mean() -> float:
+        try:
+            mean = math.fsum(samples) / panels
+        except (OverflowError, ValueError):  # inf - inf, or a partial sum overflowed
+            mean = math.nan
+        if not math.isfinite(mean):
+            raise NonFiniteIntegrand(f"the trapezoidal mean over {panels} panels is not finite")
+        return mean
+
+    mean = level_mean()
+    while True:
+        if len(samples) + panels > max_evals:
+            raise ToleranceNotMet(
+                f"no two trapezoidal levels agree to {rel_tol:.1e} within {max_evals} evaluations"
+            )
+        samples += [f(quarter * (2 * j + 1) / (2 * panels)) for j in range(panels)]
+        panels *= 2
+        previous, mean = mean, level_mean()
+        if abs(mean - previous) <= rel_tol * abs(mean):
+            break
+    # The sum of the samples as total + residual, each correctly rounded.
+    total = mean * panels
+    residual = math.fsum([*samples, -total])
+    return QuadratureResult(
+        value=_times_two_pi(total, residual) / panels,
+        error_estimate=2.0 * math.pi * abs(mean - previous),
+        evaluations=len(samples),
+    )
 
 
 def elliptic_k(m: float) -> float:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsdelta.errors import DegenerateFit, DomainError, NonFiniteIntegrand, ToleranceNotMet
 from pmsdelta import oracle
@@ -187,6 +188,68 @@ def test_integrate_overflow_is_typed():
     # Finite panels whose sum leaves it: math.fsum's OverflowError is typed.
     with pytest.raises(NonFiniteIntegrand):
         integrate(lambda x: 6e307 * (0.5 + 0.5 * math.cos(15.0 * x)), 0.0, 8.0, max_evals=10**4)
+
+
+def test_two_pi_constants_are_exact_splits():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        assert oracle._TWO_PI_LOW == float(2 * mpmath.pi - 2.0 * math.pi)
+    assert oracle._SPLITTER == 2.0**27 + 1.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=-1e300, max_value=-1e-300)
+    ),
+    t=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_times_two_pi_is_correctly_rounded(x, t):
+    mpmath = pytest.importorskip("mpmath")
+    low = t * math.ulp(x)
+    with mpmath.workdps(50):
+        exact = 2 * mpmath.pi * (mpmath.mpf(x) + mpmath.mpf(low))
+        assert oracle._times_two_pi(x, low) == float(exact)
+
+
+@pytest.mark.parametrize("s", [0.5, 3.0, 30.0])
+def test_periodic_trapezoid_matches_a_closed_form(s):
+    # The integral of 1/(1 + s cos^2(theta)) over [0, 2 pi] is
+    # 2 pi/sqrt(1 + s); its poles lie asinh(1/sqrt(s)) from the real axis.
+    mpmath = pytest.importorskip("mpmath")
+    nodes = []
+
+    def f(theta):
+        nodes.append(theta)
+        return 1.0 / (1.0 + s * math.cos(theta) ** 2)
+
+    result = oracle._periodic_trapezoid(f, rel_tol=1e-14)
+    with mpmath.workdps(50):
+        exact = 2 * mpmath.pi / mpmath.sqrt(1 + mpmath.mpf(s))
+        assert abs(result.value - exact) <= 1e-15 * exact
+    assert result.error_estimate <= 1e-14 * result.value
+    # Each level reuses every earlier sample: the nodes are those of the
+    # finest level on [0, pi/2], each taken once.
+    panels = result.evaluations - 1
+    assert panels in (16, 32, 64, 128)
+    assert len(nodes) == result.evaluations == len(set(nodes))
+    grid = [0.5 * math.pi * j / panels for j in range(panels + 1)]
+    assert sorted(nodes) == pytest.approx(grid, rel=1e-15, abs=0.0)
+
+
+def test_periodic_trapezoid_budget_and_non_finite_values():
+    # Poles 1e-3 from the real axis would need about 15000 samples.
+    with pytest.raises(ToleranceNotMet):
+        oracle._periodic_trapezoid(
+            lambda t: 1.0 / (1.0 + 1e6 * math.cos(t) ** 2), rel_tol=1e-14, max_evals=1000
+        )
+    for f in (
+        lambda t: math.nan,
+        lambda t: 1e308,  # the sum leaves the float range
+        lambda t: math.inf if t == 0.0 else -math.inf,
+    ):
+        with pytest.raises(NonFiniteIntegrand):
+            oracle._periodic_trapezoid(f, rel_tol=1e-14)
 
 
 def test_elliptic_k_special_values():

@@ -42,6 +42,7 @@ from pmsdelta.oscillators import (
     sextic_wl_period,
     turning_points,
     virial_omega_check,
+    _even_power_integrand,
     _even_power_quadrature,
     _even_power_spec,
     _pendulum_spec,
@@ -591,22 +592,34 @@ def test_even_power_k5_divergence_and_balance():
 
 @functools.lru_cache(maxsize=None)
 def _mp_even_period(K, rho):
-    """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits, tanh-sinh with
-    breakpoints clustered at theta = 0, where R dips as 1 + rho -> 0.  At
-    rho = inf, R/rho = g/(2K) gives the strong-coupling coefficient."""
+    """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits, g = sum_{j<K} c^j
+    by Horner's rule.  Where 1 + rho <= 1e-2, R dips at theta = 0, and
+    tanh-sinh runs with breakpoints clustered there; elsewhere the integrand
+    is analytic near [0, pi/2], and one Gauss-Legendre pass is enough.  For
+    rho > 1, R/rho is integrated, so that 1/2 keeps its digits beside
+    rho g/(2K) up to rho = 1e300.  At rho = inf, R/rho = g/(2K) gives the
+    strong-coupling coefficient."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         if rho == math.inf:
-            base, weight = 0, mpmath.mpf(1) / (2 * K)
+            scale, base, weight = 1, 0, mpmath.mpf(1) / (2 * K)
         else:
-            base, weight = mpmath.mpf(0.5), mpmath.mpf(rho) / (2 * K)
+            scale = max(mpmath.mpf(1), mpmath.mpf(rho))
+            base, weight = mpmath.mpf(0.5) / scale, mpmath.mpf(rho) / scale / (2 * K)
 
         def f(theta):
             c = mpmath.cos(theta) ** 2
-            return 1 / mpmath.sqrt(base + weight * mpmath.fsum(c**j for j in range(K)))
+            g = 0
+            for _ in range(K):
+                g = g * c + 1
+            return 1 / mpmath.sqrt(base + weight * g)
 
-        points = [0] + [mpmath.mpf(10) ** -k for k in range(8, 0, -1)] + [mpmath.pi / 2]
-        return 2 * mpmath.sqrt(2) * mpmath.quad(f, points)
+        if rho != math.inf and 1 + rho <= 1e-2:
+            points = [0] + [mpmath.mpf(10) ** -k for k in range(8, 0, -1)] + [mpmath.pi / 2]
+            integral = mpmath.quad(f, points)
+        else:
+            integral = mpmath.quad(f, [0, mpmath.pi / 2], method="gauss-legendre")
+        return 2 * mpmath.sqrt(2 / scale) * integral
 
 
 @pytest.mark.parametrize(
@@ -624,56 +637,64 @@ def test_even_power_exact_matches_mpmath(K, rho):
 
 
 def _count_evaluations(monkeypatch):
-    """Route the oscillators' quadrature through a counting integrand; the
-    returned list receives the integrand calls of each integrate call."""
+    """Route the oscillators' two quadrature rules through a counting
+    integrand; the returned list receives (rule name, integrand calls) for
+    each call of either rule."""
     from pmsdelta import oscillators
 
     counts = []
 
-    def counting_integrate(f, *args, **kwargs):
-        calls = 0
+    def counting(rule):
+        def counted_rule(f, *args, **kwargs):
+            calls = 0
 
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return f(x)
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
 
-        result = integrate(counted, *args, **kwargs)
-        assert result.evaluations == calls
-        counts.append(calls)
-        return result
+            result = rule(counted, *args, **kwargs)
+            assert result.evaluations == calls
+            counts.append((rule.__name__, calls))
+            return result
 
-    monkeypatch.setattr(oscillators, "integrate", counting_integrate)
+        return counted_rule
+
+    for name in ("integrate", "_periodic_trapezoid"):
+        monkeypatch.setattr(oscillators, name, counting(getattr(oscillators, name)))
     return counts
 
 
-# Cells of the benchmark's oracle sweep at their centres, with the
-# evaluation budget of the quadrature on each.  The exact periods of the
-# K <= 3 cells come from the AGM; the quadrature is checked on every cell
-# all the same, as the method that gives K >= 4.  The two cells at
-# 1 + rho = 1e-6 are its near-singular set: their integrand peaks at
-# theta = 0 with a width of about 1e-3, and they resolve it in 23 panels.
+# Cells of the benchmark's oracle sweep at their centres, with the rule that
+# serves each and its evaluation budget.  The exact periods of the K <= 3
+# cells come from the AGM; the quadrature is checked on every cell all the
+# same, as the method that gives K >= 4.  The regular cells take the
+# trapezoidal rule.  The two cells at 1 + rho = 1e-6 are the sweep's
+# near-singular set: their integrand peaks at theta = 0 with a width of
+# about 1e-3, far inside the strip the trapezoidal rule needs, so integrate
+# resolves the peak in 23 panels and the trapezoidal rule takes no sample.
 EVEN_POWER_PERIOD_CELLS = (
-    [("even-power", K, rho, 147) for K in (2, 3, 4, 5)
+    [("even-power", K, rho, "_periodic_trapezoid", 65) for K in (2, 3, 4, 5)
      for rho in (-0.8, -0.3, 2.0, 40.0, math.inf)]
-    + [("sextic", 3, rho, 147)
+    + [("sextic", 3, rho, "_periodic_trapezoid", 65)
        for rho in (-0.85, -0.5, -0.2, 0.05, 0.3, 1.0, 3.0, 10.0, 30.0, 90.0)]
-    + [("even-power", K, -1.0 + 1e-6, 483) for K in (3, 5)]
+    + [("even-power", K, -1.0 + 1e-6, "integrate", 483) for K in (3, 5)]
 )
 QUARTIC_CUBIC_PERIOD_CELLS = [  # (a2, a4, x-, x+)
     (0.5, 0.1, -0.5, 0.6), (0.8, 0.3, -1.0, 0.8), (0.4, 0.2, -0.7, 1.1), (0.9, 0.05, -1.1, 1.0),
 ]
 
 
-@pytest.mark.parametrize("family, K, rho, budget", EVEN_POWER_PERIOD_CELLS)
+@pytest.mark.parametrize("family, K, rho, rule, budget", EVEN_POWER_PERIOD_CELLS)
 def test_even_power_quadrature_periods_match_mpmath_within_budget(
-    monkeypatch, family, K, rho, budget
+    monkeypatch, family, K, rho, rule, budget
 ):
     counts = _count_evaluations(monkeypatch)
     value = _even_power_quadrature(K, rho)
     reference = _mp_even_period(K, rho)
     assert abs(value - reference) <= 1e-15 * reference
-    assert len(counts) == 1 and counts[0] <= budget
+    [(used, calls)] = counts
+    assert used == rule and calls <= budget
 
 
 @pytest.mark.parametrize(
@@ -686,6 +707,73 @@ def test_quadratic_even_power_agm_matches_mpmath(monkeypatch, family, K, rho):
     reference = _mp_even_period(K, rho)
     assert abs(value - reference) <= 1e-15 * reference
     assert counts == []
+
+
+@pytest.mark.parametrize("K", [4, 5, 8, 16, 64])
+@pytest.mark.parametrize("rho", [-0.99, -0.9, -0.5, 1e-9, 0.5, 2.0, 40.0, 1e300, math.inf])
+def test_even_power_exact_period_matches_mpmath_on_a_grid(K, rho):
+    # Both rules, both signs of rho and the strong-coupling limit.  At K = 5,
+    # rho = -0.9 a trapezoidal rule stopped at sqrt(1e-14) agreement erred
+    # by 2.9e-14.
+    reference = _mp_even_period(K, rho)
+    assert abs(even_power_exact_period(K, rho) - reference) <= 1e-15 * reference
+
+
+def _quadrature_by_integrate(K, rho):
+    """The period from integrate alone, on the integrand the rules share."""
+    f = _even_power_integrand(K, rho)
+    return 4.0 * integrate(f, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14).value
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    K=st.integers(min_value=4, max_value=12),
+    rho=st.one_of(
+        st.floats(min_value=-1.0, max_value=1e300, exclude_min=True), st.just(math.inf)
+    ),
+)
+def test_the_selected_rule_agrees_with_integrate(K, rho):
+    value = _even_power_quadrature(K, rho)
+    assert 0.0 < value < math.inf
+    assert abs(value - _quadrature_by_integrate(K, rho)) <= 2e-15 * value
+
+
+def test_the_selected_rule_rounds_correctly_at_least_as_often_as_integrate():
+    # 120 inputs on both signs of rho, every one on the trapezoidal rule.
+    rhos = (
+        [-0.85, -0.75, -0.6, -0.45, -0.3, -0.15, -0.05, -1e-3]
+        + [10.0 ** (k / 3) for k in range(-9, 10)]
+        + [1e6, 1e300, math.inf]
+    )
+    mpmath = pytest.importorskip("mpmath")
+    correct = {"selected": 0, "integrate": 0}
+    for K in (4, 5, 6, 8):
+        for rho in rhos:
+            reference = mpmath.mpf(_mp_even_period(K, rho))
+            for name, value in (
+                ("selected", _even_power_quadrature(K, rho)),
+                ("integrate", _quadrature_by_integrate(K, rho)),
+            ):
+                correct[name] += abs(value - reference) <= 0.5 * math.ulp(value)
+    assert correct["selected"] >= correct["integrate"]
+
+
+@pytest.mark.parametrize("K", [4, 5, 8, 16, 64, 256, 1024])
+def test_the_selected_rule_never_costs_more_than_integrate(monkeypatch, K):
+    # The rule is chosen from K and rho before any sample is taken: an input
+    # left to integrate spends what integrate spends, and the trapezoidal
+    # rule is chosen only where it needs no more calls.
+    rhos = (-1.0 + 1e-6, -0.999, -0.99, -0.9, -0.5, 0.5, 2.0, 40.0, math.inf)
+    counts = _count_evaluations(monkeypatch)
+    for rho in rhos:
+        f = _even_power_integrand(K, rho)
+        spent = integrate(f, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14).evaluations
+        counts.clear()
+        _even_power_quadrature(K, rho)
+        [(rule, calls)] = counts
+        assert calls <= spent, (rho, rule)
+        if rule == "integrate":
+            assert calls == spent, rho
 
 
 def _quartic_cubic_args(a2, a4, x_minus, x_plus):
