@@ -115,10 +115,8 @@ def _period_functions(args: argparse.Namespace) -> tuple[Callable, Callable]:
     if args.model == "cubic":
         return (partial(cubic_series, args.x_minus, args.x_plus),
                 partial(cubic_exact_period, args.x_minus, args.x_plus))
-    if args.model == "pendulum":
-        return (partial(pendulum_approx, args.amplitude, args.taylor),
-                partial(pendulum_exact, args.amplitude))
-    raise DomainError(f"unknown model {args.model!r}")
+    return (partial(pendulum_approx, args.amplitude, args.taylor),
+            partial(pendulum_exact, args.amplitude))
 
 
 def cmd_period(args: argparse.Namespace) -> int:
@@ -163,20 +161,13 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     )
 
     note = ""
-    if args.study == "duffing-b0":
-        studies = [duffing_b0_study(args.max_order)]
-        note = (
-            f"reference slopes: ln9={_fmt(float(REFERENCE.beta_quartic))}"
-            f" published={_fmt(float(REFERENCE.beta_quartic_pks))}\n"
-        )
-    elif args.study == "sextic-c0":
-        studies = [sextic_c0_study(args.max_order)]
-        note = f"reference slope: ln(5/3)={_fmt(float(REFERENCE.beta_sextic))}\n"
-    elif args.study == "duffing-rho":
-        grid = _geometric_grid(args.rho_min, args.rho_max, args.points)
-        studies = [duffing_error_vs_rho(grid, order=args.fixed_order)]
-    elif args.study == "negative-rho":
+    if args.study == "negative-rho":
         studies = negative_rho_study(args.exponent, rho=args.rho, max_order=args.max_order)
+        # One table, rows in order n, each tagged with its parity track.
+        payload = {"even": studies[0].payload(), "odd": studies[1].payload()}
+        header = (*_COLUMNS, "parity")
+        tagged = [(*astuple(p), tag) for s, tag in zip(studies, ("even", "odd")) for p in s.points]
+        rows = sorted(tagged, key=lambda row: row[0])
     elif args.study == "precession":
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip() != ""]
         if not orders:
@@ -185,22 +176,24 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         studies = precession_error_table(
             grid, orders, GM=args.GM, eccentricity=args.eccentricity
         )
-    else:
-        raise DomainError(f"unknown study {args.study!r}")
-
-    if args.study == "negative-rho":
-        # One table, rows in order n, each tagged with its parity track.
-        payload = {"even": studies[0].payload(), "odd": studies[1].payload()}
-        header = (*_COLUMNS, "parity")
-        tagged = [(*astuple(p), tag) for s, tag in zip(studies, ("even", "odd")) for p in s.points]
-        rows = sorted(tagged, key=lambda row: row[0])
-    elif args.study == "precession":
         # Wide: one row per grid point, one rel_error column per order.
         payload = [s.payload() for s in studies]
         header = ("a", *(f"order{n}" for n in orders))
         rows = [(ps[0].n, *(p.rel_error for p in ps)) for ps in zip(*(s.points for s in studies))]
     else:
-        (study,) = studies
+        if args.study == "duffing-b0":
+            study = duffing_b0_study(args.max_order)
+            note = (
+                f"reference slopes: ln9={_fmt(float(REFERENCE.beta_quartic))}"
+                f" published={_fmt(float(REFERENCE.beta_quartic_pks))}\n"
+            )
+        elif args.study == "sextic-c0":
+            study = sextic_c0_study(args.max_order)
+            note = f"reference slope: ln(5/3)={_fmt(float(REFERENCE.beta_sextic))}\n"
+        else:
+            grid = _geometric_grid(args.rho_min, args.rho_max, args.points)
+            study = duffing_error_vs_rho(grid, order=args.fixed_order)
+        studies = [study]
         payload, header, rows = study.payload(), _COLUMNS, map(astuple, study.points)
     stream = _emit(args, payload, header, rows)
     for study in studies:

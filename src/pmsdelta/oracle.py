@@ -149,7 +149,7 @@ def integrate(
     """
     if not a < b:
         raise DomainError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
-    if abs_tol <= 0.0:
+    if not abs_tol > 0.0:
         raise DomainError("abs_tol must be positive")
     if not rel_tol >= 0.0:
         raise DomainError("rel_tol must be nonnegative")

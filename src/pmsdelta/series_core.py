@@ -22,11 +22,10 @@ So Delta is sampled once on enough nodes, its powers are elementwise products
 of the samples, and each mean is exact up to rounding, with no cancellation
 between monomial coefficients.
 
-Each spec is expanded once.  Its node count is the one that is exact through
-MAX_ORDER, and the spec keeps its samples, power rows and terms, so every
-order is a prefix of one expansion: term n has the same bits whichever call
-forms it, and a convergence table of orders 0..N costs two extensions.
-Delta's coefficients are formed once per spec, and its samples come from an
+Each spec is expanded on one node set, exact through MAX_ORDER, and keeps
+the tuple of terms formed so far, so every order is a prefix of one
+expansion: term n has the same bits whichever call forms it.  Delta's
+coefficients are formed once per spec, and its samples come from an
 in-place Horner pass over the cached node abscissas that skips the zero
 coefficients.  A spec's factor is proved positive by a bound read off its
 coefficients, or else taken on a 512-point grid by the same Horner's rule,
@@ -95,11 +94,11 @@ def _node_cosines(m: int, s: int) -> "np.ndarray":
 
 
 @lru_cache(maxsize=None)
-def _term_weights(order: int) -> "np.ndarray":
-    """pi (-1/2 choose n) for n = 0..order."""
+def _term_weights() -> "np.ndarray":
+    """pi (-1/2 choose n) for n = 0..MAX_ORDER."""
     import numpy as np
 
-    return _frozen(np.array([math.pi * half_binomial(n) for n in range(order + 1)]))
+    return _frozen(np.array([math.pi * half_binomial(n) for n in range(MAX_ORDER + 1)]))
 
 
 def _frozen(array: "np.ndarray") -> "np.ndarray":
@@ -227,20 +226,18 @@ class IntegrandSpec:
     Delta must be floats too.  Delta is formed here, once: every expansion of
     the spec reads it.
 
-    A spec holds its own expansion, filled by term() and expand() and read
-    by both.  It has one node set, m = (deg(Delta)/s) MAX_ORDER/2 + 1 nodes
-    (s = 2 for a Delta in cos^2(theta)), exact through MAX_ORDER, so term n
-    is the same number whatever order was asked for first.  The first call
-    forms the terms through its own order (order 0 needs no samples) and
-    keeps the power rows it made, at most MAX_ORDER m floats; any later call
-    that asks for more forms every term through MAX_ORDER, from the last kept
-    row if there is one, and drops the rows, leaving MAX_ORDER + 1 floats.
-    Later calls only read.
-    A single call thus multiplies m columns whatever its order, which makes
-    a low order at a large K (an order-4 expansion at K = 1024) several
-    times slower than on the order's own node count, and a table of orders
-    far faster.  The state is not guarded against two threads expanding one
-    spec at once; the package is single-threaded.
+    A spec holds its expansion as one tuple of terms, filled by term() and
+    expand() and read by both.  Its one node set, m = (deg(Delta)/s)
+    MAX_ORDER/2 + 1 nodes (s = 2 for a Delta in cos^2(theta)), is exact
+    through MAX_ORDER, so term n is the same number whatever order was asked
+    for first.  The first call forms the terms through its own order; a
+    later call that asks for more forms them all, through MAX_ORDER, and
+    later calls only read.  A single call thus multiplies m columns whatever
+    its order, which makes a low order at a large K (an order-4 expansion at
+    K = 1024) several times slower than on the order's own node count.  The
+    tuple is replaced in one assignment, and every tuple a call forms is a
+    prefix of the one expansion, so two threads that expand one spec at once
+    read the same bits.
     """
 
     x_minus: float
@@ -248,7 +245,7 @@ class IntegrandSpec:
     factor: TrigPolynomial
     omega: float
     delta: TrigPolynomial = field(init=False, repr=False, compare=False)
-    _expansion: "_Expansion" = field(init=False, repr=False, compare=False)
+    _terms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_minus < self.x_plus:
@@ -285,7 +282,7 @@ class IntegrandSpec:
                 f"omega = {self.omega!r} takes omega^2 or factor/omega^2 out of the float range"
             )
         object.__setattr__(self, "delta", TrigPolynomial(deviation))
-        object.__setattr__(self, "_expansion", _Expansion())
+        object.__setattr__(self, "_terms", ())
 
     def with_omega(self, omega: float) -> "IntegrandSpec":
         return IntegrandSpec(self.x_minus, self.x_plus, self.factor, omega)
@@ -325,27 +322,8 @@ def delta_of(spec: IntegrandSpec) -> TrigPolynomial:
     return spec.delta
 
 
-class _Expansion:
-    """A spec's expansion state: the terms formed so far, and the rows that
-    extend them.
-
-    terms:  I_0..I_k as floats, k = len(terms) - 1; empty on a fresh spec.
-    powers: Delta^1..Delta^k on the spec's nodes, row 0 the samples, while
-            0 < k < MAX_ORDER; None otherwise.
-    bad:    the first order whose term is not finite, MAX_ORDER + 1 while
-            every term is.
-    """
-
-    __slots__ = ("terms", "powers", "bad")
-
-    def __init__(self):
-        self.terms: list[float] = []
-        self.powers: "np.ndarray | None" = None
-        self.bad = MAX_ORDER + 1
-
-
-def _extend(spec: IntegrandSpec, state: _Expansion, order: int) -> None:
-    """Form the terms of the spec's state through the order.
+def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
+    """The spec's terms I_0..I_N, through the first that is not finite.
 
     Delta is sampled on the midpoint nodes theta_j = (j + 1/2) pi/(s m),
     j < m.  s = 2 when Delta holds only even powers of cos(theta): Delta^n is
@@ -362,72 +340,57 @@ def _extend(spec: IntegrandSpec, state: _Expansion, order: int) -> None:
     with the nonzero coefficients of Delta in c, in numpy polyval's order of
     roundings (its first step, 0 c + a, is a); a zero coefficient is not
     added.  Row n of the powers is row n - 1 times the samples, as a
-    cumulative product forms it; a second extension starts from the last row
-    the first one kept.  Overflow and invalid values are let through: the
-    first order whose term is not finite is recorded in state.bad.
+    cumulative product forms it.  Overflow and invalid values are let
+    through, and the terms stop before the first that is not finite.
     """
+    if not order:
+        return (math.pi / spec.omega,)
     import numpy as np
 
-    terms = state.terms
-    if not terms:
-        terms.append(math.pi / spec.omega)
-    done = len(terms) - 1
-    if order <= done:
-        return
     coeffs = spec.delta.coeffs
     s = 1 if any(coeffs[1::2]) else 2
     m = (len(coeffs) - 1) // s * (MAX_ORDER // 2) + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        if state.powers is None:
-            powers = np.empty((order, m))
-            row = powers[0]
-            row.fill(coeffs[-1])
-            x = _node_cosines(m, s)
-            for c in coeffs[-1 - s :: -s]:
-                row *= x
-                if c:
-                    row += c
-            powers[1:] = row
-            rows = powers
-        else:
-            previous = state.powers
-            powers = np.empty((order - done + 1, m))
-            powers[0] = previous[-1]
-            powers[1:] = previous[0]
-            rows = powers[1:]
+        powers = np.empty((order, m))
+        row = powers[0]
+        row.fill(coeffs[-1])
+        x = _node_cosines(m, s)
+        for c in coeffs[-1 - s :: -s]:
+            row *= x
+            if c:
+                row += c
+        powers[1:] = row
         powers.cumprod(axis=0, out=powers)
-        sums = rows.sum(axis=1)
+        sums = powers.sum(axis=1)
         sums /= m
-        sums *= _term_weights(MAX_ORDER)[done + 1 : order + 1]
+        sums *= _term_weights()[1 : order + 1]
         sums /= spec.omega
-    new = sums.tolist()
-    if state.bad > MAX_ORDER and not math.isfinite(sum(new)):
-        bad = (done + 1 + i for i, t in enumerate(new) if not math.isfinite(t))
-        state.bad = next(bad, state.bad)
-    terms += new
-    state.powers = powers if order < MAX_ORDER else None
+    terms = [math.pi / spec.omega, *sums.tolist()]
+    if not math.isfinite(sum(terms)):
+        terms = terms[: next((n for n, t in enumerate(terms) if not math.isfinite(t)), None)]
+    return tuple(terms)
 
 
 def _series_terms(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     """Terms I_0..I_N of the spec, a prefix of its one expansion.
 
-    A fresh spec forms the terms through N only.  A spec that already holds
-    terms and is asked for more forms them all, through MAX_ORDER, and drops
-    its power rows, so an ascending table of orders pays for two extensions.
-    Each term is the same whatever the order of the calls: the node set is
-    the spec's, not the call's.  An order at or above the first term that
-    leaves the float range raises DomainError on every call; lower orders
+    A fresh spec forms the terms through N only; a spec asked for more than
+    it holds forms them all, through MAX_ORDER.  Each term is the same
+    whatever the order of the calls: the node set is the spec's, not the
+    call's.  An order at or past the first term that leaves the float range
+    raises DomainError on every call, forming the terms again; lower orders
     still return.
     """
     order = _check_order(order)
-    state = spec._expansion
-    if order >= len(state.terms):
-        _extend(spec, state, order if not state.terms else MAX_ORDER)
-    if order >= state.bad:
-        raise DomainError(
-            f"a term through order {order} leaves the float range at omega = {spec.omega!r}"
-        )
-    return tuple(state.terms[: order + 1])
+    terms = spec._terms
+    if order >= len(terms):
+        terms = _extend(spec, order if not terms else MAX_ORDER)
+        object.__setattr__(spec, "_terms", terms)
+        if order >= len(terms):
+            raise DomainError(
+                f"a term through order {order} leaves the float range at omega = {spec.omega!r}"
+            )
+    return terms[: order + 1]
 
 
 def term(spec: IntegrandSpec, n: int) -> float:
@@ -444,7 +407,7 @@ def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     """All terms through the requested order, and their partial sums.
 
     The terms are a prefix of the spec's one expansion (see IntegrandSpec):
-    Delta is sampled once per spec on its fixed node set, and all its powers
+    Delta is sampled on the spec's fixed node set, and all its powers
     come from one cumulative product over the samples, so expanding a fresh
     spec to order N costs O(N m) flops in a handful of array operations,
     m = (deg(Delta)/s) 32 + 1.  expand(spec, n) is therefore a prefix of

@@ -214,9 +214,12 @@ def test_a_negative_value_may_follow_its_option_as_a_separate_token(command, opt
 
 
 def test_unknown_study_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["convergence", "nonsense-study"])
-    assert info.value.code == 2
+    # argparse refuses an unknown study or model before any command runs.
+    for argv in (["convergence", "nonsense-study"], ["period", "nonsense-model"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_convergence_stdout_keeps_csv_clean(capsys):

@@ -114,6 +114,10 @@ def test_integrate_rejects_bad_interval_and_tolerance():
         integrate(math.sin, 2.0, 1.0)
     with pytest.raises(DomainError):
         integrate(math.sin, 0.0, 1.0, abs_tol=0.0)
+    # A NaN tolerance compares false with everything, so no error estimate
+    # could ever be checked against it.
+    with pytest.raises(DomainError, match="abs_tol"):
+        integrate(lambda x: x**-0.5 if x > 0 else 0.0, 0.0, 1.0, abs_tol=math.nan)
 
 
 def test_integrate_stops_on_relative_tolerance():

@@ -145,8 +145,8 @@ def test_float_keyed_caches_are_bounded():
 
 def test_array_caches_keyed_on_a_size_are_bounded():
     # One array per size adds up: a node set per factor degree would reach
-    # 134 MB over the exponents up to MAX_EXPONENT.  A cache keyed on the
-    # expansion order alone holds at most MAX_ORDER + 1 arrays.
+    # 134 MB over the exponents up to MAX_EXPONENT.  A cache with no argument
+    # holds one array, and one keyed on an order alone at most MAX_ORDER + 1.
     sized = {
         name: maxsize for name, (maxsize, node) in _lru_caches().items()
         if node.returns is not None and "ndarray" in ast.unparse(node.returns)

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -282,7 +283,7 @@ def test_cached_tables_are_read_only():
     for table in (
         _positivity_cosines(),
         _node_cosines(17, 2),
-        _term_weights(8),
+        _term_weights(),
     ):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -346,7 +347,7 @@ def node_rule_terms(spec):
     powers[0] = 1.0
     powers[1:] = _horner(coeffs[::s], _node_cosines(m, s))
     np.cumprod(powers, axis=0, out=powers)
-    return _term_weights(MAX_ORDER) * (powers.sum(axis=1) / m) / spec.omega
+    return _term_weights() * (powers.sum(axis=1) / m) / spec.omega
 
 
 def test_in_place_samples_keep_polyval_bits():
@@ -637,13 +638,13 @@ def test_a_term_past_the_float_range_raises_in_any_call_order():
                     call(spec, n)
 
 
-def test_an_ascending_table_expands_twice_and_samples_once(monkeypatch):
-    extensions, samplings = [], []
+def test_a_table_of_orders_forms_the_terms_at_most_twice(monkeypatch):
+    formed, samplings = [], []
     extend, nodes = series_core._extend, series_core._node_cosines
 
-    def counting_extend(spec, state, order):
-        extensions.append(order)
-        return extend(spec, state, order)
+    def counting_extend(spec, order):
+        formed.append(order)
+        return extend(spec, order)
 
     def counting_nodes(m, s):
         samplings.append(m)
@@ -653,17 +654,46 @@ def test_an_ascending_table_expands_twice_and_samples_once(monkeypatch):
     monkeypatch.setattr(series_core, "_node_cosines", counting_nodes)
     for fresh in (HISTORY_SPECS["K5-pms-rho0.5"], HISTORY_SPECS["cubic"]):
         for N in (1, 2, 30, MAX_ORDER):
-            extensions.clear()
+            # A fresh spec's first call forms the terms through its own order.
+            formed.clear()
+            samplings.clear()
+            expand(fresh(), N)
+            assert formed == [N] and len(samplings) == 1
+            # A table from order 0 samples once: order 0 needs no samples,
+            # order 1 forms every term, and the later calls only read.
+            formed.clear()
             samplings.clear()
             spec = fresh()
             for n in range(N + 1):
                 expand(spec, n)
-            assert len(extensions) <= 2 and len(samplings) == 1, (N, extensions)
-            # The completed expansion keeps its terms and drops its rows.
             for n in range(N + 1):
                 term(spec, n)
-            assert len(extensions) <= 2 and len(samplings) == 1
-            assert spec._expansion.powers is None
+            assert formed == [0, MAX_ORDER] and len(samplings) == 1, (N, formed)
+            # A table from order 1 forms through 1, then through MAX_ORDER.
+            formed.clear()
+            samplings.clear()
+            spec = fresh()
+            for n in range(1, N + 1):
+                expand(spec, n)
+            expected = [1] if N == 1 else [1, MAX_ORDER]
+            assert formed == expected and len(samplings) == len(expected), (N, formed)
+
+
+def test_an_expanded_spec_keeps_only_its_terms():
+    # At K = 1024 a spec has 32737 nodes, so 30 rows of powers would be
+    # 7.9 MB; the spec keeps its 31 terms and nothing else.
+    K = 1024
+    kappa = even_power_kappa_pms(K)
+    expand(_even_power_spec.__wrapped__(K, 0.5, kappa), 1)  # caches the node set
+    spec = _even_power_spec.__wrapped__(K, 0.5, kappa)
+    tracemalloc.start()
+    try:
+        expand(spec, 30)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spec._terms) == 31
+    assert retained < 0.1e6, retained
 
 
 def test_omega_independence_of_limit():
