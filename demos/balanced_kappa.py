@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 
 from pmsdelta import (
-    delta_of,
     even_power_exact_period,
     even_power_kappa_balanced,
     even_power_kappa_pms,
@@ -24,7 +23,7 @@ from pmsdelta.oscillators import _even_power_spec
 def max_abs_delta(kappa: float) -> float:
     spec = _even_power_spec(5, math.inf, kappa)
     grid = np.linspace(0.0, math.pi, 4001)
-    return float(np.max(np.abs(delta_of(spec).evaluate(grid))))
+    return float(np.max(np.abs(spec.delta.evaluate(grid))))
 
 
 def main() -> None:

@@ -48,7 +48,6 @@ _EXPORTS = {
     "fit_log_linear": "oracle",
     "integrate": "oracle",
     "OscillatorModel": "oscillators",
-    "TurningPoints": "oscillators",
     "cubic_exact_period": "oscillators",
     "cubic_series": "oscillators",
     "duffing_b0": "oscillators",
@@ -68,7 +67,6 @@ _EXPORTS = {
     "sextic_series": "oscillators",
     "sextic_t4": "oscillators",
     "sextic_wl_period": "oscillators",
-    "turning_points": "oscillators",
     "virial_omega_check": "oscillators",
     "OrbitParams": "precession",
     "critical_semimajor_axis": "precession",
@@ -80,7 +78,6 @@ _EXPORTS = {
     "SeriesExpansion": "series_core",
     "TrigPolynomial": "series_core",
     "cos_moment": "series_core",
-    "delta_of": "series_core",
     "expand": "series_core",
     "half_binomial": "series_core",
     "pms_derivative_check": "series_core",

@@ -19,6 +19,7 @@ from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, _csv, _json
 from .errors import DomainError, PmsDeltaError
 from .oracle import FitResult, fit_log_linear
 from .oscillators import (
+    _check_exponent,
     duffing_b0,
     duffing_exact_period,
     duffing_period_series,
@@ -151,6 +152,7 @@ def duffing_error_vs_rho(
         raise DomainError("rho_grid must not be empty")
     if any(r <= -1.0 for r in rho_grid):
         raise DomainError("all grid points must satisfy rho > -1")
+    order = _check_order(order)
     b0_ref = 2.0 * math.pi / even_power_exact_period(2, math.inf)
     asymptote = abs(duffing_b0(order) - b0_ref) / b0_ref
     bound = asymptote * (1.0 + 1e-9) + 8.0 * sys.float_info.epsilon
@@ -200,6 +202,7 @@ def negative_rho_study(
     """
     if K not in (3, 4, 5):
         raise DomainError(f"K must be 3, 4 or 5, got {K!r}")
+    K = _check_exponent(K)
     if max_order < 6:
         raise DomainError("max_order must be >= 6")
     max_order = _check_order(max_order)
@@ -234,8 +237,7 @@ def precession_error_table(
         raise DomainError("a_grid must not be empty")
     if not orders:
         raise DomainError("orders must not be empty")
-    for order in orders:
-        _check_order(order)
+    orders = [_check_order(order) for order in orders]
     cases = []
     for a in a_grid:
         orbit = OrbitParams(GM=GM, a=a, epsilon=eccentricity)

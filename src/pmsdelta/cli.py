@@ -52,6 +52,8 @@ def _geometric_grid(lo: float, hi: float, points: int) -> list[float]:
         raise DomainError("points must be >= 2")
     if points > MAX_POINTS:
         raise DomainError(f"points must be <= {MAX_POINTS}, got {points}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got {lo!r} and {hi!r}")
     if not lo < hi:
         raise DomainError("grid minimum must be below grid maximum")
     # The last point is hi itself: lo + n step and lo (hi/lo) can miss it.
@@ -59,7 +61,9 @@ def _geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     if lo <= 0.0:
         step = (hi - lo) / n
         return [lo + i * step for i in range(n)] + [hi]
-    return [lo * (hi / lo) ** (i / n) for i in range(n)] + [hi]
+    if hi / lo < math.inf:
+        return [lo * (hi / lo) ** (i / n) for i in range(n)] + [hi]
+    return [lo ** (1 - i / n) * hi ** (i / n) for i in range(n)] + [hi]
 
 
 def _emit(

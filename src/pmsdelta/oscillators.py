@@ -1,13 +1,14 @@
 """Oscillator families: turning points, stationary frequencies, period series.
 
 Each family factors E - V(x) = R(x) (x - x-)(x+ - x) between its turning
-points, maps R onto a polynomial in cos(theta), and hands the result to the
-expansion engine.  The period is sqrt(2) times the expanded integral.  Closed
-forms are provided where the series collapses to a known hypergeometric-style
-sum, together with exact reference periods computed through the independent
-oracle: the AGM wherever R is at most quadratic in cos(theta) or
-cos^2(theta); for the even powers K >= 4, the trapezoidal rule on their
-periodic integrand, or the adaptive quadrature near the separatrix.
+points x- < x+ and maps R onto a polynomial in cos(theta); an OscillatorModel
+holds the three and hands them to the expansion engine as one IntegrandSpec.
+The period is sqrt(2) times the expanded integral.  Closed forms are provided
+where the series collapses to a known hypergeometric-style sum, together with
+exact reference periods computed through the independent oracle: the AGM
+wherever R is at most quadratic in cos(theta) or cos^2(theta); for the even
+powers K >= 4, the trapezoidal rule on their periodic integrand, or the
+adaptive quadrature near the separatrix.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -42,44 +43,30 @@ __all__ = _names(__name__)
 
 
 @dataclass(frozen=True)
-class TurningPoints:
-    """Turning points with the factor polynomial of the motion between them.
-
-    rho is the dimensionless anharmonicity mu * A^(2K-2) for the even-power
-    families (and the equivalent quantity for Taylor-truncated pendula); it is
-    NaN for families where no single such combination exists.
-    """
-
-    x_minus: float
-    x_plus: float
-    factor: TrigPolynomial
-    rho: float = field(default=math.nan)
-
-    def spec_at(self, omega: float | None = None) -> IntegrandSpec:
-        """IntegrandSpec at the given reference frequency.
-
-        Defaults to the first-order stationary frequency of the factor.
-        """
-        if omega is None:
-            omega = pms_first_order(self.factor)
-        return IntegrandSpec(self.x_minus, self.x_plus, self.factor, omega)
-
-
-@dataclass(frozen=True)
 class OscillatorModel:
     """A potential family's parameters with the motion they describe.
 
     Each classmethod constructor checks every parameter and factors E - V
-    between the turning points once, into `points`, so a model that exists
-    always has a factor.  Exactly one of amplitude or energy is set: the even
-    families and the pendulum are parametrized by amplitude, the cubic
-    families by the energy implied by their turning points.
+    between the turning points once, into x_minus, x_plus and the factor R,
+    so a model that exists always has a factor.  rho is the dimensionless
+    anharmonicity mu A^(2K-2) for the even-power families (and the
+    equivalent quantity for Taylor-truncated pendula); it is NaN for
+    families where no single such combination exists.  energy is set for
+    the cubic families, where the turning points imply it, and None for the
+    even families and the pendulum, which are parametrized by amplitude.
     """
 
     params: Mapping[str, float]
-    points: TurningPoints
-    amplitude: float | None = None
+    x_minus: float
+    x_plus: float
+    factor: TrigPolynomial
+    rho: float = math.nan
     energy: float | None = None
+
+    def spec_at(self) -> IntegrandSpec:
+        """IntegrandSpec at the factor's first-order stationary frequency;
+        IntegrandSpec.with_omega moves it to any other."""
+        return IntegrandSpec(self.x_minus, self.x_plus, self.factor, pms_first_order(self.factor))
 
     @classmethod
     def duffing(cls, mu: float, amplitude: float) -> "OscillatorModel":
@@ -105,8 +92,7 @@ class OscillatorModel:
                 f"rho = mu A^(2K-2) overflows at mu = {mu!r}, A = {amplitude!r}"
             ) from None
         rho = _check_rho(rho)
-        points = TurningPoints(-amplitude, amplitude, _even_factor(K, rho), rho)
-        return cls({"K": K, "mu": mu}, points, amplitude=amplitude)
+        return cls({"K": K, "mu": mu}, -amplitude, amplitude, _even_factor(K, rho), rho)
 
     @classmethod
     def cubic(cls, x_minus: float, x_plus: float) -> "OscillatorModel":
@@ -121,8 +107,7 @@ class OscillatorModel:
         factor = TrigPolynomial([0.5 * (end_0 + end_pi), 0.5 * (end_0 - end_pi)])
         return cls(
             {"mu": mu, "x_minus": x_minus, "x_plus": x_plus},
-            TurningPoints(x_minus, x_plus, factor),
-            energy=energy,
+            x_minus, x_plus, factor, energy=energy,
         )
 
     @classmethod
@@ -169,8 +154,7 @@ class OscillatorModel:
         _quartic_cubic_agm_args(factor)
         return cls(
             {"a2": a2, "a3": a3, "a4": a4, "x_minus": x_minus, "x_plus": x_plus},
-            TurningPoints(x_minus, x_plus, factor),
-            energy=0.5 * (v_lo + v_hi),
+            x_minus, x_plus, factor, energy=0.5 * (v_lo + v_hi),
         )
 
     @classmethod
@@ -197,11 +181,7 @@ class OscillatorModel:
                     f"barrier sqrt(6) = {math.sqrt(6.0)!r}: no periodic motion"
                 )
             factor = _even_factor(2, rho)
-        return cls(
-            {"taylor_order": taylor_order},
-            TurningPoints(-amplitude, amplitude, factor, rho),
-            amplitude=amplitude,
-        )
+        return cls({"taylor_order": taylor_order}, -amplitude, amplitude, factor, rho)
 
 
 def _check_taylor(taylor_order: int) -> int:
@@ -342,11 +322,6 @@ def _quartic_cubic_agm_args(
             "the particle crosses a barrier"
         )
     return end_0, 2.0 * (r0 - r2), end_pi, excess
-
-
-def turning_points(model: OscillatorModel) -> TurningPoints:
-    """Turning points and factor polynomial of a model, built with the model."""
-    return model.points
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +786,7 @@ def quartic_cubic_pms(
     sqrt(2) (I0 + I2) from the generic expansion.  A factor that is not
     positive between the turning points raises NoPeriodicMotion.
     """
-    spec = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.spec_at()
+    spec = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).spec_at()
     series = expand(spec, 2)
     t0 = math.sqrt(2.0) * series.terms[0]
     t2 = math.sqrt(2.0) * series.value
@@ -830,7 +805,7 @@ def quartic_cubic_exact_period(
     constructor runs the same exact test, so this refuses exactly the wells
     the model refuses.
     """
-    factor = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).points.factor
+    factor = OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus).factor
     return _quadratic_agm(*_quartic_cubic_agm_args(factor))
 
 
@@ -871,4 +846,4 @@ def pendulum_approx(amplitude: float, taylor_order: int, series_order: int) -> f
 def _pendulum_spec(amplitude: float, taylor_order: int) -> IntegrandSpec:
     """The truncated pendulum's spec at its first-order stationary frequency,
     cached for one entry like _even_power_spec."""
-    return OscillatorModel.pendulum(amplitude, taylor_order).points.spec_at()
+    return OscillatorModel.pendulum(amplitude, taylor_order).spec_at()

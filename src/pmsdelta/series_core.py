@@ -198,11 +198,6 @@ class TrigPolynomial:
         """Average over [0, pi]."""
         return self.integral() / math.pi
 
-    def shifted(self, constant: float) -> "TrigPolynomial":
-        out = list(self.coeffs)
-        out[0] += constant
-        return TrigPolynomial(out)
-
 
 @dataclass(frozen=True)
 class IntegrandSpec:
@@ -223,8 +218,8 @@ class IntegrandSpec:
     than sampling the factor again.  The factor's coefficients must be
     finite, with sum |c_k| in the float range (it bounds |R|, so Horner's
     rule cannot overflow), and omega^2, 1/omega^2 and the coefficients of
-    Delta must be floats too.  Delta is formed here, once: every expansion of
-    the spec reads it.
+    Delta must be floats too.  Delta = factor/omega^2 - 1 is formed here,
+    once, as `delta`: every expansion of the spec reads it.
 
     A spec holds its expansion as one tuple of terms, filled by term() and
     expand() and read by both.  Its one node set, m = (deg(Delta)/s)
@@ -312,14 +307,6 @@ class SeriesExpansion:
     def partial_sums(self) -> tuple[float, ...]:
         """S_0..S_N, each correctly rounded."""
         return tuple(math.fsum(self.terms[: n + 1]) for n in range(len(self.terms)))
-
-
-def delta_of(spec: IntegrandSpec) -> TrigPolynomial:
-    """Relative deviation Delta(theta) = factor/omega^2 - 1 from the reference.
-
-    Formed once, when the spec is built.
-    """
-    return spec.delta
 
 
 def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:

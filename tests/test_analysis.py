@@ -5,6 +5,7 @@ import math
 import sys
 import warnings
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,13 @@ from pmsdelta.errors import (
     ThirdRootInsideInterval,
 )
 from pmsdelta.oracle import elliptic_k
-from pmsdelta.oscillators import duffing_exact_period, duffing_period_series
+from pmsdelta.oscillators import (
+    duffing_b0,
+    duffing_exact_period,
+    duffing_period_series,
+    even_power_kappa_pms,
+    even_power_series,
+)
 from pmsdelta.precession import critical_semimajor_axis
 from pmsdelta.series_core import MAX_ORDER
 
@@ -41,6 +48,24 @@ def test_duffing_b0_study_shape():
     b0_exact = math.pi / (2.0 * elliptic_k(0.5))
     for p in study.points:
         assert p.reference == pytest.approx(b0_exact, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, labels",
+    [
+        (lambda: precession_error_table([300.0], [2.0]), ["precession-order2"]),
+        (lambda: [duffing_error_vs_rho([1.0], 2.0)], ["duffing-rho-order2"]),
+        (
+            lambda: negative_rho_study(4.0, -0.9, 8.0),
+            ["negative-rho-K4-even", "negative-rho-K4-odd"],
+        ),
+    ],
+    ids=["precession", "duffing-rho", "negative-rho"],
+)
+def test_study_labels_name_the_checked_integer(build, labels):
+    # An integral float is accepted as an order or exponent; the label
+    # carries the int the study computed at, not "2.0" or "K4.0".
+    assert [study.label for study in build()] == labels
 
 
 def test_duffing_b0_errors_decrease():
@@ -149,6 +174,64 @@ def test_fit_matches_an_exact_least_squares_fit(study, in_window, max_order):
         rms = mpmath.sqrt(sum((y - intercept - slope * n) ** 2 for n, y in zip(ns, ys)) / len(ns))
         for value, reference in zip(result.fit, (-intercept, -slope, rms)):
             assert abs(value - reference) <= 1e-14 * abs(reference)
+
+
+def _hb(n):
+    """The half-integer binomial (-1/2 choose n), exactly."""
+    return Fraction((-1) ** n * math.comb(2 * n, n), 4**n)
+
+
+def _sextic_moment(n):
+    """J_n exactly: the w^(2n) coefficient of (w^4 + 8 w^3 + 8 w + 1)^n over 2^n."""
+    b = 5 * n + 1
+    x = 1 << b
+    packed = (x**4 + 8 * x**3 + 8 * x + 1) ** n
+    return Fraction((packed >> (2 * n * b)) & (x - 1), 2**n)
+
+
+def _rate_fit(mpmath, partial_sums, limit, orders):
+    """(beta, p) of the least-squares fit ln e_N = a - beta N - p ln N."""
+    rows = [[1, -n, -mpmath.log(n)] for n in orders]
+    logs = [mpmath.log(abs(partial_sums[n] / limit - 1)) for n in orders]
+    (_, beta, p), _ = mpmath.qr_solve(mpmath.matrix(rows), mpmath.matrix(logs))
+    return float(beta), float(p)
+
+
+def test_strong_coupling_series_decay_at_the_papers_rates():
+    # Past the window the studies fit, the errors of both strong-coupling
+    # sequences decay like N^-1 r^N, at the paper's rates: r = 1/9 for the
+    # quartic pair sum and r = 3/5 for the sextic series.  The partial sums
+    # are exact rationals, rounded once to 80 and 60 digits.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        total, quartic = Fraction(0), []
+        for j in range(61):
+            total += Fraction(-1, 9) ** j * _hb(j) * _hb(2 * j)
+            quartic.append(mpmath.mpf(total.numerator) / total.denominator)
+        limit = mpmath.sqrt(3) * mpmath.ellipk(0.5) / mpmath.pi
+        beta, p = _rate_fit(mpmath, quartic, limit, range(15, 61))
+        assert abs(beta / math.log(9.0) - 1.0) < 2e-3 and abs(p - 1.0) < 0.1, (beta, p)
+        for n in range(21):
+            b0 = float(mpmath.sqrt(3) / (2 * quartic[n]))
+            assert abs(duffing_b0(n) - b0) <= 2 * math.ulp(b0), n
+    with mpmath.workdps(60):
+        scale = mpmath.sqrt(2) * mpmath.pi / mpmath.sqrt(mpmath.mpf(5) / 16)
+        total, sextic = Fraction(0), []
+        for n in range(151):
+            total += _hb(n) * Fraction(1, 15) ** n * _sextic_moment(n)
+            sextic.append(scale * (mpmath.mpf(total.numerator) / total.denominator))
+
+        def integrand(theta):
+            c = mpmath.cos(theta) ** 2
+            return 1 / mpmath.sqrt((1 + c + c * c) / 6)
+
+        limit = mpmath.sqrt(2) * mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi])
+        beta, p = _rate_fit(mpmath, sextic, limit, range(20, 151, 2))
+        assert abs(beta / math.log(5.0 / 3.0) - 1.0) < 2e-3 and abs(p - 1.0) < 0.1, (beta, p)
+        kappa = even_power_kappa_pms(3)
+        for n in range(21):
+            c0 = float(sextic[n])
+            assert abs(even_power_series(3, math.inf, kappa, n) - c0) <= 2 * math.ulp(c0), n
 
 
 def test_negative_rho_study_parity_split():

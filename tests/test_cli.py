@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from pmsdelta import analysis, oscillators
 from pmsdelta.analysis import negative_rho_study, sextic_c0_study
-from pmsdelta.cli import build_parser, main
+from pmsdelta.cli import _geometric_grid, build_parser, main
+from pmsdelta.errors import DomainError
 from pmsdelta.oscillators import _even_power_spec, _pendulum_spec
 from pmsdelta.series_core import MAX_ORDER
 
@@ -141,11 +142,12 @@ def test_period_without_exact_skips_the_oracle(capsys, model):
         ["convergence", "precession", "--a-max", "inf"],
         ["convergence", "precession", "--GM", "0"],
         ["convergence", "precession", "--points", "4097"],
+        ["convergence", "precession", "--orders", ","],
     ],
     ids=[
         "kappa-inf", "kappa-inf-rho-inf", "x-plus-inf", "order-65", "max-order-65",
         "exponent-1025", "exponent-1e9", "zero-reference-a-inf", "zero-reference-GM-0",
-        "points-4097",
+        "points-4097", "orders-empty",
     ],
 )
 def test_non_finite_and_uncapped_inputs_exit_2(capsys, argv):
@@ -428,11 +430,12 @@ def test_duffing_rho_sweep_past_minus_two_thirds(capsys):
 
 @pytest.mark.parametrize(
     "rho_min, rho_max",
-    [("-0.999999999", "1"), ("1.43", "121.5")],
-    ids=["linear", "geometric"],
+    [("-0.999999999", "1"), ("1.43", "121.5"), ("1e-200", "1e200")],
+    ids=["linear", "geometric", "geometric-ratio-overflows"],
 )
 def test_sweep_grid_ends_at_its_bounds(capsys, rho_min, rho_max):
-    # lo + 2 step gave 0.99999999999999989 and lo * (hi/lo) 121.50000000000001.
+    # lo + 2 step gave 0.99999999999999989 and lo * (hi/lo) 121.50000000000001;
+    # hi/lo = 1e400 overflowed and made the middle point inf.
     code, out, err = run_cli(
         capsys, "convergence", "duffing-rho", "--rho-min", rho_min, "--rho-max", rho_max,
         "--points", "3",
@@ -440,6 +443,33 @@ def test_sweep_grid_ends_at_its_bounds(capsys, rho_min, rho_max):
     assert code == 0
     _, rows = parse_csv(out)
     assert (float(rows[0][0]), float(rows[-1][0])) == (float(rho_min), float(rho_max))
+
+
+def test_sweep_grid_points_are_finite_where_the_bounds_ratio_overflows():
+    # hi/lo = 1e400 made every inner point inf.
+    grid = _geometric_grid(1e-200, 1e200, 4)
+    assert grid[0] == 1e-200 and grid[-1] == 1e200
+    assert grid[1:3] == pytest.approx([10 ** (-200 / 3), 10 ** (200 / 3)], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-0.5, math.inf), (-math.inf, 1.0), (math.nan, 1.0)],
+    ids=["max-inf", "min-minus-inf", "min-nan"],
+)
+def test_sweep_grid_refuses_a_non_finite_bound_naming_it(lo, hi):
+    # lo + 0 inf made the first point NaN; a NaN bound was refused as out of
+    # order.
+    message = f"grid bounds must be finite, got {lo!r} and {hi!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        _geometric_grid(lo, hi, 3)
+
+
+def test_infinite_sweep_bound_exits_2_naming_it(capsys):
+    code, out, err = run_cli(
+        capsys, "convergence", "duffing-rho", "--rho-min", "-0.99", "--rho-max", "inf",
+        "--points", "3",
+    )
+    assert (code, out, err) == (2, "", "grid bounds must be finite, got -0.99 and inf\n")
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,6 @@ from pmsdelta.oscillators import (
     sextic_series,
     sextic_t4,
     sextic_wl_period,
-    turning_points,
     virial_omega_check,
     _even_power_integrand,
     _even_power_quadrature,
@@ -52,7 +51,6 @@ from pmsdelta.precession import OrbitParams, precession_series
 from pmsdelta.series_core import (
     MAX_EXPONENT,
     MAX_ORDER,
-    delta_of,
     expand,
     pms_first_order,
 )
@@ -115,9 +113,8 @@ def test_model_constructors_factor_or_refuse(build, arguments, data):
         model = build(*args)
     except PmsDeltaError:
         return
-    assert turning_points(model) is model.points
     try:
-        spec = model.points.spec_at()
+        spec = model.spec_at()
     except PmsDeltaError:
         return
     assert 0.0 < spec.omega < math.inf
@@ -133,6 +130,10 @@ def test_extreme_finite_inputs_raise_typed_errors():
         cubic_series(-1e-200, 1e-200, 4)
     with pytest.raises(DomainError):
         cubic_exact_period(-1e200, 1e200)
+    # V at the ends is 5.3e307, but b0 = a2 + a4 (s^2 - p) overflows.
+    for build in (OscillatorModel.quartic_cubic, quartic_cubic_pms, quartic_cubic_exact_period):
+        with pytest.raises(DomainError, match="the factor polynomial overflows"):
+            build(1.7e308, 0.0, 1.7e308, -0.5, 0.5)
 
 
 RHO_FUNCTIONS = [
@@ -238,11 +239,11 @@ def test_cubic_energy_does_not_underflow():
 
 
 def test_turning_points_harmonic_duffing():
-    pts = turning_points(OscillatorModel.duffing(0.0, 1.0))
-    assert (pts.x_minus, pts.x_plus) == (-1.0, 1.0)
-    assert pts.factor.coeffs == (0.5,)
-    assert pts.rho == 0.0
-    spec = pts.spec_at()
+    model = OscillatorModel.duffing(0.0, 1.0)
+    assert (model.x_minus, model.x_plus) == (-1.0, 1.0)
+    assert model.factor.coeffs == (0.5,)
+    assert model.rho == 0.0
+    spec = model.spec_at()
     assert spec.omega == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
@@ -250,23 +251,22 @@ def test_turning_points_cubic_example():
     model = OscillatorModel.cubic(-1.0, 2.0)
     assert model.params["mu"] == pytest.approx(-0.5, rel=1e-15)
     assert model.energy == pytest.approx(2.0 / 3.0, rel=1e-15)
-    pts = turning_points(model)
-    assert math.isnan(pts.rho)
+    assert math.isnan(model.rho)
     # Stationary frequency of this configuration is exactly 1/2.
-    assert pms_first_order(pts.factor) == pytest.approx(0.5, rel=1e-14)
+    assert pms_first_order(model.factor) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_turning_points_rejections():
     with pytest.raises(NoPeriodicMotion):
-        turning_points(OscillatorModel.duffing(-1.2, 1.0))
+        OscillatorModel.duffing(-1.2, 1.0)
     with pytest.raises(BarrierCrossed):
-        turning_points(OscillatorModel.cubic(-1.0, 10.0))
+        OscillatorModel.cubic(-1.0, 10.0)
 
 
 def test_quartic_cubic_embeds_duffing():
-    pts_qc = turning_points(OscillatorModel.quartic_cubic(0.5, 0.0, 0.25, -1.0, 1.0))
-    pts_d = turning_points(OscillatorModel.duffing(1.0, 1.0))
-    assert pts_qc.factor.coeffs == pytest.approx(pts_d.factor.coeffs, rel=1e-15)
+    qc = OscillatorModel.quartic_cubic(0.5, 0.0, 0.25, -1.0, 1.0)
+    duffing = OscillatorModel.duffing(1.0, 1.0)
+    assert qc.factor.coeffs == pytest.approx(duffing.factor.coeffs, rel=1e-15)
 
 
 def test_duffing_omega_pms_values():
@@ -382,8 +382,7 @@ def test_sextic_series_matches_t4_and_expansion():
         assert sextic_series(rho, 4) == pytest.approx(sextic_t4(rho), rel=1e-12)
     # Generic-engine cross-check at rho = 1.
     rho = 1.0
-    pts = turning_points(OscillatorModel.sextic(rho, 1.0))
-    spec = pts.spec_at()
+    spec = OscillatorModel.sextic(rho, 1.0).spec_at()
     assert spec.omega == pytest.approx(math.sqrt(5.0 * rho + 8.0) / 4.0, rel=1e-15)
     for order in range(11):
         engine = math.sqrt(2.0) * expand(spec, order).value
@@ -458,7 +457,7 @@ def test_even_power_kappa_balanced_closed_form(K):
 def test_even_power_kappa_balanced_equalizes_extrema(K, rho):
     # Exact extrema of Delta: equal and opposite at the balanced kappa.
     spec = _even_power_spec(K, rho, even_power_kappa_balanced(K))
-    hi, lo = extrema(delta_of(spec))
+    hi, lo = extrema(spec.delta)
     assert abs(hi + lo) <= 4e-15
     if rho == math.inf:
         assert hi == pytest.approx((K - 1) / (K + 1), abs=2e-15)
@@ -808,7 +807,7 @@ def test_quartic_cubic_periods_match_mpmath_within_budget(a2, a4, x_minus, x_plu
     # The exact period comes from the AGM; the quadrature, the oracle's method
     # for factors of higher degree, is held to its budget on these cells too.
     args = _quartic_cubic_args(a2, a4, x_minus, x_plus)
-    factor = turning_points(OscillatorModel.quartic_cubic(*args)).factor
+    factor = OscillatorModel.quartic_cubic(*args).factor
     calls = 0
 
     def integrand(theta):
@@ -891,7 +890,7 @@ def test_quartic_cubic_agm_keeps_digits_up_to_the_barrier():
         quartic_cubic_exact_period(*_near_barrier_well(refused))
     assert 0.0 < quartic_cubic_exact_period(*_near_barrier_well(accepted)) < math.inf
     for a2, low, high in ((0.81731792, 5e-4, 2e-3), (accepted, 0.0, 1e-13)):
-        factor = turning_points(OscillatorModel.quartic_cubic(*_near_barrier_well(a2))).factor
+        factor = OscillatorModel.quartic_cubic(*_near_barrier_well(a2)).factor
         r0, r1, r2 = factor.coeffs
         assert r2 > r0  # B = 2 (r0 - r2) < 0
         assert low < extrema(factor)[1] / factor.evaluate(0.0) < high
@@ -906,7 +905,7 @@ CUBIC_CELLS = [(-0.2, 0.15), (-0.5, 0.55), (-0.8, 0.6), (-0.85, 0.9)]
 
 @pytest.mark.parametrize("x_minus, x_plus", CUBIC_CELLS)
 def test_cubic_agm_matches_quadrature(x_minus, x_plus):
-    factor = turning_points(OscillatorModel.cubic(x_minus, x_plus)).factor
+    factor = OscillatorModel.cubic(x_minus, x_plus).factor
     quadrature = integrate(
         lambda theta: 1.0 / math.sqrt(factor.evaluate(theta)),
         0.0, math.pi, abs_tol=1e-300, rel_tol=1e-14,
@@ -957,7 +956,7 @@ def test_cubic_rejects_infinite_turning_points():
     with pytest.raises(DomainError):
         cubic_series(-1.0, math.inf, 3)
     with pytest.raises(DomainError):
-        turning_points(OscillatorModel.cubic(-1.0, math.inf))
+        OscillatorModel.cubic(-1.0, math.inf)
     with pytest.raises(DomainError):
         cubic_exact_period(-math.inf, 1.0)
 
@@ -1098,7 +1097,7 @@ def test_quartic_cubic_embeds_cubic_frequency():
     model = OscillatorModel.cubic(-1.0, 1.05)
     mu = model.params["mu"]
     omega_qc, _, _ = quartic_cubic_pms(0.5, mu / 3.0, 0.0, -1.0, 1.05)
-    omega_cubic = pms_first_order(turning_points(model).factor)
+    omega_cubic = pms_first_order(model.factor)
     assert omega_qc == pytest.approx(omega_cubic, rel=1e-14)
 
 

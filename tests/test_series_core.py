@@ -29,7 +29,6 @@ from pmsdelta.series_core import (
     _positivity_cosines,
     _term_weights,
     cos_moment,
-    delta_of,
     expand,
     half_binomial,
     pms_derivative_check,
@@ -270,12 +269,12 @@ def test_the_families_take_the_grid_only_near_a_zero_of_the_factor():
                 for kappa in (even_power_kappa_pms(K), even_power_kappa_balanced(K)):
                     _even_power_spec.__wrapped__(K, rho, kappa)
         for model in models:
-            model.points.spec_at()
+            model.spec_at()
         assert calls == []
         # Near a zero of the factor the bound falls below its margin.
         _even_power_spec.__wrapped__(5, -1.0 + 1e-15, even_power_kappa_pms(5))
         assert len(calls) == 1
-        OscillatorModel.pendulum(3.1, 6).points.spec_at()
+        OscillatorModel.pendulum(3.1, 6).spec_at()
         assert len(calls) == 2
 
 
@@ -340,7 +339,7 @@ def node_rule_terms(spec):
     Delta sampled by _horner in c = cos^s(theta) (s = 2 when Delta holds only
     even powers of cos(theta)), and the cumulative product of the samples.
     """
-    coeffs = delta_of(spec).coeffs
+    coeffs = spec.delta.coeffs
     s = 1 if any(coeffs[1::2]) else 2
     m = (len(coeffs) - 1) // s * MAX_ORDER // 2 + 1
     powers = np.empty((MAX_ORDER + 1, m))
@@ -382,11 +381,11 @@ def test_value_and_partial_sums_are_fsums():
 def test_delta_of():
     omega = 1.3
     flat = IntegrandSpec(-1.0, 1.0, TrigPolynomial([omega**2]), omega)
-    assert delta_of(flat).coeffs == (0.0,)
+    assert flat.delta.coeffs == (0.0,)
     doubled = IntegrandSpec(-1.0, 1.0, TrigPolynomial([2.0 * omega**2]), omega)
-    assert delta_of(doubled).coeffs == pytest.approx((1.0,), abs=1e-15)
+    assert doubled.delta.coeffs == pytest.approx((1.0,), abs=1e-15)
     # Quartic case at the stationary frequency: deviation is cos(2 theta)/7.
-    dev = delta_of(duffing_spec(1.0))
+    dev = duffing_spec(1.0).delta
     assert dev.coeffs == pytest.approx((-1.0 / 7.0, 0.0, 2.0 / 7.0), abs=1e-15)
 
 
@@ -418,10 +417,11 @@ def test_term_matches_quadrature_on_random_factors(case):
     factor = TrigPolynomial(coeffs)
     grid_min = float(np.min(factor.evaluate(np.linspace(0.0, math.pi, 512))))
     if grid_min <= 0.05:
-        factor = factor.shifted(0.05 - grid_min)
+        coeffs[0] += 0.05 - grid_min
+        factor = TrigPolynomial(coeffs)
     omega = float(rng.uniform(0.6, 1.8))
     spec = IntegrandSpec(-1.0, 1.0, factor, omega)
-    dev = delta_of(spec)
+    dev = spec.delta
     for n in range(7):
         analytic = term(spec, n)
         # The certification floor of the error estimate scales with the
@@ -520,12 +520,12 @@ HIGH_ORDER_CASES = {
     "K5-strong-balanced": lambda: even_power_spec(5, math.inf, 0.6),
     "K3-rho-0.9-pms": lambda: even_power_spec(3, -0.9, 0.625),
     "K2-rho-0.9-pms": lambda: even_power_spec(2, -0.9, 0.75),
-    "pendulum-taylor6": lambda: OscillatorModel.pendulum(2.5, 6).points.spec_at(),
+    "pendulum-taylor6": lambda: OscillatorModel.pendulum(2.5, 6).spec_at(),
     # Odd powers of cos(theta) in Delta: full-range nodes.
     "quartic-cubic": lambda: OscillatorModel.quartic_cubic(
         0.5, 0.1, 0.1, -0.6474066047756843, 0.5812792030865791
-    ).points.spec_at(),
-    "cubic-linear": lambda: OscillatorModel.cubic(-1.0, 1.366).points.spec_at(),
+    ).spec_at(),
+    "cubic-linear": lambda: OscillatorModel.cubic(-1.0, 1.366).spec_at(),
 }
 
 
@@ -548,10 +548,10 @@ def history_specs():
             for rho in (-0.9, 0.5, math.inf):
                 cases[f"K{K}-{rule}-rho{rho}"] = even_power_spec(K, rho, kappa)
     for taylor in (2, 4, 6):
-        cases[f"pendulum-taylor{taylor}"] = OscillatorModel.pendulum(1.7, taylor).points.spec_at()
-    cases["cubic"] = OscillatorModel.cubic(-1.0, 1.366).points.spec_at()
+        cases[f"pendulum-taylor{taylor}"] = OscillatorModel.pendulum(1.7, taylor).spec_at()
+    cases["cubic"] = OscillatorModel.cubic(-1.0, 1.366).spec_at()
     cases["quartic-cubic"] = HIGH_ORDER_CASES["quartic-cubic"]()
-    assert any(delta_of(spec).coeffs[1::2] for spec in cases.values())
+    assert any(spec.delta.coeffs[1::2] for spec in cases.values())
     return {name: (lambda spec=spec: spec.with_omega(spec.omega)) for name, spec in cases.items()}
 
 
@@ -597,7 +597,7 @@ def test_a_per_order_table_is_the_partial_sums_of_one_expansion(K, rho, kappa):
     sums = expand(spec, N).partial_sums
     assert table == [math.sqrt(2.0) * s for s in sums]
     pendulum = [pendulum_approx(2.5, 6, n) for n in range(N + 1)]
-    sums = expand(OscillatorModel.pendulum(2.5, 6).points.spec_at(), N).partial_sums
+    sums = expand(OscillatorModel.pendulum(2.5, 6).spec_at(), N).partial_sums
     assert pendulum == [math.sqrt(2.0) * s for s in sums]
 
 
@@ -746,7 +746,8 @@ def even_power_deviation(big_k):
         coeffs = [0.0] * (2 * big_k - 1)
         for j in range(big_k):
             coeffs[2 * j] = 1.0 / (big_k * kappa)
-        return TrigPolynomial(coeffs).shifted(-1.0)
+        coeffs[0] -= 1.0
+        return TrigPolynomial(coeffs)
 
     return family
 
