@@ -15,8 +15,9 @@ lines go to.
 Exit codes: 0 on success, 2 when a precondition on the inputs is violated
 (one-line diagnostic on stderr), 3 when the requested orbit lies at or below
 the critical semimajor axis.
-A warning raised during a command, such as DivergentExpansion, is printed
-as one stderr line, "Category: message", once per command.
+A warning raised during a command, such as the DivergentExpansion that
+errors._warn_divergent forms for every series, is printed as one stderr line,
+"Category: message", once per command.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from dataclasses import astuple
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
-from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE, _csv, _fmt, _json
+from .constants import (
+    DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE, _G_OVER_C2, _MASS, _csv, _fmt, _json,
+)
 from .errors import (
     BeyondCritical,
     DomainError,
@@ -60,7 +63,9 @@ def _geometric_grid(lo: float, hi: float, points: int) -> list[float]:
     n = points - 1
     if lo <= 0.0:
         step = (hi - lo) / n
-        return [lo + i * step for i in range(n)] + [hi]
+        if step < math.inf:
+            return [lo + i * step for i in range(n)] + [hi]
+        return [lo * (1 - i / n) + hi * (i / n) for i in range(n)] + [hi]
     if hi / lo < math.inf:
         return [lo * (hi / lo) ** (i / n) for i in range(n)] + [hi]
     return [lo ** (1 - i / n) * hi ** (i / n) for i in range(n)] + [hi]
@@ -295,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     prec.add_argument("--eccentricity", type=float, default=DEFAULT_ECCENTRICITY)
     prec.add_argument("--GM", type=float, default=None,
                       help="GM/c^2 in metres (overrides --mass/--g-over-c2)")
-    prec.add_argument("--mass", type=float, default=1.97e30, help="central mass (kg)")
-    prec.add_argument("--g-over-c2", type=float, default=7.425e-30,
+    prec.add_argument("--mass", type=float, default=_MASS, help="central mass (kg)")
+    prec.add_argument("--g-over-c2", type=float, default=_G_OVER_C2,
                       help="G/c^2 in metres per kilogram")
     prec.add_argument("--order", type=int, default=6)
     prec.add_argument("--units", choices=["arcsec", "rad"], default="arcsec")

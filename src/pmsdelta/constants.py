@@ -27,8 +27,9 @@ from . import _names
 
 __all__ = _names(__name__)
 
-# Worked example orbit: GM = (G/c^2) * M in meters.
-DEFAULT_GM = 7.425e-30 * 1.97e30
+# Worked example orbit: G/c^2 in m/kg, M in kg, and GM = (G/c^2) * M in meters.
+_G_OVER_C2, _MASS = 7.425e-30, 1.97e30
+DEFAULT_GM = _G_OVER_C2 * _MASS
 DEFAULT_ECCENTRICITY = 0.2506
 
 

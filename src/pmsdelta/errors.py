@@ -2,7 +2,13 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 that tests and the CLI can map them to exit codes without string matching.
+
+The one convergence signal, DivergentExpansion, is warned in one place:
+_warn_divergent, once the convergence margin q (max |Delta|, |xi| or |kappa|,
+formed by each series) reaches 1.
 """
+
+import warnings
 
 from . import _names
 
@@ -63,3 +69,12 @@ class DegenerateFit(PmsDeltaError):
 
 class DivergentExpansion(UserWarning):
     """max |Delta| >= 1: the expansion is outside its guaranteed-convergence region."""
+
+
+def _warn_divergent(q: float, message: str, *args: object) -> None:
+    """Warn DivergentExpansion with message % (q, *args) when q >= 1.
+
+    stacklevel=3 blames the caller of the series that calls this.
+    """
+    if q >= 1.0:
+        warnings.warn(message % (q, *args), DivergentExpansion, stacklevel=3)

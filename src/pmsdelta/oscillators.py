@@ -15,18 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
 from . import _names
-from .errors import (
-    BarrierCrossed,
-    DivergentExpansion,
-    DomainError,
-    NoPeriodicMotion,
-)
+from .errors import BarrierCrossed, DomainError, NoPeriodicMotion, _warn_divergent
 from .oracle import _agm_integral, _periodic_trapezoid, integrate
 from .series_core import (
     MAX_EXPONENT,
@@ -375,12 +369,7 @@ def duffing_nayfeh_series(rho: float, order: int) -> float:
     rho = _check_rho(rho)
     order = _check_order(order)
     kappa = rho / (2.0 * (1.0 + rho))
-    if abs(kappa) >= 1.0:
-        warnings.warn(
-            f"|kappa| = {abs(kappa):.6f} >= 1: the comparison series diverges",
-            DivergentExpansion,
-            stacklevel=2,
-        )
+    _warn_divergent(abs(kappa), "|kappa| = %.6f >= 1: the comparison series diverges")
     prefactor = 2.0 * math.pi / math.sqrt(1.0 + rho)
     try:
         total = prefactor * math.fsum(
@@ -589,14 +578,11 @@ def even_power_series(K: int, rho: float, kappa: float, order: int) -> float:
     K = _check_exponent(K)
     spec = _even_power_spec(K, float(rho), float(kappa))
     coeffs = spec.delta.coeffs
-    max_dev = max(abs(coeffs[0]), abs(math.fsum(coeffs)))
-    if max_dev >= 1.0:
-        warnings.warn(
-            f"max |Delta| = {max_dev:.6f} >= 1 at kappa = {kappa!r}: "
-            "the expansion need not converge",
-            DivergentExpansion,
-            stacklevel=2,
-        )
+    _warn_divergent(
+        max(abs(coeffs[0]), abs(math.fsum(coeffs))),
+        "max |Delta| = %.6f >= 1 at kappa = %r: the expansion need not converge",
+        kappa,
+    )
     return math.sqrt(2.0) * expand(spec, order).value
 
 
@@ -719,7 +705,8 @@ def _quadratic_agm(
     There the caller passes excess = AC - B^2/4 exactly, as a pair of
     integers (numerator, denominator), and the sum is formed as
     excess/(sqrt(AC) - B/2), whose terms share a sign.  That quotient is one
-    integer division, correctly rounded.
+    integer division, correctly rounded.  A well whose AGM end values are
+    not normal floats, which would underflow or overflow, raises DomainError.
     """
     root = math.sqrt(end_0) * math.sqrt(end_far)
     if middle >= 0.0:
@@ -728,7 +715,10 @@ def _quadratic_agm(
         numerator, denominator = excess
         top, bottom = (root - 0.5 * middle).as_integer_ratio()
         half_sum = numerator * bottom / (denominator * top)
-    return _agm_integral(0.25 * half_sum, 0.5 * root)[0]
+    e0, e1 = 0.25 * half_sum, 0.5 * root
+    if not (sys.float_info.min <= e0 < math.inf and sys.float_info.min <= e1 < math.inf):
+        raise DomainError(f"the AGM end values {e0!r} and {e1!r} leave the normal float range")
+    return _agm_integral(e0, e1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +742,7 @@ def cubic_series(x_minus: float, x_plus: float, order: int) -> float:
     (end_0, end_pi), _, _ = _cubic_factor(x_minus, x_plus)
     total = end_0 + end_pi
     xi = (end_0 - end_pi) / total
-    if abs(xi) >= 1.0:
-        warnings.warn(
-            f"|xi| = {abs(xi):.6f} >= 1: the cubic series need not converge",
-            DivergentExpansion,
-            stacklevel=2,
-        )
+    _warn_divergent(abs(xi), "|xi| = %.6f >= 1: the cubic series need not converge")
     return 2.0 * math.pi / math.sqrt(total) * _pair_sum(xi, order)
 
 

@@ -11,16 +11,10 @@ to expand.  Everything is in geometrized length units: GM stands for
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from . import _names
-from .errors import (
-    BeyondCritical,
-    DivergentExpansion,
-    DomainError,
-    ThirdRootInsideInterval,
-)
+from .errors import BeyondCritical, DomainError, ThirdRootInsideInterval, _warn_divergent
 from .oracle import _agm_integral
 from .series_core import _check_order, _pair_sum
 
@@ -123,12 +117,7 @@ def precession_series(orbit: OrbitParams, order: int) -> float:
     """
     order = _check_order(order)
     x, omega, xi = _omega(orbit)
-    if abs(xi) >= 1.0:
-        warnings.warn(
-            f"|xi| = {abs(xi):.6f} >= 1: the precession series need not converge",
-            DivergentExpansion,
-            stacklevel=2,
-        )
+    _warn_divergent(abs(xi), "|xi| = %.6f >= 1: the precession series need not converge")
     return 2.0 * math.pi * (x / (omega * (1.0 + omega)) + _pair_sum(xi, order, first=1) / omega)
 
 

@@ -452,6 +452,19 @@ def test_sweep_grid_points_are_finite_where_the_bounds_ratio_overflows():
     assert grid[1:3] == pytest.approx([10 ** (-200 / 3), 10 ** (200 / 3)], rel=1e-12)
 
 
+def test_linear_sweep_grid_points_are_finite_where_the_step_overflows(capsys):
+    # (hi - lo)/n = inf made the points [nan, inf, 1.7e308], and the sweep
+    # refused the first with "got nan", a value never given.
+    grid = _geometric_grid(-1.7e308, 1.7e308, 3)
+    assert grid == [-1.7e308, 0.0, 1.7e308]
+    assert all(math.isfinite(x) for x in _geometric_grid(-1.7e308, 1.7e308, 4))
+    code, out, err = run_cli(
+        capsys, "convergence", "precession", "--a-min", "-1.7e308", "--a-max", "1.7e308",
+        "--points", "3",
+    )
+    assert (code, out, err) == (2, "", "semimajor axis must be positive, got -1.7e+308\n")
+
+
 @pytest.mark.parametrize(
     "lo, hi", [(-0.5, math.inf), (-math.inf, 1.0), (math.nan, 1.0)],
     ids=["max-inf", "min-minus-inf", "min-nan"],

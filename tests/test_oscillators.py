@@ -134,6 +134,14 @@ def test_extreme_finite_inputs_raise_typed_errors():
     for build in (OscillatorModel.quartic_cubic, quartic_cubic_pms, quartic_cubic_exact_period):
         with pytest.raises(DomainError, match="the factor polynomial overflows"):
             build(1.7e308, 0.0, 1.7e308, -0.5, 0.5)
+    # The AGM end values underflow: to zero, which divided by zero, or to
+    # subnormals, which put 8.2e-15 of error in sqrt(2) pi/sqrt(a2) unseen.
+    # The series refuses both wells for omega, the exact period for its AGM.
+    for args in ((5e-324, 1e-300, 1e-10, 0.0, 1e-300), (3e-310, 0.0, 0.0, -1.0, 1.0)):
+        with pytest.raises(DomainError, match="out of the float range"):
+            quartic_cubic_pms(*args)
+        with pytest.raises(DomainError, match="leave the normal float range"):
+            quartic_cubic_exact_period(*args)
 
 
 RHO_FUNCTIONS = [
@@ -592,7 +600,7 @@ def test_even_power_k5_divergence_and_balance():
 @functools.lru_cache(maxsize=None)
 def _mp_even_period(K, rho):
     """sqrt(2) * integral of dtheta/sqrt(R) at 50 digits, g = sum_{j<K} c^j
-    by Horner's rule.  Where 1 + rho <= 1e-2, R dips at theta = 0, and
+    by Horner's rule.  Where 1 + rho <= 0.1, R dips at theta = 0, and
     tanh-sinh runs with breakpoints clustered there; elsewhere the integrand
     is analytic near [0, pi/2], and one Gauss-Legendre pass is enough.  For
     rho > 1, R/rho is integrated, so that 1/2 keeps its digits beside
@@ -613,7 +621,7 @@ def _mp_even_period(K, rho):
                 g = g * c + 1
             return 1 / mpmath.sqrt(base + weight * g)
 
-        if rho != math.inf and 1 + rho <= 1e-2:
+        if rho != math.inf and 1 + rho <= 0.1:
             points = [0] + [mpmath.mpf(10) ** -k for k in range(8, 0, -1)] + [mpmath.pi / 2]
             integral = mpmath.quad(f, points)
         else:

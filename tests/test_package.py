@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import math
 import pathlib
+import warnings
 
 import pytest
 
@@ -155,3 +157,56 @@ def test_array_caches_keyed_on_a_size_are_bounded():
     assert set(sized) == {"series_core._node_cosines"}
     for name, maxsize in sized.items():
         assert type(maxsize) is int, f"{name} caches one array per size without an integer maxsize"
+
+
+def _divergent_warns() -> set[str]:
+    """{module.function} of every warnings.warn call in the package that
+    names DivergentExpansion, read from its source."""
+    found = set()
+    for path in sorted(pathlib.Path(pmsdelta.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if (
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func) in ("warnings.warn", "warn")
+                    and any(
+                        getattr(part, "id", getattr(part, "attr", None)) == "DivergentExpansion"
+                        for arg in call.args + [k.value for k in call.keywords]
+                        for part in ast.walk(arg)
+                    )
+                ):
+                    found.add(f"{path.stem}.{func.name}")
+    return found
+
+
+def test_one_helper_warns_divergent_expansion():
+    # The convergence rule, q >= 1, its category and its stacklevel are
+    # written once; each series forms its own q and message.
+    assert _divergent_warns() == {"errors._warn_divergent"}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pmsdelta.duffing_nayfeh_series(-0.9, 3),
+         "|kappa| = 4.500000 >= 1: the comparison series diverges"),
+        (lambda: pmsdelta.even_power_series(5, math.inf, pmsdelta.even_power_kappa_pms(5), 3),
+         "max |Delta| = 1.031746 >= 1 at kappa = 0.4921875: the expansion need not converge"),
+        (lambda: pmsdelta.cubic_series(-6.070788974335778, 12.141577948671555, 3),
+         "|xi| = 1.000000 >= 1: the cubic series need not converge"),
+        (lambda: pmsdelta.precession_series(
+            pmsdelta.OrbitParams(pmsdelta.DEFAULT_GM, 100.0, pmsdelta.DEFAULT_ECCENTRICITY), 3),
+         "|xi| = 1.230794 >= 1: the precession series need not converge"),
+    ],
+    ids=["duffing-nayfeh", "even-power", "cubic", "precession"],
+)
+def test_each_divergence_warning_blames_the_caller(call, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    [w] = caught
+    assert w.category is pmsdelta.DivergentExpansion
+    assert str(w.message) == message
+    assert w.filename == __file__
