@@ -25,18 +25,33 @@ between monomial coefficients.
 Each spec is expanded on one node set, exact through MAX_ORDER, and keeps
 the tuple of terms formed so far, so every order is a prefix of one
 expansion: term n has the same bits whichever call forms it.  Delta's
-coefficients are formed once per spec, and its samples come from an
-in-place Horner pass over the cached node abscissas that skips the zero
-coefficients.  A spec's factor is proved positive by a bound read off its
-coefficients, or else taken on a 512-point grid by the same Horner's rule,
-and the sums of the terms are taken by math.fsum, correctly rounded.
+coefficients are formed once per spec, and its samples come from a Horner
+pass over the cached node abscissas that skips the zero coefficients.  A
+spec's factor is proved positive by a bound read off its coefficients, or
+else taken on a 512-point grid by the same Horner's rule, and the sums of
+the terms are taken by math.fsum, correctly rounded.
+
+The sampling and the grid each have two kernels with one bit pattern: a
+numpy kernel, and a pure-Python twin that makes the same roundings in the
+same order, numpy's pairwise row sums included.  Both read one table of
+node values made by math.cos, which numpy sees as a read-only view.  The
+pure kernel runs only while numpy is not yet loaded and the call's element
+operations fit _PURE_BUDGET, sized from numpy's import time and the pure
+kernel's time per element; otherwise the numpy kernel runs.  So a cold
+command-line table never pays numpy's import, a process that has loaded
+numpy keeps its vectorized kernel, and each term has the same bits whichever
+kernel forms it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
 from . import _names
@@ -71,26 +86,63 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
+# The pure kernels run while numpy is not loaded, on at most this many
+# element operations per call (one multiply or add per node per Horner step
+# or order, or per grid node and coefficient); past it, or once numpy is in
+# the process, the numpy kernels run.  Two measurements on a 2-vCPU Xeon VM
+# (Python 3.11, numpy 2.4) size it: `import numpy` takes about 80 ms (67-108 ms
+# by -X importtime), and the pure kernels about 110 ns per element (90-135 ns
+# from K = 5 to 64 through order 64, and on the grid), so they break even near
+# 700k elements.  The budget is about a fifth of that, 2^17 elements or about
+# 15 ms: a pure call costs at most a fifth of the import it saves.
+_PURE_BUDGET = 2**17
+
+
+def _pure_fits(work: int) -> bool:
+    """Whether a kernel of `work` element operations runs in pure Python:
+    only when numpy is not yet loaded and the work is within the budget."""
+    return "numpy" not in sys.modules and work <= _PURE_BUDGET
+
+
+@lru_cache(maxsize=None)
+def _positivity_table() -> array:
+    """cos(theta) by math.cos on 512 equispaced theta nodes over [0, pi],
+    j pi/511 as np.linspace forms them, the last exactly pi."""
+    step = math.pi / 511
+    return array("d", [*(math.cos(j * step) for j in range(511)), math.cos(math.pi)])
+
+
 @lru_cache(maxsize=None)
 def _positivity_cosines() -> "np.ndarray":
-    """cos(theta) on 512 equispaced theta nodes over [0, pi], built on first
-    use: only specs need numpy."""
+    """The positivity table as a read-only numpy view, built on first use."""
     import numpy as np
 
-    return _frozen(np.cos(np.linspace(0.0, math.pi, 512)))
+    return _frozen(np.frombuffer(_positivity_table()))
 
 
-# A spec's node set depends on its factor degree alone, so this cache, keyed
-# on a size, is bounded.  The largest node set the families make (K = 1024)
-# is 0.26 MB, so the cache holds at most 17 MB; perfbench's in-process plans
-# use 4 or 5 node sets each, so none is evicted.
+# A spec's node set depends on its factor degree alone, so these caches,
+# keyed on a size, are bounded.  A numpy view keeps its table alive, and the
+# numpy kernel reads a table only through its view, so the two caches hold
+# the same tables but for the few a pure kernel read.  The largest node set
+# the families make (K = 1024) is 0.26 MB, so the tables take at most about
+# 17 MB; perfbench's in-process plans use 4 or 5 node sets each, so none is
+# evicted.
+@lru_cache(maxsize=64)
+def _node_table(m: int, s: int) -> array:
+    """cos(theta_j)^s by math.cos at the midpoint nodes
+    theta_j = (j + 1/2) pi/(s m), j < m: the abscissas of a Delta in
+    cos(theta) (s = 1) or in cos^2(theta) (s = 2)."""
+    step = math.pi / (s * m)
+    cosines = [math.cos((j + 0.5) * step) for j in range(m)]
+    return array("d", [c * c for c in cosines] if s == 2 else cosines)
+
+
 @lru_cache(maxsize=64)
 def _node_cosines(m: int, s: int) -> "np.ndarray":
-    """cos(theta_j)^s at the midpoint nodes theta_j = (j + 1/2) pi/(s m), j < m:
-    the abscissas of a Delta in cos(theta) (s = 1) or in cos^2(theta) (s = 2)."""
+    """The node table as a read-only numpy view, built on first use."""
     import numpy as np
 
-    return _frozen(np.cos((np.arange(m) + 0.5) * (math.pi / (s * m))) ** s)
+    return _frozen(np.frombuffer(_node_table(m, s)))
 
 
 @lru_cache(maxsize=None)
@@ -101,10 +153,10 @@ def _term_weights() -> "np.ndarray":
     return _frozen(np.array([math.pi * half_binomial(n) for n in range(MAX_ORDER + 1)]))
 
 
-def _frozen(array: "np.ndarray") -> "np.ndarray":
+def _frozen(values: "np.ndarray") -> "np.ndarray":
     """The array, made read-only: a cached array is shared by every caller."""
-    array.flags.writeable = False
-    return array
+    values.flags.writeable = False
+    return values
 
 
 def _horner(coeffs: Sequence[float], x):
@@ -118,6 +170,16 @@ def _horner(coeffs: Sequence[float], x):
         value *= x
         value += c
     return value
+
+
+def _positive_on_grid(coeffs: Sequence[float]) -> bool:
+    """Whether sum_k coeffs[k] cos^k(theta) is positive at every node of the
+    positivity grid, by Horner's rule on the shared table: in pure Python while
+    the grid's work fits the pure budget, else on its numpy view.  Both give
+    the same bits at every node, so the same verdict."""
+    if _pure_fits(512 * len(coeffs)):
+        return all(_horner(coeffs, c) > 0.0 for c in _positivity_table())
+    return bool((_horner(coeffs, _positivity_cosines()) > 0.0).all())
 
 
 @lru_cache(maxsize=None)
@@ -262,9 +324,7 @@ class IntegrandSpec:
         # Horner's rule, it proves R > 0 there and on the grid alike; below it,
         # R is taken on the grid by Horner's rule.
         lower = coeffs[0] - sum(map(abs, coeffs[1::2])) + sum(min(c, 0.0) for c in coeffs[2::2])
-        if not lower > 1e-15 * len(coeffs) * total and not (
-            _horner(coeffs, _positivity_cosines()) > 0.0
-        ).all():
+        if not lower > 1e-15 * len(coeffs) * total and not _positive_on_grid(coeffs):
             raise DomainError("factor polynomial is not strictly positive on [0, pi]")
         try:
             scale = 1.0 / self.omega**2
@@ -323,26 +383,49 @@ def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     equal, so each mean is a row sum over m, divided by m; the term of order
     0 is pi/omega.
 
-    The samples come from Horner's rule run in place over c = cos^s(theta_j)
-    with the nonzero coefficients of Delta in c, in numpy polyval's order of
-    roundings (its first step, 0 c + a, is a); a zero coefficient is not
-    added.  Row n of the powers is row n - 1 times the samples, as a
-    cumulative product forms it.  Overflow and invalid values are let
-    through, and the terms stop before the first that is not finite.
+    Two kernels form the terms by one sequence of roundings.  The samples
+    come from Horner's rule over c = cos^s(theta_j) with the nonzero
+    coefficients of Delta in c, in numpy polyval's order of roundings (its
+    first step, 0 c + a, is a); a zero coefficient is not added.  Row n of
+    the powers is row n - 1 times the samples, as a cumulative product forms
+    it; each row is summed in numpy's pairwise order onto 0.0, then divided
+    by m, times pi hb(n), divided by omega.  Both read the node values from
+    one table made by math.cos, so neither rests on numpy's cos.  The pure
+    kernel runs while numpy is not loaded and its m (Horner steps + N)
+    element operations fit _PURE_BUDGET, which a cold command-line table
+    does; otherwise the numpy kernel runs, as it does in any process that
+    has loaded numpy.  Each term has the same bits whichever kernel forms
+    it, so a prefix formed by one and extended by the other is still one
+    expansion.  Overflow and invalid values are let through, and the terms
+    stop before the first that is not finite.
     """
     if not order:
         return (math.pi / spec.omega,)
-    import numpy as np
-
     coeffs = spec.delta.coeffs
     s = 1 if any(coeffs[1::2]) else 2
     m = (len(coeffs) - 1) // s * (MAX_ORDER // 2) + 1
+    steps = coeffs[-1 - s :: -s]
+    kernel = _pure_terms if _pure_fits(m * (len(steps) + order)) else _numpy_terms
+    terms = [math.pi / spec.omega, *kernel(coeffs[-1], steps, m, s, order, spec.omega)]
+    if not math.isfinite(sum(terms)):
+        terms = terms[: next((n for n, t in enumerate(terms) if not math.isfinite(t)), None)]
+    return tuple(terms)
+
+
+def _numpy_terms(
+    top: float, steps: Sequence[float], m: int, s: int, order: int, omega: float
+) -> list[float]:
+    """Terms I_1..I_N by _extend's rule on numpy arrays: Delta's leading
+    coefficient `top`, then its Horner steps (the lower coefficients in c,
+    highest first), on the spec's node set."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.empty((order, m))
         row = powers[0]
-        row.fill(coeffs[-1])
+        row.fill(top)
         x = _node_cosines(m, s)
-        for c in coeffs[-1 - s :: -s]:
+        for c in steps:
             row *= x
             if c:
                 row += c
@@ -351,11 +434,57 @@ def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
         sums = powers.sum(axis=1)
         sums /= m
         sums *= _term_weights()[1 : order + 1]
-        sums /= spec.omega
-    terms = [math.pi / spec.omega, *sums.tolist()]
-    if not math.isfinite(sum(terms)):
-        terms = terms[: next((n for n, t in enumerate(terms) if not math.isfinite(t)), None)]
-    return tuple(terms)
+        sums /= omega
+    return sums.tolist()
+
+
+def _pure_terms(
+    top: float, steps: Sequence[float], m: int, s: int, order: int, omega: float
+) -> list[float]:
+    """_numpy_terms in pure Python, with the same bits.
+
+    Node j's powers Delta_j^1..Delta_j^N are one running product, and the
+    row sums add those columns elementwise in numpy's pairwise order.
+    Python's float operations let overflow through as numpy's do.
+    """
+    x = _node_table(m, s)
+    samples = [top] * m
+    for c in steps:
+        if c:
+            samples = [v * y + c for v, y in zip(samples, x)]
+        else:
+            samples = [v * y for v, y in zip(samples, x)]
+    sums = _row_sums([list(accumulate(repeat(d, order), mul)) for d in samples])
+    return [t / m * (math.pi * half_binomial(n)) / omega for n, t in enumerate(sums, 1)]
+
+
+def _row_sums(columns: Sequence[Sequence[float]]) -> list[float]:
+    """Row sums of the matrix with these columns, as ndarray.sum(axis=1)
+    rounds them: each row is added onto 0.0 in numpy's pairwise order."""
+    return [0.0 + t for t in _pairwise(columns, 0, len(columns))]
+
+
+def _vector_sum(u: Sequence[float], v: Sequence[float]) -> list[float]:
+    return list(map(add, u, v))
+
+
+def _pairwise(columns: Sequence[Sequence[float]], lo: int, n: int) -> list[float]:
+    """Elementwise sum of columns[lo:lo + n] in the order of numpy's pairwise
+    summation: fewer than 8 in turn; up to 128 on 8 running sums of every
+    eighth column, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the remainder in turn; more, split at half rounded down to a
+    multiple of 8.  numpy starts a short sum at -0.0, which adds nothing, so
+    each sum here starts at its first column."""
+    if n < 8:
+        return reduce(_vector_sum, columns[lo + 1 : lo + n], columns[lo])
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(_vector_sum, columns[lo + j + 8 : end : 8], columns[lo + j]) for j in range(8)]
+        pairs = [_vector_sum(r[j], r[j + 1]) for j in range(0, 8, 2)]
+        total = _vector_sum(_vector_sum(pairs[0], pairs[1]), _vector_sum(pairs[2], pairs[3]))
+        return reduce(_vector_sum, columns[end : lo + n], total)
+    half = n // 2 - n // 2 % 8
+    return _vector_sum(_pairwise(columns, lo, half), _pairwise(columns, lo + half, n - half))
 
 
 def _series_terms(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
@@ -396,10 +525,11 @@ def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     The terms are a prefix of the spec's one expansion (see IntegrandSpec):
     Delta is sampled on the spec's fixed node set, and all its powers
     come from one cumulative product over the samples, so expanding a fresh
-    spec to order N costs O(N m) flops in a handful of array operations,
-    m = (deg(Delta)/s) 32 + 1.  expand(spec, n) is therefore a prefix of
-    expand(spec, N) for n <= N, bit for bit, and its value is
-    expand(spec, N).partial_sums[n].  The value and the partial sums are
+    spec to order N costs O(N m) flops, m = (deg(Delta)/s) 32 + 1: in pure
+    Python while numpy is not loaded and that work is small, else in a
+    handful of numpy array operations, with the same bits (see _extend).
+    expand(spec, n) is therefore a prefix of expand(spec, N) for n <= N, bit
+    for bit, and its value is expand(spec, N).partial_sums[n].  The value and the partial sums are
     math.fsum sums of the terms.  Orders above MAX_ORDER are refused.
     """
     return SeriesExpansion(omega=spec.omega, terms=_series_terms(spec, order))

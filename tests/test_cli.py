@@ -760,16 +760,38 @@ def test_module_entry_point_runs(child_env):
     assert result.stdout.startswith("order,period\n")
 
 
+# Commands whose engine work fits the pure kernels' budget: the even-power,
+# pendulum and study tables that sample Delta or take the positivity grid.
+PURE_KERNEL_COMMANDS = [
+    *(
+        f"period even-power --exponent {K} --rho {rho} --kappa {rule} --order 16 --exact"
+        for K in (2, 3, 4, 5) for rule in ("pms", "balanced") for rho in ("-0.7", "inf")
+    ),
+    "period pendulum --amplitude 2.0 --taylor 4 --order 12 --exact",
+    "period pendulum --amplitude 2.9 --taylor 6 --order 12 --exact",
+    f"period pendulum --amplitude {math.pi - 1e-9!r} --taylor 6 --order 4 --exact",
+    "convergence sextic-c0",
+    "convergence negative-rho --exponent 3",
+    "convergence negative-rho --exponent 5 --rho -0.6",
+]
+
+
 def test_scalar_commands_do_not_load_numpy(child_env):
-    # numpy is imported only by code that vectorizes; closed-form series,
-    # quadrature and AGM references, the log-linear fit and the precession
-    # table never reach it.  fractions and decimal are never loaded.
-    # `import pmsdelta` loads no submodule, and each command imports only the
-    # families it runs: a module set to None in sys.modules cannot be
-    # imported, so a command that needs a blocked module fails.
+    # numpy is imported only by the engine's numpy kernels; closed-form
+    # series, quadrature and AGM references, the log-linear fit and the
+    # precession table never reach it, and a table whose engine work fits the
+    # pure kernels' budget runs without it.  Every command prints the same
+    # bytes as in a process that loaded numpy first.  fractions and decimal
+    # are never loaded.  `import pmsdelta` loads no submodule, and each
+    # command imports only the families it runs: a module set to None in
+    # sys.modules cannot be imported, so a command that needs a blocked
+    # module fails.
     script = textwrap.dedent(
         """
-        import contextlib, io, sys
+        import contextlib, io, json, sys
+        preload = sys.argv[1] == "numpy"
+        if preload:
+            import numpy
         import pmsdelta
 
         def loaded():
@@ -778,16 +800,19 @@ def test_scalar_commands_do_not_load_numpy(child_env):
         def submodules():
             return sorted(m for m in sys.modules if m.startswith("pmsdelta."))
 
-        assert not loaded(), loaded()
+        if not preload:
+            assert not loaded(), loaded()
         assert submodules() == [], submodules()
         import pmsdelta.cli
         assert submodules() == ["pmsdelta.cli", "pmsdelta.constants", "pmsdelta.errors"], submodules()
+        printed = {}
 
         def run(argv, blocked=()):
             saved = {name: sys.modules.pop(name, None) for name in blocked}
             sys.modules.update(dict.fromkeys(blocked))
+            out = io.StringIO()
             try:
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     assert pmsdelta.cli.main(argv.split()) == 0, argv
             finally:
                 for name, module in saved.items():
@@ -795,7 +820,9 @@ def test_scalar_commands_do_not_load_numpy(child_env):
                         del sys.modules[name]
                     else:
                         sys.modules[name] = module
-            assert not loaded(), (argv, loaded())
+            if not preload:
+                assert not loaded(), (argv, loaded())
+            printed[argv] = out.getvalue()
 
         run("precession --a 500", blocked=("pmsdelta.oscillators", "pmsdelta.analysis"))
         for argv in (
@@ -810,12 +837,28 @@ def test_scalar_commands_do_not_load_numpy(child_env):
             "convergence duffing-rho",
         ):
             run(argv)
+        for argv in json.loads(sys.argv[2]):
+            period = argv.startswith("period")
+            run(argv, blocked=("pmsdelta.analysis", "pmsdelta.precession") if period else ())
+        # Past the budget the numpy kernel runs: K = 1024 samples Delta on
+        # 32737 nodes.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert pmsdelta.cli.main("period even-power --exponent 1024 --order 64".split()) == 0
+        assert "numpy" in sys.modules
+        print(json.dumps(printed))
         """
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
-    )
-    assert result.returncode == 0, result.stderr
+    printed = {}
+    for mode in ("cold", "numpy"):
+        result = subprocess.run(
+            [sys.executable, "-c", script, mode, json.dumps(PURE_KERNEL_COMMANDS)],
+            capture_output=True, text=True, env=child_env,
+        )
+        assert result.returncode == 0, result.stderr
+        printed[mode] = json.loads(result.stdout)
+    assert len(printed["cold"]) == 7 + len(PURE_KERNEL_COMMANDS)
+    assert all(printed["cold"].values())
+    assert printed["cold"] == printed["numpy"]
 
 
 def test_studies_do_not_load_the_command_line(child_env):
@@ -832,16 +875,18 @@ def test_studies_do_not_load_the_command_line(child_env):
 
 
 def test_a_warning_repeated_over_orders_prints_once(child_env):
-    # Order 0 warns before numpy is loaded, order 1 after: loading numpy
-    # changes the warning filters, which clears the record of shown warnings.
+    # At K = 64, orders 0 and 1 warn before numpy is loaded (order 1 fits the
+    # pure kernels' budget), and order 2 loads numpy to form the terms through
+    # MAX_ORDER: loading numpy changes the warning filters, which clears the
+    # record of shown warnings.
     argv = [
         sys.executable, "-m", "pmsdelta", "period", "even-power",
-        "--exponent", "5", "--rho", "inf", "--kappa", "pms", "--order", "3",
+        "--exponent", "64", "--rho", "inf", "--kappa", "pms", "--order", "3",
     ]
     result = subprocess.run(argv, capture_output=True, text=True, env=child_env)
     assert result.returncode == 0
     assert result.stderr == (
-        "DivergentExpansion: max |Delta| = 1.031746 >= 1 at kappa = 0.4921875: "
+        "DivergentExpansion: max |Delta| = 6.103676 >= 1 at kappa = 0.14077218434003028: "
         "the expansion need not converge\n"
     )
 

@@ -149,14 +149,65 @@ def test_array_caches_keyed_on_a_size_are_bounded():
     # One array per size adds up: a node set per factor degree would reach
     # 134 MB over the exponents up to MAX_EXPONENT.  A cache with no argument
     # holds one array, and one keyed on an order alone at most MAX_ORDER + 1.
+    # Python tables (array.array) count as arrays too.
     sized = {
         name: maxsize for name, (maxsize, node) in _lru_caches().items()
-        if node.returns is not None and "ndarray" in ast.unparse(node.returns)
+        if node.returns is not None and "array" in ast.unparse(node.returns)
         and any(arg.arg != "order" for arg in _arguments(node))
     }
-    assert set(sized) == {"series_core._node_cosines"}
+    assert set(sized) == {"series_core._node_cosines", "series_core._node_table"}
     for name, maxsize in sized.items():
         assert type(maxsize) is int, f"{name} caches one array per size without an integer maxsize"
+
+
+def _numpy_imports(tree: ast.Module) -> set[str | None]:
+    """Where a module imports numpy: the qualified name of the enclosing
+    function, or None at module level (a class body included).  An
+    `if TYPE_CHECKING:` block never runs, so its imports are not counted."""
+    found = set()
+
+    def visit(nodes, qualname, function):
+        for node in nodes:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                visit(node.orelse, qualname, function)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.add(function)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qualname}{node.name}"
+                inner = function if isinstance(node, ast.ClassDef) else name
+                visit(ast.iter_child_nodes(node), f"{name}.", inner)
+            else:
+                visit(ast.iter_child_nodes(node), qualname, function)
+
+    visit(tree.body, "", None)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_numpy_kernels():
+    # A cold command pays numpy's import only where a numpy kernel runs: no
+    # module imports numpy at module level, and series_core imports it only
+    # in its numpy kernel, the builders of its numpy views and the array
+    # path of TrigPolynomial.evaluate, which a caller reaches only with an
+    # ndarray in hand.
+    for module in ("__init__", "__main__", "cli", *LIBRARY):
+        if module != "series_core":
+            assert _numpy_imports(_tree(module)) == set(), module
+    assert _numpy_imports(_tree("series_core")) == {
+        "_numpy_terms", "_positivity_cosines", "_node_cosines", "_term_weights",
+        "TrigPolynomial.evaluate",
+    }
+    # The parse finds imports at module level and in a class body, and skips
+    # a TYPE_CHECKING block.
+    assert _numpy_imports(ast.parse("import os\nimport numpy.linalg as la\n")) == {None}
+    assert _numpy_imports(ast.parse("class A:\n    from numpy import cos\n")) == {None}
+    assert _numpy_imports(ast.parse("if TYPE_CHECKING:\n    import numpy as np\n")) == set()
 
 
 def _divergent_warns() -> set[str]:

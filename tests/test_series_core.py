@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -245,6 +246,13 @@ def _quartic_cubic_cell(a2, a4, x_minus, x_plus):
     return OscillatorModel.quartic_cubic(a2, a3, a4, x_minus, x_plus)
 
 
+# The benchmark's cubic cells (x-, x+) and quartic-cubic cells (a2, a4, x-, x+).
+CUBIC_CELLS = ((-0.2, 0.15), (-0.5, 0.55), (-0.8, 0.6), (-0.85, 0.9))
+QUARTIC_CUBIC_CELLS = (
+    (0.5, 0.1, -0.5, 0.6), (0.8, 0.3, -1.0, 0.8), (0.4, 0.2, -0.7, 1.1), (0.9, 0.05, -1.1, 1.0),
+)
+
+
 def test_the_families_take_the_grid_only_near_a_zero_of_the_factor():
     # The specs of the families' usual inputs (both kappa rules for the even
     # powers, the benchmark's cubic and quartic-cubic cells) are accepted by
@@ -252,17 +260,8 @@ def test_the_families_take_the_grid_only_near_a_zero_of_the_factor():
     models = [OscillatorModel.pendulum(a, 2) for a in (0.5, 1.5, 3.1)]
     models += [OscillatorModel.pendulum(a, 4) for a in (0.5, 1.5, 2.4)]
     models += [OscillatorModel.pendulum(a, 6) for a in (0.5, 1.5, 2.5, 2.8)]
-    models += [
-        OscillatorModel.cubic(*points)
-        for points in ((-0.2, 0.15), (-0.5, 0.55), (-0.8, 0.6), (-0.85, 0.9))
-    ]
-    models += [
-        _quartic_cubic_cell(*cell)
-        for cell in (
-            (0.5, 0.1, -0.5, 0.6), (0.8, 0.3, -1.0, 0.8), (0.4, 0.2, -0.7, 1.1),
-            (0.9, 0.05, -1.1, 1.0),
-        )
-    ]
+    models += [OscillatorModel.cubic(*points) for points in CUBIC_CELLS]
+    models += [_quartic_cubic_cell(*cell) for cell in QUARTIC_CUBIC_CELLS]
     with grid_calls() as calls:
         for K in (2, 3, 5, 64, 1024):
             for rho in (-1.0 + 1e-9, -0.9, 0.0, 0.5, 3.0, 1e300, math.inf):
@@ -599,6 +598,143 @@ def test_a_per_order_table_is_the_partial_sums_of_one_expansion(K, rho, kappa):
     pendulum = [pendulum_approx(2.5, 6, n) for n in range(N + 1)]
     sums = expand(OscillatorModel.pendulum(2.5, 6).spec_at(), N).partial_sums
     assert pendulum == [math.sqrt(2.0) * s for s in sums]
+
+
+@contextlib.contextmanager
+def kernel(pure):
+    """Runs the engine's pure-Python kernels (pure=True) or its numpy
+    kernels, whatever the work and whether numpy is loaded."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_core, "_pure_fits", lambda work: pure)
+        yield
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def kernel_families():
+    """{family: factory of its specs} over every family the package builds,
+    plus two specs whose terms leave the float range."""
+    families = {}
+    for K in (2, 3, 4, 5, 8, 16, 64):
+        rules = {"pms": even_power_kappa_pms(K), "balanced": even_power_kappa_balanced(K)}
+        for rule, kappa in {**rules, "0.3": 0.3}.items():
+            families[f"K{K}-{rule}"] = lambda K=K, kappa=kappa: [
+                _even_power_spec.__wrapped__(K, rho, kappa)
+                for rho in (-0.999, -0.9, 1e-8, 0.5, 3.0, 40.0, 1e6, math.inf)
+            ]
+    amplitudes = (0.3, 1.0, 2.0, 2.5, 3.0, math.pi - 1e-9)
+    families["pendulum"] = lambda: [
+        OscillatorModel.pendulum(a, taylor).spec_at()
+        for taylor in (2, 4, 6) for a in amplitudes if taylor != 4 or a < math.sqrt(6.0)
+    ]
+    families["cubic"] = lambda: [OscillatorModel.cubic(*p).spec_at() for p in CUBIC_CELLS]
+    families["quartic-cubic"] = lambda: [
+        _quartic_cubic_cell(*cell).spec_at() for cell in QUARTIC_CUBIC_CELLS
+    ]
+    families["overflow"] = lambda: [
+        IntegrandSpec(-1.0, 1.0, TrigPolynomial([big, 0.0, big]), 1.0) for big in (1e20, 1e300)
+    ]
+    return families
+
+
+KERNEL_FAMILIES = kernel_families()
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+def test_the_pure_kernel_forms_the_numpy_kernels_terms(family):
+    # Same roundings in the same order on the same node table: every term
+    # has the same bits, overflow and NaN included, at every order.
+    for spec in KERNEL_FAMILIES[family]():
+        for order in (1, 2, 7, 24, MAX_ORDER):
+            with kernel(pure=True):
+                pure = series_core._extend(spec, order)
+            with kernel(pure=False):
+                vectorized = series_core._extend(spec, order)
+            assert bits(pure) == bits(vectorized), (spec, order)
+
+
+def node_count(spec):
+    coeffs = spec.delta.coeffs
+    s = 1 if any(coeffs[1::2]) else 2
+    return (len(coeffs) - 1) // s * MAX_ORDER // 2 + 1
+
+
+def test_the_pure_row_sums_are_numpys_pairwise_sums():
+    # Every row length to 300, across numpy's blocks of 8 and 128, and every
+    # node count the families make up to K = 64.
+    counts = {node_count(spec) for family in KERNEL_FAMILIES.values() for spec in family()}
+    counts |= {node_count(_even_power_spec.__wrapped__(K, 0.5, 0.5)) for K in range(2, 65)}
+    assert max(counts) == 2017
+    rng = np.random.default_rng(3)
+    for n in sorted(set(range(1, 301)) | counts):
+        rows = rng.uniform(-1.0, 1.0, (3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, n))
+        assert bits(series_core._row_sums(rows.T.tolist())) == bits(rows.sum(axis=1)), n
+    # numpy adds each row onto 0.0, so a row of negative zeros sums to +0.0.
+    zeros = np.full((2, 9), -0.0)
+    assert bits(series_core._row_sums(zeros.T.tolist())) == bits(zeros.sum(axis=1))
+
+
+def test_both_positivity_kernels_give_one_verdict():
+    rng = np.random.default_rng(13)
+    cases = []
+    for case in range(200):
+        coeffs = rng.uniform(-1.0, 1.0, case % 13 + 1)
+        coeffs[0] += rng.uniform(0.0, 2.0)
+        cases.append(TrigPolynomial(coeffs).coeffs)
+    a = float(_positivity_cosines()[200])
+    cases += [(1.0, -1.0), (1.0, 1.0), (a * a - 1e-8, -2.0 * a, 1.0)]
+    verdicts = set()
+    for coeffs in cases:
+        with kernel(pure=True):
+            pure = series_core._positive_on_grid(coeffs)
+        with kernel(pure=False):
+            vectorized = series_core._positive_on_grid(coeffs)
+        assert pure == vectorized, coeffs
+        verdicts.add(pure)
+    assert verdicts == {True, False}
+    # Specs that reach the grid take the same verdict by either kernel.
+    for pure in (True, False):
+        with kernel(pure), grid_calls() as calls:
+            _even_power_spec.__wrapped__(5, -1.0 + 1e-15, even_power_kappa_pms(5))
+            OscillatorModel.pendulum(math.pi - 1e-9, 6).spec_at()
+            with pytest.raises(DomainError, match="not strictly positive"):
+                IntegrandSpec(-1.0, 1.0, TrigPolynomial(cases[-1]), 1.0)
+        assert len(calls) == (0 if pure else 3)
+
+
+@pytest.mark.parametrize("case", sorted(HISTORY_SPECS))
+def test_a_pure_prefix_extended_by_numpy_is_one_expansion(case):
+    fresh = HISTORY_SPECS[case]
+    with kernel(pure=False):
+        reference = expand(fresh(), MAX_ORDER).partial_sums
+    for order in (1, 4, 24):
+        spec = fresh()
+        with kernel(pure=True):
+            expand(spec, order)
+        with kernel(pure=False):
+            assert bits(expand(spec, MAX_ORDER).partial_sums) == bits(reference), order
+
+
+def test_the_pure_kernels_run_only_without_numpy_and_within_the_budget(monkeypatch):
+    assert not series_core._pure_fits(1)
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert series_core._pure_fits(series_core._PURE_BUDGET)
+    assert not series_core._pure_fits(series_core._PURE_BUDGET + 1)
+
+
+def test_the_node_tables_are_one_source_of_node_values():
+    # Both kernels read one table made by math.cos; numpy sees it as a view.
+    # The view's values are those np.cos gives on this host.
+    for m, s in ((33, 2), (2017, 2), (65, 1)):
+        table, view = series_core._node_table(m, s), _node_cosines(m, s)
+        assert view.base.obj is table
+        theta = (np.arange(m) + 0.5) * (math.pi / (s * m))
+        assert bits(view) == bits(np.cos(theta) ** s)
+    grid = _positivity_cosines()
+    assert grid.base.obj is series_core._positivity_table()
+    assert bits(grid) == bits(np.cos(np.linspace(0.0, math.pi, 512)))
 
 
 def raises_domain_error(spec, n):
