@@ -18,7 +18,6 @@ and neither may load the other.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,6 +47,8 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[float | str]]) -> str:
 
 def _json(payload: object) -> str:
     """JSON text, indented by 2, keys in the payload's order, with a final LF."""
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -16,7 +16,6 @@ machinery is checked against arithmetic it does not share.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -147,6 +146,8 @@ def integrate(
     if f returns NaN or infinity at a node or a panel value, an error
     estimate or their sum leaves the float range.
     """
+    import heapq
+
     if not a < b:
         raise DomainError(f"integration interval needs a < b, got [{a!r}, {b!r}]")
     if not abs_tol > 0.0:
@@ -195,42 +196,24 @@ def integrate(
     return QuadratureResult(value=total, error_estimate=err_sum, evaluations=evals)
 
 
-# 2 pi as the double 2 * math.pi plus its low part, the double nearest to
-# 2 pi - 2 * math.pi; and Veltkamp's constant 2^27 + 1, which splits a
-# double into two halves whose products with each other are exact.
-_TWO_PI_LOW = 2.4492935982947064e-16
-_SPLITTER = 134217729.0
+# 2 pi to 76 decimals, as an integer over 10^76: less than 1e-76 from 2 pi.
+_TWO_PI_NUMERATOR = 62831853071795864769252867665590057683943387987502116419498891846156328125724
+_TWO_PI_DENOMINATOR = 10**76
 
 # The first trapezoidal level samples [0, pi/2] at the ends of this many panels.
 _FIRST_PANELS = 8
 
 
-def _split(x: float) -> tuple[float, float]:
-    """x as high + low, each with at most 26 significant bits (Veltkamp)."""
-    t = _SPLITTER * x
-    high = t - (t - x)
-    return high, x - high
-
-
 def _times_two_pi(high: float, low: float) -> float:
-    """2 pi (high + low), rounded once, for |low| at most an ulp of high.
+    """2 pi (high + low), rounded once.
 
-    With 2 pi = hi + lo, hi = 2 * math.pi, the product hi high is p + e
-    exactly (Dekker's product of the Veltkamp splits), and math.fsum rounds
-    p + e + hi low + lo high once.  The roundings of hi low and lo high, and
-    the terms left out, are below 1e-31 of the value, so only a near-tie can
-    round the wrong way.  Both terms are scaled by the power of two that
-    brings high to [1/2, 1) first, exactly, so no split overflows.
+    high + low is an exact ratio of integers, and its product with the
+    76-decimal 2 pi is one integer quotient, which Python rounds correctly,
+    sign and subnormals included.  That 2 pi has a relative error below
+    2e-77, so only a product that close to a tie can round the wrong way.
     """
-    mantissa, exponent = math.frexp(high)
-    low = math.ldexp(low, -exponent)
-    hi = 2.0 * math.pi
-    product = hi * mantissa
-    (hi_high, hi_low), (m_high, m_low) = _split(hi), _split(mantissa)
-    error = ((hi_high * m_high - product) + hi_high * m_low + hi_low * m_high) + hi_low * m_low
-    return math.ldexp(
-        math.fsum((product, error, hi * low, _TWO_PI_LOW * mantissa)), exponent
-    )
+    (a, b), (c, d) = high.as_integer_ratio(), low.as_integer_ratio()
+    return (a * d + c * b) * _TWO_PI_NUMERATOR / (b * d * _TWO_PI_DENOMINATOR)
 
 
 def _periodic_trapezoid(
@@ -248,8 +231,9 @@ def _periodic_trapezoid(
     sample, until two successive means agree to rel_tol of the later one;
     that difference is about the coarser level's error, and the finer
     level's is about its square.  The samples are summed with math.fsum, to
-    a sum and its rounding error, and 2 pi is applied to both by
-    _times_two_pi, so the value is rounded once after the samples.
+    a sum and its rounding error, and 2 pi times their exact sum is one
+    integer quotient (_times_two_pi), which Python rounds correctly, so the
+    value is rounded once after the samples.
 
     Raises ToleranceNotMet when the next level would exceed max_evals
     samples, and NonFiniteIntegrand when a mean is not finite.

@@ -35,19 +35,20 @@ The sampling and the grid each have two kernels with one bit pattern: a
 numpy kernel, and a pure-Python twin that makes the same roundings in the
 same order, numpy's pairwise row sums included.  Both read one table of
 node values made by math.cos, which numpy sees as a read-only view.  The
-pure kernel runs only while numpy is not yet loaded and the call's element
-operations fit _PURE_BUDGET, sized from numpy's import time and the pure
-kernel's time per element; otherwise the numpy kernel runs.  So a cold
-command-line table never pays numpy's import, a process that has loaded
-numpy keeps its vectorized kernel, and each term has the same bits whichever
-kernel forms it.
+pure kernel runs only while numpy is not yet loaded, the call's element
+operations fit _PURE_BUDGET and the process's fit _PURE_PROCESS_BUDGET, both
+sized from numpy's import time and the pure kernel's time per element;
+otherwise the numpy kernel runs.  So a cold command-line table never pays
+numpy's import, a process that forms many specs pays it once its pure work
+has cost about as much, a process that has loaded numpy keeps its
+vectorized kernel, and each term has the same bits whichever kernel forms
+it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
@@ -58,6 +59,8 @@ from . import _names
 from .errors import DomainError, NonPositiveMean, OrderTooHigh
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 __all__ = _names(__name__)
@@ -94,20 +97,34 @@ def _check_order(order: int) -> int:
 # by -X importtime), and the pure kernels about 110 ns per element (90-135 ns
 # from K = 5 to 64 through order 64, and on the grid), so they break even near
 # 700k elements.  The budget is about a fifth of that, 2^17 elements or about
-# 15 ms: a pure call costs at most a fifth of the import it saves.
+# 15 ms: a pure call costs at most a fifth of the import it saves.  The pure
+# calls of one process share the break-even, so a process that forms many
+# specs spends at most about one import's time in them, then loads numpy.
 _PURE_BUDGET = 2**17
+_PURE_PROCESS_BUDGET = 700_000
+# Element operations the pure kernels have run in this process.  Threads may
+# race on it; a lost update only lets more pure work run, with the same bits.
+_pure_spent = 0
 
 
 def _pure_fits(work: int) -> bool:
     """Whether a kernel of `work` element operations runs in pure Python:
-    only when numpy is not yet loaded and the work is within the budget."""
-    return "numpy" not in sys.modules and work <= _PURE_BUDGET
+    only when numpy is not yet loaded, the work is within the budget and the
+    process's pure work, this call's included, within the process budget.
+    A call that runs in pure Python is added to that total."""
+    global _pure_spent
+    if "numpy" in sys.modules or work > min(_PURE_BUDGET, _PURE_PROCESS_BUDGET - _pure_spent):
+        return False
+    _pure_spent += work
+    return True
 
 
 @lru_cache(maxsize=None)
 def _positivity_table() -> array:
     """cos(theta) by math.cos on 512 equispaced theta nodes over [0, pi],
     j pi/511 as np.linspace forms them, the last exactly pi."""
+    from array import array
+
     step = math.pi / 511
     return array("d", [*(math.cos(j * step) for j in range(511)), math.cos(math.pi)])
 
@@ -132,6 +149,8 @@ def _node_table(m: int, s: int) -> array:
     """cos(theta_j)^s by math.cos at the midpoint nodes
     theta_j = (j + 1/2) pi/(s m), j < m: the abscissas of a Delta in
     cos(theta) (s = 1) or in cos^2(theta) (s = 2)."""
+    from array import array
+
     step = math.pi / (s * m)
     cosines = [math.cos((j + 0.5) * step) for j in range(m)]
     return array("d", [c * c for c in cosines] if s == 2 else cosines)
@@ -392,12 +411,12 @@ def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     by m, times pi hb(n), divided by omega.  Both read the node values from
     one table made by math.cos, so neither rests on numpy's cos.  The pure
     kernel runs while numpy is not loaded and its m (Horner steps + N)
-    element operations fit _PURE_BUDGET, which a cold command-line table
-    does; otherwise the numpy kernel runs, as it does in any process that
-    has loaded numpy.  Each term has the same bits whichever kernel forms
-    it, so a prefix formed by one and extended by the other is still one
-    expansion.  Overflow and invalid values are let through, and the terms
-    stop before the first that is not finite.
+    element operations fit the budgets of _pure_fits, which a cold
+    command-line table does; otherwise the numpy kernel runs, as it does in
+    any process that has loaded numpy.  Each term has the same bits whichever
+    kernel forms it, so a prefix formed by one and extended by the other is
+    still one expansion.  Overflow and invalid values are let through, and
+    the terms stop before the first that is not finite.
     """
     if not order:
         return (math.pi / spec.omega,)

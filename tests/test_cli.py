@@ -861,6 +861,26 @@ def test_scalar_commands_do_not_load_numpy(child_env):
     assert printed["cold"] == printed["numpy"]
 
 
+def test_csv_scalar_commands_load_neither_json_nor_heapq(child_env):
+    # A CSV table writes no JSON, and an AGM or closed-form reference runs no
+    # adaptive quadrature, so neither module is imported.
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import pmsdelta.cli
+        for argv in ("period duffing --rho 0.5 --order 4 --exact", "precession --a 500"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert pmsdelta.cli.main(argv.split()) == 0, argv
+            loaded = [m for m in ("json", "heapq") if m in sys.modules]
+            assert not loaded, (argv, loaded)
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_studies_do_not_load_the_command_line(child_env):
     # The table writer lives below both cli and analysis, so a library user
     # of the studies loads neither argparse nor the cli module.

@@ -194,11 +194,12 @@ def test_integrate_overflow_is_typed():
         integrate(lambda x: 6e307 * (0.5 + 0.5 * math.cos(15.0 * x)), 0.0, 8.0, max_evals=10**4)
 
 
-def test_two_pi_constants_are_exact_splits():
+def test_two_pi_numerator_is_within_1e_76_of_two_pi():
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        assert oracle._TWO_PI_LOW == float(2 * mpmath.pi - 2.0 * math.pi)
-    assert oracle._SPLITTER == 2.0**27 + 1.0
+    assert oracle._TWO_PI_DENOMINATOR == 10**76
+    with mpmath.workdps(90):
+        scaled = mpmath.mpf(oracle._TWO_PI_NUMERATOR) / mpmath.mpf(10) ** 76
+        assert abs(scaled - 2 * mpmath.pi) < mpmath.mpf("1e-76")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

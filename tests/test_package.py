@@ -160,10 +160,11 @@ def test_array_caches_keyed_on_a_size_are_bounded():
         assert type(maxsize) is int, f"{name} caches one array per size without an integer maxsize"
 
 
-def _numpy_imports(tree: ast.Module) -> set[str | None]:
-    """Where a module imports numpy: the qualified name of the enclosing
-    function, or None at module level (a class body included).  An
-    `if TYPE_CHECKING:` block never runs, so its imports are not counted."""
+def _imports_of(tree: ast.Module, imported: str) -> set[str | None]:
+    """Where a module imports the module `imported` or a submodule of it: the
+    qualified name of the enclosing function, or None at module level (a
+    class body included).  An `if TYPE_CHECKING:` block never runs, so its
+    imports are not counted."""
     found = set()
 
     def visit(nodes, qualname, function):
@@ -177,7 +178,7 @@ def _numpy_imports(tree: ast.Module) -> set[str | None]:
                 names = [node.module]
             else:
                 names = []
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == imported for name in names):
                 found.add(function)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = f"{qualname}{node.name}"
@@ -198,16 +199,33 @@ def test_numpy_is_imported_only_by_the_numpy_kernels():
     # ndarray in hand.
     for module in ("__init__", "__main__", "cli", *LIBRARY):
         if module != "series_core":
-            assert _numpy_imports(_tree(module)) == set(), module
-    assert _numpy_imports(_tree("series_core")) == {
+            assert _imports_of(_tree(module), "numpy") == set(), module
+    assert _imports_of(_tree("series_core"), "numpy") == {
         "_numpy_terms", "_positivity_cosines", "_node_cosines", "_term_weights",
         "TrigPolynomial.evaluate",
     }
     # The parse finds imports at module level and in a class body, and skips
     # a TYPE_CHECKING block.
-    assert _numpy_imports(ast.parse("import os\nimport numpy.linalg as la\n")) == {None}
-    assert _numpy_imports(ast.parse("class A:\n    from numpy import cos\n")) == {None}
-    assert _numpy_imports(ast.parse("if TYPE_CHECKING:\n    import numpy as np\n")) == set()
+    assert _imports_of(ast.parse("import os\nimport numpy.linalg as la\n"), "numpy") == {None}
+    assert _imports_of(ast.parse("class A:\n    from numpy import cos\n"), "numpy") == {None}
+    assert _imports_of(ast.parse("if TYPE_CHECKING:\n    import numpy as np\n"), "numpy") == set()
+
+
+# Standard-library modules that only one path needs, by the functions that
+# may import them: a CSV table needs no json, only the adaptive quadrature
+# needs heapq, and only the engine's node tables need array.
+LAZY_STDLIB = {
+    "json": {"constants": {"_json"}},
+    "heapq": {"oracle": {"integrate"}},
+    "array": {"series_core": {"_node_table", "_positivity_table"}},
+}
+
+
+@pytest.mark.parametrize("imported", sorted(LAZY_STDLIB))
+def test_single_use_stdlib_modules_are_imported_where_they_are_used(imported):
+    for module in ("__init__", "__main__", "cli", *LIBRARY):
+        expected = LAZY_STDLIB[imported].get(module, set())
+        assert _imports_of(_tree(module), imported) == expected, module
 
 
 def _divergent_warns() -> set[str]:

@@ -1,8 +1,11 @@
 """Checks for the expansion engine: moments, terms, stationarity, extrema."""
 
 import contextlib
+import json
 import math
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
@@ -720,8 +723,47 @@ def test_a_pure_prefix_extended_by_numpy_is_one_expansion(case):
 def test_the_pure_kernels_run_only_without_numpy_and_within_the_budget(monkeypatch):
     assert not series_core._pure_fits(1)
     monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(series_core, "_pure_spent", 0)
     assert series_core._pure_fits(series_core._PURE_BUDGET)
     assert not series_core._pure_fits(series_core._PURE_BUDGET + 1)
+    # The calls that run share one budget per process; a call refused adds
+    # nothing to it.
+    assert series_core._pure_spent == series_core._PURE_BUDGET
+    monkeypatch.setattr(series_core, "_pure_spent", series_core._PURE_PROCESS_BUDGET - 10)
+    assert not series_core._pure_fits(11)
+    assert series_core._pure_fits(10)
+    assert not series_core._pure_fits(1)
+
+
+def test_a_long_loop_without_numpy_loads_it_past_the_process_budget(child_env):
+    # 200 expansions at K = 5 through order 64 take about 2.2M element
+    # operations.  Without numpy the first of them run in pure Python until
+    # the process budget is spent; then the loop loads numpy and keeps it, and
+    # prints the same values as a process that loaded numpy first.
+    script = textwrap.dedent(
+        """
+        import json, sys
+        if sys.argv[1] == "numpy":
+            import numpy
+        import pmsdelta
+        from pmsdelta import series_core
+        kappa = pmsdelta.even_power_kappa_pms(5)
+        values = [pmsdelta.even_power_series(5, 0.5 + i / 100, kappa, 64) for i in range(200)]
+        assert "numpy" in sys.modules
+        print(json.dumps({"spent": series_core._pure_spent, "values": [v.hex() for v in values]}))
+        """
+    )
+    runs = {}
+    for mode in ("cold", "numpy"):
+        result = subprocess.run(
+            [sys.executable, "-c", script, mode], capture_output=True, text=True, env=child_env
+        )
+        assert result.returncode == 0, result.stderr
+        runs[mode] = json.loads(result.stdout)
+    assert 0 < runs["cold"]["spent"] <= series_core._PURE_PROCESS_BUDGET
+    assert runs["numpy"]["spent"] == 0
+    assert len(runs["cold"]["values"]) == 200
+    assert runs["cold"]["values"] == runs["numpy"]["values"]
 
 
 def test_the_node_tables_are_one_source_of_node_values():
