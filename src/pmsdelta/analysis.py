@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _names
 from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, _csv, _json
@@ -33,8 +32,7 @@ from .series_core import _check_order
 __all__ = _names(__name__)
 
 
-@dataclass(frozen=True)
-class StudyPoint:
+class StudyPoint(NamedTuple):
     """One abscissa of a study: n is an order for decay studies, a parameter
     value for parameter sweeps."""
 
@@ -45,24 +43,25 @@ class StudyPoint:
 
 
 # The CSV columns of a study, one per StudyPoint field.
-_COLUMNS = tuple(f.name for f in fields(StudyPoint))
+_COLUMNS = StudyPoint._fields
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     label: str
     points: tuple[StudyPoint, ...]
     fit: FitResult | None = None
 
     def payload(self) -> dict:
         """The fields as JSON data, keys in declaration order."""
-        payload = asdict(self)
-        payload["fit"] = None if self.fit is None else self.fit._asdict()
-        return payload
+        return {
+            "label": self.label,
+            "points": [p._asdict() for p in self.points],
+            "fit": None if self.fit is None else self.fit._asdict(),
+        }
 
     def to_csv(self) -> str:
         """CSV with header, LF line endings, 17 significant digits."""
-        return _csv(_COLUMNS, map(astuple, self.points))
+        return _csv(_COLUMNS, self.points)
 
     def to_json(self) -> str:
         """JSON mirror of the fields, stable key order."""

@@ -26,7 +26,6 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import astuple
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
@@ -175,7 +174,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         # One table, rows in order n, each tagged with its parity track.
         payload = {"even": studies[0].payload(), "odd": studies[1].payload()}
         header = (*_COLUMNS, "parity")
-        tagged = [(*astuple(p), tag) for s, tag in zip(studies, ("even", "odd")) for p in s.points]
+        tagged = [(*p, tag) for s, tag in zip(studies, ("even", "odd")) for p in s.points]
         rows = sorted(tagged, key=lambda row: row[0])
     elif args.study == "precession":
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip() != ""]
@@ -203,7 +202,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             grid = _geometric_grid(args.rho_min, args.rho_max, args.points)
             study = duffing_error_vs_rho(grid, order=args.fixed_order)
         studies = [study]
-        payload, header, rows = study.payload(), _COLUMNS, map(astuple, study.points)
+        payload, header, rows = study.payload(), _COLUMNS, study.points
     stream = _emit(args, payload, header, rows)
     for study in studies:
         _info_fit(stream, study)

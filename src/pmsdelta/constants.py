@@ -19,8 +19,7 @@ and neither may load the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _names
 
@@ -52,8 +51,7 @@ def _json(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class ReferenceValue:
+class ReferenceValue(NamedTuple):
     """A stored literature number together with where it comes from."""
 
     value: float
@@ -63,8 +61,7 @@ class ReferenceValue:
         return self.value
 
 
-@dataclass(frozen=True)
-class ReferenceConstants:
+class ReferenceConstants(NamedTuple):
     """Read-only bundle of published comparison values."""
 
     # Convergence-rate slopes for the strong-coupling quartic coefficient.

@@ -17,7 +17,6 @@ machinery is checked against arithmetic it does not share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from . import _names
@@ -62,8 +61,7 @@ _GAUSS_WEIGHTS = (
 _PANEL_COST = len(_NODES)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Outcome of one integration.
 
     value:          the integral estimate: from the Kronrod rule K21 in

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import _names
 from .errors import BarrierCrossed, DomainError, NoPeriodicMotion, _warn_divergent
@@ -36,8 +35,7 @@ from .series_core import (
 __all__ = _names(__name__)
 
 
-@dataclass(frozen=True)
-class OscillatorModel:
+class OscillatorModel(NamedTuple):
     """A potential family's parameters with the motion they describe.
 
     Each classmethod constructor checks every parameter and factors E - V

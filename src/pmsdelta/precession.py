@@ -11,18 +11,16 @@ to expand.  Everything is in geometrized length units: GM stands for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _names
 from .errors import BeyondCritical, DomainError, ThirdRootInsideInterval, _warn_divergent
 from .oracle import _agm_integral
-from .series_core import _check_order, _pair_sum
+from .series_core import _Record, _check_order, _pair_sum
 
 __all__ = _names(__name__)
 
 
-@dataclass(frozen=True)
-class OrbitParams:
+class OrbitParams(_Record):
     """Keplerian orbit geometry in geometrized units.
 
     GM:      (G/c^2) * M, in meters.
@@ -33,19 +31,23 @@ class OrbitParams:
     and the semilatus rectum L = a(1 - epsilon^2) with 1/L = (z+ + z-)/2.
     """
 
+    __slots__ = _fields = ("GM", "a", "epsilon")
     GM: float
     a: float
     epsilon: float
 
-    def __post_init__(self):
-        if not self.GM >= 0.0:
-            raise DomainError(f"GM must be nonnegative, got {self.GM!r}")
-        if not self.a > 0.0:
-            raise DomainError(f"semimajor axis must be positive, got {self.a!r}")
-        if not 0.0 <= self.epsilon < 1.0:
+    def __init__(self, GM: float, a: float, epsilon: float):
+        if not GM >= 0.0:
+            raise DomainError(f"GM must be nonnegative, got {GM!r}")
+        if not a > 0.0:
+            raise DomainError(f"semimajor axis must be positive, got {a!r}")
+        if not 0.0 <= epsilon < 1.0:
             raise DomainError(
-                f"eccentricity must lie in [0, 1), got {self.epsilon!r}"
+                f"eccentricity must lie in [0, 1), got {epsilon!r}"
             )
+        object.__setattr__(self, "GM", GM)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def z_minus(self) -> float:

@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import _names
 from .errors import DomainError, NonPositiveMean, OrderTooHigh
@@ -236,8 +235,47 @@ def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TrigPolynomial:
+class _Record:
+    """Base of the records that check or cache on construction.
+
+    Each subclass keeps its attributes in __slots__ and sets them in its own
+    __init__ through object.__setattr__, and names in _fields those that its
+    repr, equality, hash and pickling read.  Assigning or deleting an
+    attribute raises AttributeError.  The other records are NamedTuples, which have the same
+    _fields, the same form of repr and the same AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild a record through its constructor, since
+        # the slots refuse assignment.
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TrigPolynomial(_Record):
     """Finite expansion sum_k c_k cos^k(theta), an even function of theta.
 
     Coefficients are stored in the monomial cos^k basis because factor
@@ -246,6 +284,7 @@ class TrigPolynomial:
     is nonzero unless this is the zero polynomial.
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Sequence[float]):
@@ -280,8 +319,7 @@ class TrigPolynomial:
         return self.integral() / math.pi
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(_Record):
     """One turning-point integral, ready for expansion.
 
     x_minus, x_plus: the simple zeros bracketing the motion.
@@ -316,22 +354,24 @@ class IntegrandSpec:
     read the same bits.
     """
 
+    _fields = ("x_minus", "x_plus", "factor", "omega")
+    __slots__ = (*_fields, "delta", "_terms")
     x_minus: float
     x_plus: float
     factor: TrigPolynomial
     omega: float
-    delta: TrigPolynomial = field(init=False, repr=False, compare=False)
-    _terms: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    delta: TrigPolynomial
+    _terms: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.x_minus < self.x_plus:
+    def __init__(self, x_minus: float, x_plus: float, factor: TrigPolynomial, omega: float):
+        if not x_minus < x_plus:
             raise DomainError(
                 f"turning points must satisfy x_minus < x_plus, "
-                f"got ({self.x_minus!r}, {self.x_plus!r})"
+                f"got ({x_minus!r}, {x_plus!r})"
             )
-        if not 0.0 < self.omega < math.inf:
-            raise DomainError(f"omega must be positive and finite, got {self.omega!r}")
-        coeffs = self.factor.coeffs
+        if not 0.0 < omega < math.inf:
+            raise DomainError(f"omega must be positive and finite, got {omega!r}")
+        coeffs = factor.coeffs
         total = sum(map(abs, coeffs))
         if not total < math.inf:
             raise DomainError(
@@ -346,15 +386,19 @@ class IntegrandSpec:
         if not lower > 1e-15 * len(coeffs) * total and not _positive_on_grid(coeffs):
             raise DomainError("factor polynomial is not strictly positive on [0, pi]")
         try:
-            scale = 1.0 / self.omega**2
+            scale = 1.0 / omega**2
         except (OverflowError, ZeroDivisionError):  # omega^2 overflows, or is 0
             scale = math.nan
         deviation = [scale * c for c in coeffs]
         deviation[0] += -1.0
         if not all(map(math.isfinite, deviation)):
             raise DomainError(
-                f"omega = {self.omega!r} takes omega^2 or factor/omega^2 out of the float range"
+                f"omega = {omega!r} takes omega^2 or factor/omega^2 out of the float range"
             )
+        object.__setattr__(self, "x_minus", x_minus)
+        object.__setattr__(self, "x_plus", x_plus)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "delta", TrigPolynomial(deviation))
         object.__setattr__(self, "_terms", ())
 
@@ -362,8 +406,7 @@ class IntegrandSpec:
         return IntegrandSpec(self.x_minus, self.x_plus, self.factor, omega)
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
+class SeriesExpansion(NamedTuple):
     """Terms I_0..I_N at a fixed omega.
 
     The partial sums S_0..S_N are correctly rounded sums of the terms

@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -377,7 +376,7 @@ def assert_finite_study(study):
     assert isinstance(study, ConvergenceStudy)
     assert study.points
     for point in study.points:
-        assert all(map(math.isfinite, astuple(point))), point
+        assert all(map(math.isfinite, tuple(point))), point
     if study.fit is not None:
         assert all(map(math.isfinite, study.fit)), study.fit
 

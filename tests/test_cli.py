@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -760,6 +761,92 @@ def test_module_entry_point_runs(child_env):
     assert result.stdout.startswith("order,period\n")
 
 
+def _run_module(child_env, argv, **kwargs):
+    """`python -m pmsdelta` in a child whose stdout is block-buffered, as it
+    is by default when not a terminal, so its flush before os._exit writes
+    what is left of the table."""
+    env = {name: value for name, value in child_env.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "pmsdelta", *argv], env=env, **kwargs)
+
+
+def test_the_module_entry_point_writes_what_main_writes(child_env, tmp_path):
+    # `python -m pmsdelta` ends by os._exit once stdout and stderr are
+    # flushed: a table larger than any buffer reaches a redirected stdout and
+    # an --out file whole.
+    argv = ["convergence", "precession", "--points", "4096"]
+    code, out, err = _run_in_process(argv)
+    assert (code, err) == (0, "") and out.count("\n") == 4097
+    with open(tmp_path / "stdout.csv", "wb") as stdout:
+        result = _run_module(child_env, argv, stdout=stdout, stderr=subprocess.PIPE)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert (tmp_path / "stdout.csv").read_bytes() == out.encode("utf-8")
+    in_process = _run_in_process([*argv, "--out", str(tmp_path / "main.csv")])
+    result = _run_module(child_env, [*argv, "--out", str(tmp_path / "child.csv")],
+                         capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == in_process
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+    assert (tmp_path / "child.csv").read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "period duffing --rho 1 --order 2",
+        "precession --a 50",
+        "period duffing --rho -2",
+        "period pendulum --amplitude 4",
+        "convergence duffing-b0 --max-order 1",
+        "period no-such-model",
+    ],
+)
+def test_the_module_entry_point_keeps_the_exit_codes(child_env, argv):
+    # Exit 0, 3 for a sub-critical orbit, 2 for a violated precondition, and
+    # 2 by argparse's own SystemExit, with main's bytes on stdout and stderr.
+    result = _run_module(child_env, argv.split(), capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == _run_in_process(argv.split())
+
+
+def test_a_host_that_runs_the_module_keeps_its_own_exit(child_env):
+    # Only `python -m pmsdelta` owns its process and ends it by os._exit; a
+    # program that runs the module through runpy, as a profiler or a tracer
+    # does, gets SystemExit with the command's code and goes on.
+    script = textwrap.dedent(
+        """
+        import runpy, sys
+        sys.argv = ["pmsdelta", "precession", "--a", "50"]
+        try:
+            runpy.run_module("pmsdelta", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            print(f"host exits after code {exc.code}")
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "host exits after code 3\n"
+    assert result.stderr.startswith("below critical semimajor axis")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The table overflows the stdout buffer, so _emit's write fails.
+        "convergence precession --points 4000",
+        # The table waits in the buffer, so the flush after main() fails.
+        "period duffing --exact",
+    ],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(child_env, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_module(child_env, argv.split(), stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
 # Commands whose engine work fits the pure kernels' budget: the even-power,
 # pendulum and study tables that sample Delta or take the positivity grid.
 PURE_KERNEL_COMMANDS = [
@@ -872,6 +959,30 @@ def test_csv_scalar_commands_load_neither_json_nor_heapq(child_env):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert pmsdelta.cli.main(argv.split()) == 0, argv
             loaded = [m for m in ("json", "heapq") if m in sys.modules]
+            assert not loaded, (argv, loaded)
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cold_commands_load_no_dataclass_machinery(child_env):
+    # The records are NamedTuples and __slots__ classes, so a command loads
+    # neither dataclasses nor the inspect and ast modules that it imports.
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import pmsdelta.cli
+        for argv in (
+            "period duffing --exact",
+            "period even-power --exponent 5 --exact",
+            "convergence sextic-c0",
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert pmsdelta.cli.main(argv.split()) == 0, argv
+            loaded = [m for m in ("dataclasses", "inspect", "ast") if m in sys.modules]
             assert not loaded, (argv, loaded)
         """
     )

@@ -1,9 +1,11 @@
 """Tests for the package namespace: one table from public name to module."""
 
 import ast
+import copy
 import importlib
 import math
 import pathlib
+import pickle
 import warnings
 
 import pytest
@@ -211,6 +213,14 @@ def test_numpy_is_imported_only_by_the_numpy_kernels():
     assert _imports_of(ast.parse("if TYPE_CHECKING:\n    import numpy as np\n"), "numpy") == set()
 
 
+def test_no_module_imports_dataclasses():
+    # Importing dataclasses also loads inspect, ast, dis and tokenize, and
+    # each frozen record's generated code costs a cold command more; the
+    # records are NamedTuples and __slots__ classes instead.
+    for module in ("__init__", "__main__", "cli", *LIBRARY):
+        assert _imports_of(_tree(module), "dataclasses") == set(), module
+
+
 # Standard-library modules that only one path needs, by the functions that
 # may import them: a CSV table needs no json, only the adaptive quadrature
 # needs heapq, and only the engine's node tables need array.
@@ -279,3 +289,51 @@ def test_each_divergence_warning_blames_the_caller(call, message):
     assert w.category is pmsdelta.DivergentExpansion
     assert str(w.message) == message
     assert w.filename == __file__
+
+
+# One instance of each record, by keyword: (record, keyword arguments).  Each
+# lists every field, in order.
+_FACTOR = {"coeffs": (1.0, 0.0, 0.25)}
+_POINT = {"n": 2.0, "value": 1.5, "reference": 1.25, "rel_error": 0.2}
+RECORDS = [
+    ("QuadratureResult", {"value": 2.0, "error_estimate": 1e-15, "evaluations": 21}),
+    ("SeriesExpansion", {"omega": 1.5, "terms": (2.0, -0.125)}),
+    ("StudyPoint", _POINT),
+    ("ConvergenceStudy", {
+        "label": "study",
+        "points": (pmsdelta.StudyPoint(**_POINT),),
+        "fit": pmsdelta.FitResult(alpha=0.5, beta=2.0, residual=0.0),
+    }),
+    ("ReferenceValue", {"value": 1.25, "citation": "a citation"}),
+    ("ReferenceConstants", pmsdelta.REFERENCE._asdict()),
+    ("OscillatorModel", {
+        "params": {"K": 2, "mu": 1.0}, "x_minus": -1.0, "x_plus": 1.0,
+        "factor": pmsdelta.TrigPolynomial(**_FACTOR), "rho": 1.0, "energy": None,
+    }),
+    ("TrigPolynomial", _FACTOR),
+    ("IntegrandSpec", {
+        "x_minus": -1.0, "x_plus": 1.0, "factor": pmsdelta.TrigPolynomial(**_FACTOR),
+        "omega": 1.5,
+    }),
+    ("OrbitParams", {"GM": 14.62725, "a": 300.0, "epsilon": 0.25}),
+]
+
+
+@pytest.mark.parametrize("name, fields", RECORDS, ids=[name for name, _ in RECORDS])
+def test_records_are_immutable_values(name, fields):
+    # Each record is built by keyword, refuses assignment to its fields with
+    # AttributeError, equals another built from the same values, and names
+    # every field in its repr, as Name(field=value, ...).  It survives pickle
+    # and copy, as a frozen dataclass did.
+    record = getattr(pmsdelta, name)
+    first, second = record(**fields), record(**fields)
+    assert first == second
+    assert first is not second
+    assert pickle.loads(pickle.dumps(first)) == first
+    assert copy.copy(first) == first and copy.deepcopy(first) == first
+    for field, value in fields.items():
+        assert getattr(first, field) == value
+        with pytest.raises(AttributeError):
+            setattr(first, field, value)
+    shown = ", ".join(f"{field}={value!r}" for field, value in fields.items())
+    assert repr(first) == f"{name}({shown})"
