@@ -13,8 +13,9 @@ rows through constants._csv, and returns the stream the informational
 lines go to.
 
 Exit codes: 0 on success, 2 when a precondition on the inputs is violated
-(one-line diagnostic on stderr), 3 when the requested orbit lies at or below
-the critical semimajor axis.
+or the --out file cannot be written (one-line diagnostic on stderr), 3 when
+the requested orbit lies at or below the critical semimajor axis, and 1,
+from run, when the reader closes stdout early.
 A warning raised during a command, such as the DivergentExpansion that
 errors._warn_divergent forms for every series, is printed as one stderr line,
 "Category: message", once per command.
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence, TextIO
 
 from .constants import (
     DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE, _G_OVER_C2, _MASS, _csv, _fmt, _json,
@@ -79,8 +81,11 @@ def _emit(
     if args.out is None or args.out == "-":
         sys.stdout.write(table)
         return sys.stderr
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(table)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(table)
+    except OSError as exc:
+        raise PmsDeltaError(f"cannot write {args.out}: {exc.strerror}") from exc
     return sys.stdout
 
 
@@ -365,5 +370,34 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
 
 
+def run() -> NoReturn:
+    """Run main() as the process: the one entry of the installed `pmsdelta`,
+    `python -m pmsdelta` and `python -m pmsdelta.cli`.
+
+    The interpreter's teardown, freeing every module and object, costs a
+    cold command several milliseconds and writes nothing, so when the
+    interpreter was started as `python -m pmsdelta`, with no interpreter
+    option before -m, the process ends by os._exit as soon as main() has
+    returned and stdout and stderr are flushed; a table written with --out is
+    closed before main() returns.  Any other start, such as the installed
+    command or a profiler or tracer that runs the package through runpy,
+    gets SystemExit and keeps the interpreter's normal exit.  An exception,
+    and argparse's SystemExit, take the normal exit path.  A reader that
+    closes stdout early gets exit 1 and no traceback, as in the recipe of the
+    signal module's documentation.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    if sys.orig_argv[1:3] == ["-m", "pmsdelta"]:
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

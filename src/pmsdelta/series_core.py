@@ -26,7 +26,7 @@ Each spec is expanded on one node set, exact through MAX_ORDER, and keeps
 the tuple of terms formed so far, so every order is a prefix of one
 expansion: term n has the same bits whichever call forms it.  Delta's
 coefficients are formed once per spec, and its samples come from a Horner
-pass over the cached node abscissas that skips the zero coefficients.  A
+pass over the cached node abscissas, in numpy polyval's order.  A
 spec's factor is proved positive by a bound read off its coefficients, or
 else taken on a 512-point grid by the same Horner's rule, and the sums of
 the terms are taken by math.fsum, correctly rounded.
@@ -446,13 +446,13 @@ def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     0 is pi/omega.
 
     Two kernels form the terms by one sequence of roundings.  The samples
-    come from Horner's rule over c = cos^s(theta_j) with the nonzero
-    coefficients of Delta in c, in numpy polyval's order of roundings (its
-    first step, 0 c + a, is a); a zero coefficient is not added.  Row n of
-    the powers is row n - 1 times the samples, as a cumulative product forms
-    it; each row is summed in numpy's pairwise order onto 0.0, then divided
-    by m, times pi hb(n), divided by omega.  Both read the node values from
-    one table made by math.cos, so neither rests on numpy's cos.  The pure
+    come from Horner's rule over c = cos^s(theta_j) with every coefficient
+    of Delta in c, in numpy polyval's order of roundings (its first step,
+    0 c + a, is a).  Row n of the powers is row n - 1 times the samples, as
+    a cumulative product forms it; each row is summed in numpy's pairwise
+    order onto 0.0, then divided by m, times pi hb(n), divided by omega.
+    Both read the node values from one table made by math.cos, so neither
+    rests on numpy's cos.  The pure
     kernel runs while numpy is not loaded and its m (Horner steps + N)
     element operations fit the budgets of _pure_fits, which a cold
     command-line table does; otherwise the numpy kernel runs, as it does in
@@ -489,8 +489,7 @@ def _numpy_terms(
         x = _node_cosines(m, s)
         for c in steps:
             row *= x
-            if c:
-                row += c
+            row += c
         powers[1:] = row
         powers.cumprod(axis=0, out=powers)
         sums = powers.sum(axis=1)
@@ -512,10 +511,7 @@ def _pure_terms(
     x = _node_table(m, s)
     samples = [top] * m
     for c in steps:
-        if c:
-            samples = [v * y + c for v, y in zip(samples, x)]
-        else:
-            samples = [v * y for v, y in zip(samples, x)]
+        samples = [v * y + c for v, y in zip(samples, x)]
     sums = _row_sums([list(accumulate(repeat(d, order), mul)) for d in samples])
     return [t / m * (math.pi * half_binomial(n)) / omega for n, t in enumerate(sums, 1)]
 

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import argparse
+import ast
 import contextlib
+import errno
 import io
 import json
 import math
@@ -24,6 +26,7 @@ from pmsdelta.oscillators import _even_power_spec, _pendulum_spec
 from pmsdelta.series_core import MAX_ORDER
 
 ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -732,7 +735,7 @@ def test_a_fit_window_without_two_nonzero_errors_exits_2_naming_it(capsys):
 
 def _readme_cli_examples():
     """The `pmsdelta ...` lines of README's `## CLI` code block, as argv lists."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```")[1]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pmsdelta ")]
 
@@ -761,12 +764,49 @@ def test_module_entry_point_runs(child_env):
     assert result.stdout.startswith("order,period\n")
 
 
-def _run_module(child_env, argv, **kwargs):
-    """`python -m pmsdelta` in a child whose stdout is block-buffered, as it
-    is by default when not a terminal, so its flush before os._exit writes
-    what is left of the table."""
+def _script_target():
+    """(module, function) that pyproject.toml's `pmsdelta` command runs."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["pmsdelta"]
+    module, name = target.split(":")
+    return module, name
+
+
+# The three ways a process starts the command line.  The installed command
+# is run as setuptools' console-script wrapper runs it, so the tests need no
+# build of the package.
+ENTRIES = ["-m pmsdelta", "-m pmsdelta.cli", "console script"]
+
+
+def _run_module(child_env, argv, entry="-m pmsdelta", **kwargs):
+    """The command line in a child started by `entry`, whose stdout is
+    block-buffered, as it is by default when not a terminal, so its flush
+    before os._exit writes what is left of the table."""
+    if entry == "console script":
+        module, name = _script_target()
+        start = ["-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+    else:
+        start = entry.split()
     env = {name: value for name, value in child_env.items() if name != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-m", "pmsdelta", *argv], env=env, **kwargs)
+    return subprocess.run([sys.executable, *start, *argv], env=env, **kwargs)
+
+
+def test_the_installed_command_runs_what_the_module_runs():
+    # pyproject's script names the function that `python -m pmsdelta` calls,
+    # so the installed command cannot drift from the module's behaviour.
+    module, name = _script_target()
+    tree = ast.parse((ROOT / "src" / "pmsdelta" / "__main__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name: f"pmsdelta.{node.module}:{alias.name}"
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    calls = [
+        node.value.func.id for node in tree.body
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+    ]
+    assert [imported[call] for call in calls] == [f"{module}:{name}"]
 
 
 def test_the_module_entry_point_writes_what_main_writes(child_env, tmp_path):
@@ -799,10 +839,12 @@ def test_the_module_entry_point_writes_what_main_writes(child_env, tmp_path):
         "period no-such-model",
     ],
 )
-def test_the_module_entry_point_keeps_the_exit_codes(child_env, argv):
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_module_entry_point_keeps_the_exit_codes(child_env, argv, entry):
     # Exit 0, 3 for a sub-critical orbit, 2 for a violated precondition, and
-    # 2 by argparse's own SystemExit, with main's bytes on stdout and stderr.
-    result = _run_module(child_env, argv.split(), capture_output=True, text=True)
+    # 2 by argparse's own SystemExit, with main's bytes on stdout and stderr,
+    # however the process was started.
+    result = _run_module(child_env, argv.split(), entry, capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == _run_in_process(argv.split())
 
 
@@ -837,14 +879,38 @@ def test_a_host_that_runs_the_module_keeps_its_own_exit(child_env):
         "period duffing --exact",
     ],
 )
-def test_a_closed_stdout_exits_1_without_a_traceback(child_env, argv):
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_closed_stdout_exits_1_without_a_traceback(child_env, argv, entry):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = _run_module(child_env, argv.split(), stdout=write_end, stderr=subprocess.PIPE)
+        result = _run_module(
+            child_env, argv.split(), entry, stdout=write_end, stderr=subprocess.PIPE
+        )
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "period duffing --order 2",
+        "convergence sextic-c0",
+        "convergence precession --format json",
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+def test_an_unwritable_out_path_exits_2_naming_it(child_env, tmp_path, argv, where):
+    # The --out file cannot be opened: one stderr line names the path and
+    # the reason, nothing reaches stdout, and main returns 2 in-process too.
+    out = tmp_path / "missing" / "table" if where == "missing directory" else tmp_path
+    reason = os.strerror(errno.ENOENT if where == "missing directory" else errno.EISDIR)
+    argv = [*argv.split(), "--out", str(out)]
+    expected = (2, "", f"cannot write {out}: {reason}\n")
+    assert _run_in_process(argv) == expected
+    result = _run_module(child_env, argv, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == expected
 
 
 # Commands whose engine work fits the pure kernels' budget: the even-power,
