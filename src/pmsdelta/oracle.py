@@ -8,7 +8,10 @@ one Gauss step (DLMF 19.8, 19.29); the quadratures are left to factors of
 higher degree, where the integral is hyperelliptic.  A function of
 cos^2(theta) that is analytic in a strip about the real axis takes the
 trapezoidal rule, which converges geometrically there; a narrower strip
-takes the adaptive rule.  Beside them: a fit of exponential decay.
+takes the adaptive rule.  The trapezoidal rule passes cos^2(theta) and
+sin^2(theta) to its integrand from a cached table per level, made once by
+math.cos and math.sin, so a sample computes no node.  Beside them: a fit of
+exponential decay.
 Standard-library Python, deliberately self-contained: it imports nothing
 from the expansion engine, nor the engine from it, so that the series
 machinery is checked against arithmetic it does not share.
@@ -17,6 +20,7 @@ machinery is checked against arithmetic it does not share.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from . import _names
@@ -214,32 +218,59 @@ def _times_two_pi(high: float, low: float) -> float:
     return (a * d + c * b) * _TWO_PI_NUMERATOR / (b * d * _TWO_PI_DENOMINATOR)
 
 
-def _periodic_trapezoid(
-    f: Callable[[float], float], rel_tol: float, max_evals: int = 10**6
-) -> QuadratureResult:
-    """Integral of f over [0, 2 pi] by the trapezoidal rule, for f even about
-    theta = 0 and about theta = pi/2, as a function of cos^2(theta) is.
+@lru_cache(maxsize=17)
+def _trapezoid_level(panels: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(cos^2(theta), sin^2(theta)) at the nodes the trapezoidal level of this
+    many panels on [0, pi/2] adds, as two tuples.
 
-    Such an f is pi-periodic, so the integral is 2 pi times its mean, and the
-    trapezoidal mean over a period folds onto the nodes of [0, pi/2], the two
-    ends at half weight.  Where f is analytic in the strip |Im theta| < d,
-    the rule with n panels on [0, pi/2] errs by about exp(-4 d n)
-    (Trefethen & Weideman, SIAM Review 56 (2014) 385).  The panel count
-    starts at _FIRST_PANELS and doubles, each level reusing every earlier
-    sample, until two successive means agree to rel_tol of the later one;
-    that difference is about the coarser level's error, and the finer
-    level's is about its square.  The samples are summed with math.fsum, to
-    a sum and its rounding error, and 2 pi times their exact sum is one
-    integer quotient (_times_two_pi), which Python rounds correctly, so the
-    value is rounded once after the samples.
+    The first level, _FIRST_PANELS panels, takes both ends, 0 and pi/2, then
+    its inner nodes pi/2 j/panels; each later level takes the midpoints
+    pi/2 (2 j + 1)/panels, j < panels/2, of the level before.  Each value is
+    math.cos or math.sin of that node, squared.  A level of n nodes holds 2n
+    floats in tuples, about 64n bytes.  The 17 levels through 2^19 panels,
+    the finest that max_evals = 10**6 reaches, hold 2^19 + 1 nodes, about
+    34 MB; the even-power periods use the levels through 128 panels, 129
+    nodes and about 8 KB.  A larger max_evals reaches finer levels, and the
+    cache keeps the 17 used last.
+    """
+    quarter = 0.5 * math.pi
+    if panels == _FIRST_PANELS:
+        thetas = [0.0, quarter, *(quarter * j / panels for j in range(1, panels))]
+    else:
+        thetas = [quarter * (2 * j + 1) / panels for j in range(panels // 2)]
+    cosines, sines = map(math.cos, thetas), map(math.sin, thetas)
+    return tuple([v * v for v in cosines]), tuple([v * v for v in sines])
+
+
+def _periodic_trapezoid(
+    f: Callable[[float, float], float], rel_tol: float, max_evals: int = 10**6
+) -> QuadratureResult:
+    """Integral of f(cos^2(theta), sin^2(theta)) over [0, 2 pi] by the
+    trapezoidal rule.
+
+    Such an integrand is even about theta = 0 and about theta = pi/2, and
+    pi-periodic, so the integral is 2 pi times its mean, and the trapezoidal
+    mean over a period folds onto the nodes of [0, pi/2], the two ends at
+    half weight.  Where f is analytic in the strip |Im theta| < d, the rule
+    with n panels on [0, pi/2] errs by about exp(-4 d n) (Trefethen &
+    Weideman, SIAM Review 56 (2014) 385).  The panel count starts at
+    _FIRST_PANELS and doubles, each level reusing every earlier sample, until
+    two successive means agree to rel_tol of the later one; that difference
+    is about the coarser level's error, and the finer level's is about its
+    square.  f takes c = cos^2(theta) and s = sin^2(theta) at each node from
+    the level's cached table (_trapezoid_level), so no sample computes its
+    node.  The samples are summed with math.fsum, to a sum and its rounding
+    error, and 2 pi times their exact sum is one integer quotient
+    (_times_two_pi), which Python rounds correctly, so the value is rounded
+    once after the samples.
 
     Raises ToleranceNotMet when the next level would exceed max_evals
     samples, and NonFiniteIntegrand when a mean is not finite.
     """
-    quarter = 0.5 * math.pi
     panels = _FIRST_PANELS
-    samples = [0.5 * f(0.0), 0.5 * f(quarter)]
-    samples += [f(quarter * j / panels) for j in range(1, panels)]
+    samples = list(map(f, *_trapezoid_level(panels)))
+    samples[0] *= 0.5  # the two ends, theta = 0 and pi/2
+    samples[1] *= 0.5
 
     def level_mean() -> float:
         try:
@@ -256,8 +287,8 @@ def _periodic_trapezoid(
             raise ToleranceNotMet(
                 f"no two trapezoidal levels agree to {rel_tol:.1e} within {max_evals} evaluations"
             )
-        samples += [f(quarter * (2 * j + 1) / (2 * panels)) for j in range(panels)]
         panels *= 2
+        samples += map(f, *_trapezoid_level(panels))
         previous, mean = mean, level_mean()
         if abs(mean - previous) <= rel_tol * abs(mean):
             break

@@ -619,20 +619,22 @@ def even_power_exact_period(K: int, rho: float) -> float:
 _TRAPEZOID_MIN_STRIP_SQ = 0.04
 
 
-def _even_power_integrand(K: int, rho: float) -> Callable[[float], float]:
-    """theta -> 1/sqrt(2R) for the even-power factor R.
+def _even_power_integrand(K: int, rho: float) -> Callable[[float, float], float]:
+    """(c, s) -> 1/sqrt(2R) for the even-power factor R, with c = cos^2(theta)
+    and s = sin^2(theta).
 
     The period, sqrt(2) times the integral of 1/sqrt(R) over [0, pi], is the
     integral of this over [0, 2 pi], with no factor sqrt(2) to round.
-    2R = 1 + (rho/K) g(c), g = sum_{j<K} c^j and c = cos^2(theta), is summed
-    from terms of one sign: as written for rho >= 0, as g/K (that is, 2R/rho)
-    at rho = inf, and for rho < 0 as
-    2R = (1 + rho) + (|rho|/K) u sum_{l<K-1} (K-1-l) c^l, u = sin^2(theta),
-    because g - K = -u sum_l (K-1-l) c^l.  There 2R(0) = 1 + rho is formed
+    2R = 1 + (rho/K) g(c), g = sum_{j<K} c^j, is summed from terms of one
+    sign: as written for rho >= 0, as g/K (that is, 2R/rho) at rho = inf, and
+    for rho < 0 as 2R = (1 + rho) + (|rho|/K) s sum_{l<K-1} (K-1-l) c^l,
+    because g - K = -s sum_l (K-1-l) c^l.  There 2R(0) = 1 + rho is formed
     from rho itself.  Summed from the cos^k coefficients, it carries about
-    1e-16 of absolute noise, which is all of R as 1 + rho -> 0.  (Powers of u
+    1e-16 of absolute noise, which is all of R as 1 + rho -> 0.  (Powers of s
     would do as well for small K, but their binomial coefficients alternate
-    in sign and cancel as K grows.)
+    in sign and cancel as K grows.)  s is read for rho < 0 only.  The
+    trapezoidal rule passes c and s from its node tables; integrate takes
+    the integrand through _in_theta.
     """
     if rho == math.inf:
         base, weight, coeffs = 0.0, 1.0 / K, (1.0,) * K
@@ -641,19 +643,27 @@ def _even_power_integrand(K: int, rho: float) -> Callable[[float], float]:
     else:
         base, weight = 1.0 + rho, -rho / K
         coeffs = tuple(float(K - 1 - l) for l in range(K - 1))
-    with_u = rho < 0.0
+    with_s = rho < 0.0
     top, rest = coeffs[-1], coeffs[-2::-1]
 
-    def integrand(theta: float) -> float:
-        c = math.cos(theta)
-        c *= c
+    def integrand(c: float, s: float) -> float:
         acc = top
         for coeff in rest:
             acc = coeff + acc * c
-        if with_u:
-            u = math.sin(theta)
-            acc *= u * u
+        if with_s:
+            acc *= s
         return 1.0 / math.sqrt(base + weight * acc)
+
+    return integrand
+
+
+def _in_theta(f: Callable[[float, float], float]) -> Callable[[float], float]:
+    """theta -> f(cos^2(theta), sin^2(theta)), each the square of math.cos or
+    math.sin of theta, as the trapezoidal rule's node tables form them."""
+
+    def integrand(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        return f(c * c, s * s)
 
     return integrand
 
@@ -680,7 +690,7 @@ def _even_power_quadrature(K: int, rho: float) -> float:
         strip_sq = min(strip_sq, 2.0 * (1.0 + rho) / (-rho * (K - 1)))
     if strip_sq >= _TRAPEZOID_MIN_STRIP_SQ:
         return _periodic_trapezoid(f, rel_tol=1e-14).value
-    return 4.0 * integrate(f, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14).value
+    return 4.0 * integrate(_in_theta(f), 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14).value
 
 
 def _quadratic_agm(

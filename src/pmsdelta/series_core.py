@@ -378,11 +378,11 @@ class IntegrandSpec(_Record):
                 "factor coefficients must be finite, with sum |c_k| inside the float range"
             )
         # cos^k lies in [-1, 1] for odd k and in [0, 1] for even k, so c_0 less
-        # every odd |c_k| and every negative even c_k bounds R below on all of
-        # [0, pi].  Above a margin that covers its own rounding and that of
-        # Horner's rule, it proves R > 0 there and on the grid alike; below it,
-        # R is taken on the grid by Horner's rule.
-        lower = coeffs[0] - sum(map(abs, coeffs[1::2])) + sum(min(c, 0.0) for c in coeffs[2::2])
+        # every odd |c_k| and plus every negative even c_k bounds R below on
+        # all of [0, pi].  Above a margin that covers its own rounding and that
+        # of Horner's rule, it proves R > 0 there and on the grid alike; below
+        # it, R is taken on the grid by Horner's rule.
+        lower = coeffs[0] - sum(map(abs, coeffs[1::2])) + sum(c for c in coeffs[2::2] if c < 0.0)
         if not lower > 1e-15 * len(coeffs) * total and not _positive_on_grid(coeffs):
             raise DomainError("factor polynomial is not strictly positive on [0, pi]")
         try:
@@ -431,6 +431,16 @@ class SeriesExpansion(NamedTuple):
         return tuple(math.fsum(self.terms[: n + 1]) for n in range(len(self.terms)))
 
 
+# Every sample of Delta lies within B = sum |delta_k|, since |cos(theta)| <= 1.
+# At B <= 16 no intermediate of an expansion through MAX_ORDER = 64 can
+# overflow: each power stays below 16^64 = 2^256 (2^257 with its roundings),
+# each row sum below m 2^257 and the row sum over m below 2^257 again.  Times
+# pi |hb(n)| <= pi and over omega, with 1/omega < 2^512 because the spec
+# checks that 1/omega^2 is finite, every value stays below 2^771.  Finite
+# operands give no invalid operation either.
+_NO_OVERFLOW_BOUND = 16.0
+
+
 def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     """The spec's terms I_0..I_N, through the first that is not finite.
 
@@ -458,8 +468,14 @@ def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     command-line table does; otherwise the numpy kernel runs, as it does in
     any process that has loaded numpy.  Each term has the same bits whichever
     kernel forms it, so a prefix formed by one and extended by the other is
-    still one expansion.  Overflow and invalid values are let through, and
-    the terms stop before the first that is not finite.
+    still one expansion.
+
+    Only a Delta whose coefficient bound B = sum |delta_k| exceeds
+    _NO_OVERFLOW_BOUND can leave the float range (see above).  For such a
+    Delta, overflow and invalid values are let through, the numpy kernel
+    inside np.errstate, and the terms stop before the first that is not
+    finite; any other Delta neither enters np.errstate nor has its terms
+    scanned.
     """
     if not order:
         return (math.pi / spec.omega,)
@@ -467,35 +483,49 @@ def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     s = 1 if any(coeffs[1::2]) else 2
     m = (len(coeffs) - 1) // s * (MAX_ORDER // 2) + 1
     steps = coeffs[-1 - s :: -s]
-    kernel = _pure_terms if _pure_fits(m * (len(steps) + order)) else _numpy_terms
-    terms = [math.pi / spec.omega, *kernel(coeffs[-1], steps, m, s, order, spec.omega)]
-    if not math.isfinite(sum(terms)):
+    args = (coeffs[-1], steps, m, s, order, spec.omega)
+    may_overflow = sum(map(abs, coeffs)) > _NO_OVERFLOW_BOUND
+    if _pure_fits(m * (len(steps) + order)):
+        rest = _pure_terms(*args)
+    else:
+        rest = _numpy_terms(*args, may_overflow)
+    terms = [math.pi / spec.omega, *rest]
+    if may_overflow and not math.isfinite(sum(terms)):
         terms = terms[: next((n for n, t in enumerate(terms) if not math.isfinite(t)), None)]
     return tuple(terms)
 
 
 def _numpy_terms(
-    top: float, steps: Sequence[float], m: int, s: int, order: int, omega: float
+    top: float,
+    steps: Sequence[float],
+    m: int,
+    s: int,
+    order: int,
+    omega: float,
+    may_overflow: bool,
 ) -> list[float]:
     """Terms I_1..I_N by _extend's rule on numpy arrays: Delta's leading
     coefficient `top`, then its Horner steps (the lower coefficients in c,
-    highest first), on the spec's node set."""
+    highest first), on the spec's node set.  Only a Delta that may overflow
+    enters np.errstate, which costs a few microseconds a call."""
     import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.empty((order, m))
-        row = powers[0]
-        row.fill(top)
-        x = _node_cosines(m, s)
-        for c in steps:
-            row *= x
-            row += c
-        powers[1:] = row
-        powers.cumprod(axis=0, out=powers)
-        sums = powers.sum(axis=1)
-        sums /= m
-        sums *= _term_weights()[1 : order + 1]
-        sums /= omega
+    if may_overflow:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _numpy_terms(top, steps, m, s, order, omega, False)
+    powers = np.empty((order, m))
+    row = powers[0]
+    row.fill(top)
+    x = _node_cosines(m, s)
+    for c in steps:
+        row *= x
+        row += c
+    powers[1:] = row
+    powers.cumprod(axis=0, out=powers)
+    sums = powers.sum(axis=1)
+    sums /= m
+    sums *= _term_weights()[1 : order + 1]
+    sums /= omega
     return sums.tolist()
 
 

@@ -224,9 +224,9 @@ def test_periodic_trapezoid_matches_a_closed_form(s):
     mpmath = pytest.importorskip("mpmath")
     nodes = []
 
-    def f(theta):
-        nodes.append(theta)
-        return 1.0 / (1.0 + s * math.cos(theta) ** 2)
+    def f(c, u):
+        nodes.append((c, u))
+        return 1.0 / (1.0 + s * c)
 
     result = oracle._periodic_trapezoid(f, rel_tol=1e-14)
     with mpmath.workdps(50):
@@ -234,24 +234,44 @@ def test_periodic_trapezoid_matches_a_closed_form(s):
         assert abs(result.value - exact) <= 1e-15 * exact
     assert result.error_estimate <= 1e-14 * result.value
     # Each level reuses every earlier sample: the nodes are those of the
-    # finest level on [0, pi/2], each taken once.
+    # finest level on [0, pi/2], each taken once, at cos^2 and sin^2 of it.
     panels = result.evaluations - 1
     assert panels in (16, 32, 64, 128)
     assert len(nodes) == result.evaluations == len(set(nodes))
     grid = [0.5 * math.pi * j / panels for j in range(panels + 1)]
-    assert sorted(nodes) == pytest.approx(grid, rel=1e-15, abs=0.0)
+    assert sorted(nodes, reverse=True) == [
+        (pytest.approx(math.cos(t) ** 2, rel=0.0, abs=1e-15),
+         pytest.approx(math.sin(t) ** 2, rel=0.0, abs=1e-15))
+        for t in grid
+    ]
+
+
+def test_trapezoid_levels_square_cos_and_sin_of_their_nodes():
+    # The first level takes both ends and its inner nodes, each later level
+    # the midpoints of the one before, with the node expressions of the
+    # rule's theta form, so each value is the square of math.cos or math.sin
+    # of the same float.
+    quarter = 0.5 * math.pi
+    thetas = {8: [0.0, quarter, *(quarter * j / 8 for j in range(1, 8))]}
+    for panels in (16, 32, 64, 128, 1024):
+        thetas[panels] = [quarter * (2 * j + 1) / panels for j in range(panels // 2)]
+    for panels, nodes in thetas.items():
+        cs, ss = oracle._trapezoid_level(panels)
+        assert cs == tuple(math.cos(t) * math.cos(t) for t in nodes)
+        assert ss == tuple(math.sin(t) * math.sin(t) for t in nodes)
+        assert oracle._trapezoid_level(panels) is oracle._trapezoid_level(panels)
 
 
 def test_periodic_trapezoid_budget_and_non_finite_values():
     # Poles 1e-3 from the real axis would need about 15000 samples.
     with pytest.raises(ToleranceNotMet):
         oracle._periodic_trapezoid(
-            lambda t: 1.0 / (1.0 + 1e6 * math.cos(t) ** 2), rel_tol=1e-14, max_evals=1000
+            lambda c, u: 1.0 / (1.0 + 1e6 * c), rel_tol=1e-14, max_evals=1000
         )
     for f in (
-        lambda t: math.nan,
-        lambda t: 1e308,  # the sum leaves the float range
-        lambda t: math.inf if t == 0.0 else -math.inf,
+        lambda c, u: math.nan,
+        lambda c, u: 1e308,  # the sum leaves the float range
+        lambda c, u: math.inf if c == 1.0 else -math.inf,
     ):
         with pytest.raises(NonFiniteIntegrand):
             oracle._periodic_trapezoid(f, rel_tol=1e-14)

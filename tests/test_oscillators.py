@@ -44,6 +44,7 @@ from pmsdelta.oscillators import (
     _even_power_integrand,
     _even_power_quadrature,
     _even_power_spec,
+    _in_theta,
     _pendulum_spec,
     _sextic_weight,
 )
@@ -655,10 +656,10 @@ def _count_evaluations(monkeypatch):
         def counted_rule(f, *args, **kwargs):
             calls = 0
 
-            def counted(x):
+            def counted(*x):
                 nonlocal calls
                 calls += 1
-                return f(x)
+                return f(*x)
 
             result = rule(counted, *args, **kwargs)
             assert result.evaluations == calls
@@ -728,7 +729,7 @@ def test_even_power_exact_period_matches_mpmath_on_a_grid(K, rho):
 
 def _quadrature_by_integrate(K, rho):
     """The period from integrate alone, on the integrand the rules share."""
-    f = _even_power_integrand(K, rho)
+    f = _in_theta(_even_power_integrand(K, rho))
     return 4.0 * integrate(f, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14).value
 
 
@@ -773,7 +774,7 @@ def test_the_selected_rule_never_costs_more_than_integrate(monkeypatch, K):
     rhos = (-1.0 + 1e-6, -0.999, -0.99, -0.9, -0.5, 0.5, 2.0, 40.0, math.inf)
     counts = _count_evaluations(monkeypatch)
     for rho in rhos:
-        f = _even_power_integrand(K, rho)
+        f = _in_theta(_even_power_integrand(K, rho))
         spent = integrate(f, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14).evaluations
         counts.clear()
         _even_power_quadrature(K, rho)
@@ -781,6 +782,107 @@ def test_the_selected_rule_never_costs_more_than_integrate(monkeypatch, K):
         assert calls <= spent, (rho, rule)
         if rule == "integrate":
             assert calls == spent, rho
+
+
+def _theta_even_power_integrand(K, rho):
+    """theta -> 1/sqrt(2R), the even-power integrand in its theta form: the
+    reference that the (c, s) form must match bit for bit."""
+    if rho == math.inf:
+        base, weight, coeffs = 0.0, 1.0 / K, (1.0,) * K
+    elif rho >= 0.0:
+        base, weight, coeffs = 1.0, rho / K, (1.0,) * K
+    else:
+        base, weight = 1.0 + rho, -rho / K
+        coeffs = tuple(float(K - 1 - l) for l in range(K - 1))
+    top, rest = coeffs[-1], coeffs[-2::-1]
+
+    def integrand(theta):
+        c = math.cos(theta)
+        c *= c
+        acc = top
+        for coeff in rest:
+            acc = coeff + acc * c
+        if rho < 0.0:
+            u = math.sin(theta)
+            acc *= u * u
+        return 1.0 / math.sqrt(base + weight * acc)
+
+    return integrand
+
+
+def _theta_trapezoid(f, rel_tol):
+    """(value, evaluations) of the periodic trapezoidal rule in its theta
+    form, each sample forming its node: the reference for the node tables."""
+    from pmsdelta.oracle import _FIRST_PANELS, _times_two_pi
+
+    quarter = 0.5 * math.pi
+    panels = _FIRST_PANELS
+    samples = [0.5 * f(0.0), 0.5 * f(quarter)]
+    samples += [f(quarter * j / panels) for j in range(1, panels)]
+    mean = math.fsum(samples) / panels
+    while True:
+        samples += [f(quarter * (2 * j + 1) / (2 * panels)) for j in range(panels)]
+        panels *= 2
+        previous, mean = mean, math.fsum(samples) / panels
+        if abs(mean - previous) <= rel_tol * abs(mean):
+            break
+    total = mean * panels
+    residual = math.fsum([*samples, -total])
+    return _times_two_pi(total, residual) / panels, len(samples)
+
+
+def _oracle_sweep_even_power_cells():
+    """(K, rho) of every K >= 4 even-power cell in the oracle-sweep plans of
+    seeds 1-8, near-singular set included, from the benchmark's generator."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    cells = []
+    for seed in range(1, 9):
+        plan = workloads.plan("oracle-sweep", seed)
+        for op in plan["pool"] + plan["near_singular"]:
+            if op["kind"] == "even_power" and op["args"][0] >= 4:
+                cells.append(tuple(op["args"][:2]))
+    return cells
+
+
+THETA_FORM_CELLS = {
+    "grid": [(K, rho) for K in (4, 5, 8, 16, 64)
+             for rho in (-0.99, -0.9, -0.5, 1e-9, 0.5, 2.0, 40.0, 1e300, math.inf)],
+    "near-separatrix": [cell[1:3] for cell in EVEN_POWER_PERIOD_CELLS if cell[3] == "integrate"],
+}
+
+
+@pytest.mark.parametrize("cells", ["oracle-sweep", *THETA_FORM_CELLS])
+def test_node_tables_keep_every_bit_of_the_theta_form(monkeypatch, cells):
+    # The trapezoidal rule reads cos^2 and sin^2 of its nodes from tables,
+    # and integrate takes the (c, s) integrand through _in_theta; both give
+    # the theta form's period to the bit, after the same number of calls.
+    inputs = _oracle_sweep_even_power_cells() if cells == "oracle-sweep" else THETA_FORM_CELLS[cells]
+    assert len(inputs) == {"oracle-sweep": 88, "grid": 45, "near-separatrix": 2}[cells]
+    counts = _count_evaluations(monkeypatch)
+    rules = set()
+    for K, rho in inputs:
+        counts.clear()
+        value = _even_power_quadrature(K, rho)
+        [(rule, calls)] = counts
+        rules.add(rule)
+        f = _theta_even_power_integrand(K, rho)
+        if rule == "_periodic_trapezoid":
+            expected, evaluations = _theta_trapezoid(f, rel_tol=1e-14)
+        else:
+            result = integrate(f, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-14)
+            expected, evaluations = 4.0 * result.value, result.evaluations
+        assert value.hex() == expected.hex(), (K, rho)
+        assert calls == evaluations, (K, rho)
+    # The sweep's cells and the grid take both rules, the near-separatrix
+    # cells integrate alone.
+    assert rules == ({"integrate"} if cells == "near-separatrix"
+                     else {"integrate", "_periodic_trapezoid"})
 
 
 def _quartic_cubic_args(a2, a4, x_minus, x_plus):

@@ -151,13 +151,16 @@ def test_array_caches_keyed_on_a_size_are_bounded():
     # One array per size adds up: a node set per factor degree would reach
     # 134 MB over the exponents up to MAX_EXPONENT.  A cache with no argument
     # holds one array, and one keyed on an order alone at most MAX_ORDER + 1.
-    # Python tables (array.array) count as arrays too.
+    # Python tables (array.array, or tuples of floats) count as arrays too.
     sized = {
         name: maxsize for name, (maxsize, node) in _lru_caches().items()
-        if node.returns is not None and "array" in ast.unparse(node.returns)
+        if node.returns is not None
+        and any(kind in ast.unparse(node.returns) for kind in ("array", "tuple[float, ...]"))
         and any(arg.arg != "order" for arg in _arguments(node))
     }
-    assert set(sized) == {"series_core._node_cosines", "series_core._node_table"}
+    assert set(sized) == {
+        "series_core._node_cosines", "series_core._node_table", "oracle._trapezoid_level",
+    }
     for name, maxsize in sized.items():
         assert type(maxsize) is int, f"{name} caches one array per size without an integer maxsize"
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -656,6 +657,44 @@ def test_the_pure_kernel_forms_the_numpy_kernels_terms(family):
             with kernel(pure=False):
                 vectorized = series_core._extend(spec, order)
             assert bits(pure) == bits(vectorized), (spec, order)
+
+
+def test_numpy_enters_its_error_state_only_where_delta_can_overflow():
+    # At B = sum |delta_k| <= 16 no term through MAX_ORDER can overflow, so
+    # the numpy kernel skips np.errstate; a larger B enters it, and both
+    # give the terms of a run that always enters it, with no RuntimeWarning
+    # and numpy's error state unchanged.  Every family spec has B <= 16; the
+    # two overflowing specs and a finite positive factor with B = 20 lie
+    # beyond it.
+    specs = [spec for family in KERNEL_FAMILIES.values() for spec in family()]
+    specs.append(IntegrandSpec(-1.0, 1.0, TrigPolynomial([20.0, 0.0, 1.0]), 1.0))
+    bounds = [sum(map(abs, spec.delta.coeffs)) for spec in specs]
+    assert sum(bound > 16.0 for bound in bounds) == 3
+    errstate, entered = np.errstate, []
+
+    def counting_errstate(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    before = np.geterr()
+    orders, entries = (1, 7, MAX_ORDER), []
+    for spec, bound in zip(specs, bounds):
+        for order in orders:
+            with kernel(pure=False), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(series_core, "_NO_OVERFLOW_BOUND", -1.0)
+                guarded = series_core._extend(spec, order)
+            entered.clear()
+            with kernel(pure=False), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np, "errstate", counting_errstate)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    terms = series_core._extend(spec, order)
+            assert np.geterr() == before
+            assert bits(terms) == bits(guarded), (spec, order)
+            if bound <= 20.0:
+                assert len(terms) == order + 1
+            entries.append(len(entered))
+    assert entries == [int(bound > 16.0) for bound in bounds for _ in orders]
 
 
 def node_count(spec):
