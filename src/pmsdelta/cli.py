@@ -182,7 +182,14 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         tagged = [(*p, tag) for s, tag in zip(studies, ("even", "odd")) for p in s.points]
         rows = sorted(tagged, key=lambda row: row[0])
     elif args.study == "precession":
-        orders = [int(tok) for tok in args.orders.split(",") if tok.strip() != ""]
+        orders = []
+        for tok in filter(str.strip, args.orders.split(",")):
+            try:
+                orders.append(int(tok))
+            except ValueError:
+                raise DomainError(
+                    f"orders must be comma-separated integers, got {tok.strip()!r}"
+                ) from None
         if not orders:
             raise DomainError("orders must name at least one expansion order")
         grid = _geometric_grid(args.a_min, args.a_max, args.points)
@@ -381,13 +388,17 @@ def run() -> NoReturn:
     returned and stdout and stderr are flushed; a table written with --out is
     closed before main() returns.  Any other start, such as the installed
     command or a profiler or tracer that runs the package through runpy,
-    gets SystemExit and keeps the interpreter's normal exit.  An exception,
-    and argparse's SystemExit, take the normal exit path.  A reader that
-    closes stdout early gets exit 1 and no traceback, as in the recipe of the
-    signal module's documentation.
+    gets SystemExit and keeps the interpreter's normal exit.  An exception
+    takes the normal exit path.  argparse's SystemExit, from --help or a
+    usage error, is flushed and exits like a code main() returns.  A reader
+    that closes stdout early gets exit 1 and no traceback, as in the recipe
+    of the signal module's documentation.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:

@@ -35,14 +35,9 @@ The sampling and the grid each have two kernels with one bit pattern: a
 numpy kernel, and a pure-Python twin that makes the same roundings in the
 same order, numpy's pairwise row sums included.  Both read one table of
 node values made by math.cos, which numpy sees as a read-only view.  The
-pure kernel runs only while numpy is not yet loaded, the call's element
-operations fit _PURE_BUDGET and the process's fit _PURE_PROCESS_BUDGET, both
-sized from numpy's import time and the pure kernel's time per element;
-otherwise the numpy kernel runs.  So a cold command-line table never pays
-numpy's import, a process that forms many specs pays it once its pure work
-has cost about as much, a process that has loaded numpy keeps its
-vectorized kernel, and each term has the same bits whichever kernel forms
-it.
+pure kernel runs while numpy is not loaded and the process's pure work stays
+within _PURE_BUDGET (see there), otherwise the numpy kernel; each term has
+the same bits whichever kernel forms it.
 """
 
 from __future__ import annotations
@@ -88,31 +83,28 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-# The pure kernels run while numpy is not loaded, on at most this many
-# element operations per call (one multiply or add per node per Horner step
-# or order, or per grid node and coefficient); past it, or once numpy is in
-# the process, the numpy kernels run.  Two measurements on a 2-vCPU Xeon VM
-# (Python 3.11, numpy 2.4) size it: `import numpy` takes about 80 ms (67-108 ms
-# by -X importtime), and the pure kernels about 110 ns per element (90-135 ns
-# from K = 5 to 64 through order 64, and on the grid), so they break even near
-# 700k elements.  The budget is about a fifth of that, 2^17 elements or about
-# 15 ms: a pure call costs at most a fifth of the import it saves.  The pure
-# calls of one process share the break-even, so a process that forms many
-# specs spends at most about one import's time in them, then loads numpy.
-_PURE_BUDGET = 2**17
-_PURE_PROCESS_BUDGET = 700_000
+# The pure kernels run while numpy is not loaded and the process's pure work,
+# this call's included, stays within this many element operations (one
+# multiply or add per node per Horner step or order, or per grid node and
+# coefficient); past it, or once numpy is in the process, the numpy kernels
+# run.  Two measurements on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) size it:
+# `import numpy` takes about 80 ms (67-108 ms by -X importtime), and the pure
+# kernels about 110 ns per element (90-135 ns from K = 5 to 64 through order
+# 64, and on the grid), so they break even near 700k elements.  So a cold
+# command-line table, whose one kernel call fits up to K = 120, never pays
+# numpy's import, and a process that forms many specs spends at most about
+# one import's time in pure Python before it loads numpy.
+_PURE_BUDGET = 700_000
 # Element operations the pure kernels have run in this process.  Threads may
 # race on it; a lost update only lets more pure work run, with the same bits.
 _pure_spent = 0
 
 
 def _pure_fits(work: int) -> bool:
-    """Whether a kernel of `work` element operations runs in pure Python:
-    only when numpy is not yet loaded, the work is within the budget and the
-    process's pure work, this call's included, within the process budget.
-    A call that runs in pure Python is added to that total."""
+    """Whether a kernel of `work` element operations runs in pure Python, by
+    the rule above _PURE_BUDGET; a call that does is added to the total."""
     global _pure_spent
-    if "numpy" in sys.modules or work > min(_PURE_BUDGET, _PURE_PROCESS_BUDGET - _pure_spent):
+    if "numpy" in sys.modules or _pure_spent + work > _PURE_BUDGET:
         return False
     _pure_spent += work
     return True
@@ -192,9 +184,9 @@ def _horner(coeffs: Sequence[float], x):
 
 def _positive_on_grid(coeffs: Sequence[float]) -> bool:
     """Whether sum_k coeffs[k] cos^k(theta) is positive at every node of the
-    positivity grid, by Horner's rule on the shared table: in pure Python while
-    the grid's work fits the pure budget, else on its numpy view.  Both give
-    the same bits at every node, so the same verdict."""
+    positivity grid, by Horner's rule on the shared table: in pure Python when
+    _pure_fits allows it, else on its numpy view.  Both give the same bits at
+    every node, so the same verdict."""
     if _pure_fits(512 * len(coeffs)):
         return all(_horner(coeffs, c) > 0.0 for c in _positivity_table())
     return bool((_horner(coeffs, _positivity_cosines()) > 0.0).all())
@@ -462,13 +454,10 @@ def _extend(spec: IntegrandSpec, order: int) -> tuple[float, ...]:
     a cumulative product forms it; each row is summed in numpy's pairwise
     order onto 0.0, then divided by m, times pi hb(n), divided by omega.
     Both read the node values from one table made by math.cos, so neither
-    rests on numpy's cos.  The pure
-    kernel runs while numpy is not loaded and its m (Horner steps + N)
-    element operations fit the budgets of _pure_fits, which a cold
-    command-line table does; otherwise the numpy kernel runs, as it does in
-    any process that has loaded numpy.  Each term has the same bits whichever
-    kernel forms it, so a prefix formed by one and extended by the other is
-    still one expansion.
+    rests on numpy's cos.  The pure kernel runs when _pure_fits allows its
+    m (Horner steps + N) element operations, otherwise the numpy kernel.
+    Each term has the same bits whichever kernel forms it, so a prefix formed
+    by one and extended by the other is still one expansion.
 
     Only a Delta whose coefficient bound B = sum |delta_k| exceeds
     _NO_OVERFLOW_BOUND can leave the float range (see above).  For such a
@@ -614,8 +603,8 @@ def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     Delta is sampled on the spec's fixed node set, and all its powers
     come from one cumulative product over the samples, so expanding a fresh
     spec to order N costs O(N m) flops, m = (deg(Delta)/s) 32 + 1: in pure
-    Python while numpy is not loaded and that work is small, else in a
-    handful of numpy array operations, with the same bits (see _extend).
+    Python within the budget of _pure_fits, else in a handful of numpy
+    array operations, with the same bits (see _extend).
     expand(spec, n) is therefore a prefix of expand(spec, N) for n <= N, bit
     for bit, and its value is expand(spec, N).partial_sums[n].  The value and the partial sums are
     math.fsum sums of the terms.  Orders above MAX_ORDER are refused.

@@ -162,6 +162,18 @@ def test_non_finite_and_uncapped_inputs_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "orders, message",
+    [
+        ("1.5", "orders must be comma-separated integers, got '1.5'\n"),
+        ("0,x", "orders must be comma-separated integers, got 'x'\n"),
+        (",", "orders must name at least one expansion order\n"),
+    ],
+)
+def test_unreadable_orders_exit_2_naming_the_option(capsys, orders, message):
+    assert run_cli(capsys, "convergence", "precession", "--orders", orders) == (2, "", message)
+
+
+@pytest.mark.parametrize(
     "argv, requested",
     [
         (["period", "duffing", "--order", "100"], 100),
@@ -877,6 +889,9 @@ def test_a_host_that_runs_the_module_keeps_its_own_exit(child_env):
         "convergence precession --points 4000",
         # The table waits in the buffer, so the flush after main() fails.
         "period duffing --exact",
+        # argparse's help waits in the buffer, and it exits by SystemExit.
+        "--help",
+        "period --help",
     ],
 )
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -926,6 +941,10 @@ PURE_KERNEL_COMMANDS = [
     "convergence sextic-c0",
     "convergence negative-rho --exponent 3",
     "convergence negative-rho --exponent 5 --rho -0.6",
+    # One kernel call forms a table's terms through MAX_ORDER, and fits the
+    # budget up to K = 120.
+    "period even-power --exponent 64 --rho 3 --order 64 --exact",
+    "period even-power --exponent 120 --rho 3 --order 64 --exact",
 ]
 
 
@@ -976,6 +995,9 @@ def test_scalar_commands_do_not_load_numpy(child_env):
             if not preload:
                 assert not loaded(), (argv, loaded())
             printed[argv] = out.getvalue()
+            # The next command starts with the pure budget of a fresh process.
+            if "pmsdelta.series_core" in sys.modules:
+                sys.modules["pmsdelta.series_core"]._pure_spent = 0
 
         run("precession --a 500", blocked=("pmsdelta.oscillators", "pmsdelta.analysis"))
         for argv in (
@@ -1012,6 +1034,23 @@ def test_scalar_commands_do_not_load_numpy(child_env):
     assert len(printed["cold"]) == 7 + len(PURE_KERNEL_COMMANDS)
     assert all(printed["cold"].values())
     assert printed["cold"] == printed["numpy"]
+
+
+@pytest.mark.parametrize("K, numpy", [(64, False), (120, False), (121, True)])
+def test_a_cold_table_loads_numpy_only_past_the_pure_budget(child_env, K, numpy):
+    # A period table forms its terms through MAX_ORDER in one kernel call of
+    # (32 (K - 1) + 1)(K + 63) element operations: 697,047 at K = 120 fits
+    # the pure kernels' budget, 704,880 at K = 121 does not.
+    script = (
+        "import sys, pmsdelta.cli; assert pmsdelta.cli.main(sys.argv[1:]) == 0; "
+        "print('numpy' in sys.modules, file=sys.stderr)"
+    )
+    argv = f"period even-power --exponent {K} --rho 3 --order 64 --exact".split()
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=child_env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == str(numpy)
 
 
 def test_csv_scalar_commands_load_neither_json_nor_heapq(child_env):
@@ -1072,18 +1111,23 @@ def test_studies_do_not_load_the_command_line(child_env):
 
 
 def test_a_warning_repeated_over_orders_prints_once(child_env):
-    # At K = 64, orders 0 and 1 warn before numpy is loaded (order 1 fits the
-    # pure kernels' budget), and order 2 loads numpy to form the terms through
-    # MAX_ORDER: loading numpy changes the warning filters, which clears the
-    # record of shown warnings.
+    # At K = 128, order 0 warns before numpy is loaded, and order 1 loads
+    # numpy in the one kernel call that forms the terms through MAX_ORDER
+    # (776,415 element operations, past the pure kernels' budget): loading
+    # numpy changes the warning filters, which clears the record of shown
+    # warnings, so the later orders would print the warning again.
+    script = (
+        "import sys, pmsdelta.cli; code = pmsdelta.cli.main(sys.argv[1:]); "
+        "assert 'numpy' in sys.modules; sys.exit(code)"
+    )
     argv = [
-        sys.executable, "-m", "pmsdelta", "period", "even-power",
-        "--exponent", "64", "--rho", "inf", "--kappa", "pms", "--order", "3",
+        sys.executable, "-c", script, "period", "even-power",
+        "--exponent", "128", "--rho", "inf", "--kappa", "pms", "--order", "3",
     ]
     result = subprocess.run(argv, capture_output=True, text=True, env=child_env)
-    assert result.returncode == 0
+    assert result.returncode == 0, result.stderr
     assert result.stderr == (
-        "DivergentExpansion: max |Delta| = 6.103676 >= 1 at kappa = 0.14077218434003028: "
+        "DivergentExpansion: max |Delta| = 9.036309 >= 1 at kappa = 0.0996382198722803: "
         "the expansion need not converge\n"
     )
 

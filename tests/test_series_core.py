@@ -763,14 +763,20 @@ def test_the_pure_kernels_run_only_without_numpy_and_within_the_budget(monkeypat
     assert not series_core._pure_fits(1)
     monkeypatch.delitem(sys.modules, "numpy")
     monkeypatch.setattr(series_core, "_pure_spent", 0)
-    assert series_core._pure_fits(series_core._PURE_BUDGET)
+    # From zero spent, a call of the whole budget runs in pure Python and a
+    # call one operation larger does not.
     assert not series_core._pure_fits(series_core._PURE_BUDGET + 1)
+    assert series_core._pure_spent == 0
+    assert series_core._pure_fits(series_core._PURE_BUDGET)
+    assert not series_core._pure_fits(1)
     # The calls that run share one budget per process; a call refused adds
     # nothing to it.
-    assert series_core._pure_spent == series_core._PURE_BUDGET
-    monkeypatch.setattr(series_core, "_pure_spent", series_core._PURE_PROCESS_BUDGET - 10)
+    monkeypatch.setattr(series_core, "_pure_spent", series_core._PURE_BUDGET - 10)
     assert not series_core._pure_fits(11)
-    assert series_core._pure_fits(10)
+    assert series_core._pure_spent == series_core._PURE_BUDGET - 10
+    assert series_core._pure_fits(4)
+    assert series_core._pure_fits(6)
+    assert series_core._pure_spent == series_core._PURE_BUDGET
     assert not series_core._pure_fits(1)
 
 
@@ -799,7 +805,7 @@ def test_a_long_loop_without_numpy_loads_it_past_the_process_budget(child_env):
         )
         assert result.returncode == 0, result.stderr
         runs[mode] = json.loads(result.stdout)
-    assert 0 < runs["cold"]["spent"] <= series_core._PURE_PROCESS_BUDGET
+    assert 0 < runs["cold"]["spent"] <= series_core._PURE_BUDGET
     assert runs["numpy"]["spent"] == 0
     assert len(runs["cold"]["values"]) == 200
     assert runs["cold"]["values"] == runs["numpy"]["values"]
