@@ -17,7 +17,7 @@ from pmsdelta import (
     even_power_kappa_pms,
     even_power_series,
 )
-from pmsdelta.oscillators import _even_power_spec
+from pmsdelta.models import _even_power_spec
 
 
 def max_abs_delta(kappa: float) -> float:

@@ -27,9 +27,12 @@ _EXPORTS = {
     "sextic_c0_study": "analysis",
     "DEFAULT_ECCENTRICITY": "constants",
     "DEFAULT_GM": "constants",
+    "MAX_EXPONENT": "constants",
+    "MAX_ORDER": "constants",
     "REFERENCE": "constants",
     "ReferenceConstants": "constants",
     "ReferenceValue": "constants",
+    "half_binomial": "constants",
     "BarrierCrossed": "errors",
     "BeyondCritical": "errors",
     "DegenerateFit": "errors",
@@ -42,12 +45,14 @@ _EXPORTS = {
     "PmsDeltaError": "errors",
     "ThirdRootInsideInterval": "errors",
     "ToleranceNotMet": "errors",
+    "OscillatorModel": "models",
+    "even_power_series": "models",
+    "pendulum_approx": "models",
+    "quartic_cubic_exact_period": "models",
+    "quartic_cubic_pms": "models",
     "FitResult": "oracle",
-    "QuadratureResult": "oracle",
     "elliptic_k": "oracle",
     "fit_log_linear": "oracle",
-    "integrate": "oracle",
-    "OscillatorModel": "oscillators",
     "cubic_exact_period": "oscillators",
     "cubic_series": "oscillators",
     "duffing_b0": "oscillators",
@@ -58,11 +63,7 @@ _EXPORTS = {
     "even_power_exact_period": "oscillators",
     "even_power_kappa_balanced": "oscillators",
     "even_power_kappa_pms": "oscillators",
-    "even_power_series": "oscillators",
-    "pendulum_approx": "oscillators",
     "pendulum_exact": "oscillators",
-    "quartic_cubic_exact_period": "oscillators",
-    "quartic_cubic_pms": "oscillators",
     "sextic_exact_period": "oscillators",
     "sextic_series": "oscillators",
     "sextic_t4": "oscillators",
@@ -72,14 +73,13 @@ _EXPORTS = {
     "critical_semimajor_axis": "precession",
     "precession_exact": "precession",
     "precession_series": "precession",
-    "MAX_ORDER": "series_core",
-    "MAX_EXPONENT": "series_core",
+    "QuadratureResult": "quadrature",
+    "integrate": "quadrature",
     "IntegrandSpec": "series_core",
     "SeriesExpansion": "series_core",
     "TrigPolynomial": "series_core",
     "cos_moment": "series_core",
     "expand": "series_core",
-    "half_binomial": "series_core",
     "pms_derivative_check": "series_core",
     "pms_first_order": "series_core",
     "term": "series_core",

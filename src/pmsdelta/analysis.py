@@ -5,6 +5,10 @@ independently through the quadrature oracle (never against a stored journal
 number, so the data is self-validating), and ships the result as a
 ConvergenceStudy: labelled points plus an optional log-linear fit of the
 error decay.  Studies serialize to CSV and JSON for plotting.
+
+Each study imports the families it runs, inside its own body, so a study
+of closed forms loads neither the expansion engine nor the precession, and
+the precession table no oscillator family.
 """
 
 from __future__ import annotations
@@ -14,20 +18,9 @@ import sys
 from typing import NamedTuple, Sequence
 
 from . import _names
-from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, _csv, _json
+from .constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, _check_order, _csv, _json
 from .errors import DomainError, PmsDeltaError
 from .oracle import FitResult, fit_log_linear
-from .oscillators import (
-    _check_exponent,
-    duffing_b0,
-    duffing_exact_period,
-    duffing_period_series,
-    even_power_exact_period,
-    even_power_kappa_pms,
-    even_power_series,
-)
-from .precession import OrbitParams, precession_exact, precession_series
-from .series_core import _check_order
 
 __all__ = _names(__name__)
 
@@ -123,6 +116,8 @@ def duffing_b0_study(max_order: int) -> ConvergenceStudy:
     2 pi / (lim sqrt(rho) T), and fits ln(rel_error) over N = 1..max_order
     (N = 0 is excluded as a transient).
     """
+    from .oscillators import duffing_b0, even_power_exact_period
+
     if max_order < 3:
         raise DomainError("max_order must be >= 3")
     max_order = _check_order(max_order)
@@ -147,6 +142,13 @@ def duffing_error_vs_rho(
     to the few ulp both computed errors carry.  Points with rho < -2/3 have
     |xi| > 1/3 and are reported without it.
     """
+    from .oscillators import (
+        duffing_b0,
+        duffing_exact_period,
+        duffing_period_series,
+        even_power_exact_period,
+    )
+
     if not rho_grid:
         raise DomainError("rho_grid must not be empty")
     if any(r <= -1.0 for r in rho_grid):
@@ -177,6 +179,9 @@ def sextic_c0_study(max_order: int) -> ConvergenceStudy:
     subsequences decay along two distinct tracks, so max_order below 4
     leaves one point to fit and is refused.
     """
+    from .models import even_power_series
+    from .oscillators import even_power_exact_period, even_power_kappa_pms
+
     if max_order < 4:
         raise DomainError("max_order must be >= 4: the fit over even N from 2 needs two orders")
     max_order = _check_order(max_order)
@@ -199,6 +204,9 @@ def negative_rho_study(
     decay exponentially along separate lines, the even one lying below the
     odd one at matched positions.  Returns (even_study, odd_study).
     """
+    from .models import even_power_series
+    from .oscillators import _check_exponent, even_power_exact_period, even_power_kappa_pms
+
     if K not in (3, 4, 5):
         raise DomainError(f"K must be 3, 4 or 5, got {K!r}")
     K = _check_exponent(K)
@@ -232,6 +240,8 @@ def precession_error_table(
     from the exact evaluation; a point whose exact precession is zero
     (a = inf, or GM = 0) raises DomainError.
     """
+    from .precession import OrbitParams, precession_exact, precession_series
+
     if not a_grid:
         raise DomainError("a_grid must not be empty")
     if not orders:

@@ -14,11 +14,16 @@ lines go to.
 
 Exit codes: 0 on success, 2 when a precondition on the inputs is violated
 or the --out file cannot be written (one-line diagnostic on stderr), 3 when
-the requested orbit lies at or below the critical semimajor axis, and 1,
-from run, when the reader closes stdout early.
+the requested orbit has a positive semimajor axis at or below the critical
+one, and 1, from run, when the reader closes stdout early.
 A warning raised during a command, such as the DivergentExpansion that
 errors._warn_divergent forms for every series, is printed as one stderr line,
 "Category: message", once per command.
+
+Each command imports the modules it runs inside its own function, so a call
+compiles only those: a command that prints closed forms loads neither the
+expansion engine, nor the spec-built families of models, nor the quadrature
+rules.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence, TextIO
 
 from .constants import (
-    DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE, _G_OVER_C2, _MASS, _csv, _fmt, _json,
+    DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE, _G_OVER_C2, _MASS, _check_order, _csv, _fmt,
+    _json,
 )
 from .errors import (
     BeyondCritical,
@@ -41,7 +47,6 @@ from .errors import (
     ThirdRootInsideInterval,
 )
 
-# Each command imports the families it runs, so a call loads only those.
 if TYPE_CHECKING:
     from .analysis import ConvergenceStudy
 
@@ -93,7 +98,11 @@ def _emit(
 
 
 def _period_functions(args: argparse.Namespace) -> tuple[Callable, Callable]:
-    """(order -> series value, () -> oracle value) for the requested model."""
+    """(order -> series value, () -> oracle value) for the requested model.
+
+    The closed forms come from oscillators; only the even-power and pendulum
+    series load the spec-built families of models, and with them the engine.
+    """
     from .oscillators import (
         cubic_exact_period,
         cubic_series,
@@ -102,8 +111,6 @@ def _period_functions(args: argparse.Namespace) -> tuple[Callable, Callable]:
         even_power_exact_period,
         even_power_kappa_balanced,
         even_power_kappa_pms,
-        even_power_series,
-        pendulum_approx,
         pendulum_exact,
         sextic_exact_period,
         sextic_series,
@@ -116,25 +123,32 @@ def _period_functions(args: argparse.Namespace) -> tuple[Callable, Callable]:
         return (partial(sextic_series, args.rho),
                 partial(sextic_exact_period, args.rho))
     if args.model == "even-power":
+        from .models import even_power_series
+
         K = args.exponent
         if args.kappa == "pms":
             kappa = even_power_kappa_pms(K)
         elif args.kappa == "balanced":
             kappa = even_power_kappa_balanced(K)
         else:
-            kappa = float(args.kappa)
+            try:
+                kappa = float(args.kappa)
+            except ValueError:
+                raise DomainError(
+                    f"kappa must be pms, balanced or a number, got {args.kappa!r}"
+                ) from None
         return (partial(even_power_series, K, args.rho, kappa),
                 partial(even_power_exact_period, K, args.rho))
     if args.model == "cubic":
         return (partial(cubic_series, args.x_minus, args.x_plus),
                 partial(cubic_exact_period, args.x_minus, args.x_plus))
+    from .models import pendulum_approx
+
     return (partial(pendulum_approx, args.amplitude, args.taylor),
             partial(pendulum_exact, args.amplitude))
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    from .series_core import _check_order
-
     order = _check_order(args.order)
     series, oracle = _period_functions(args)
     values = [series(n) for n in range(order + 1)]
@@ -236,10 +250,12 @@ def cmd_precession(args: argparse.Namespace) -> int:
     GM = args.GM if args.GM is not None else args.mass * args.g_over_c2
     scale = 1.0 if args.units == "rad" else RAD_TO_ARCSEC
     a_c = critical_semimajor_axis(GM, args.eccentricity)
+    # Built first, so an axis that is not positive is refused as an input
+    # (exit 2) rather than reported below critical.
+    orbit = OrbitParams(GM=GM, a=args.a, epsilon=args.eccentricity)
     if args.a <= a_c and not args.series_only:
         sys.stderr.write(f"below critical semimajor axis a_c={_fmt(a_c)}\n")
         return 3
-    orbit = OrbitParams(GM=GM, a=args.a, epsilon=args.eccentricity)
     lines = [f"series={_fmt(scale * precession_series(orbit, args.order))}"]
     if not args.series_only:
         lines.append(f"exact={_fmt(scale * precession_exact(orbit))}")

@@ -14,14 +14,23 @@ _fmt, _csv and _json are the one number format and the one CSV and JSON
 writers of every table the package prints.  They live here, beside the
 defaults, because the command line and the studies both import this module,
 and neither may load the other.
+
+The helpers every series shares live here for the same reason: the order
+cap and its check, the exponent cap, the half-integer binomial, the pair sum
+of the quartic, cubic and precession series, and _Record, the base of the
+records that check on construction.  The closed forms, the sampled engine
+and the precession all import this module, and a closed form may load
+neither the engine nor a spec-built family.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _names
+from .errors import DomainError, OrderTooHigh
 
 __all__ = _names(__name__)
 
@@ -49,6 +58,100 @@ def _json(payload: object) -> str:
     import json
 
     return json.dumps(payload, indent=2) + "\n"
+
+
+# Expansion orders beyond this are refused: the binomial weights and the
+# polynomial degrees grow without buying accuracy at 64-bit precision.
+MAX_ORDER = 64
+# Even-power half-exponents K beyond this are refused: the factor, its
+# positivity check and the stationary kappa grow linearly in K, and a period
+# at K = 1024 already takes 25-50 ms at any order on a 2-vCPU host.
+MAX_EXPONENT = 1024
+
+
+def _check_order(order: int) -> int:
+    """The expansion order as an int.
+
+    A negative, non-integral or NaN order raises DomainError, one above
+    MAX_ORDER OrderTooHigh; an integral float such as 4.0 is accepted.
+    """
+    if not order >= 0:
+        raise DomainError(f"order must be an integer >= 0, got {order!r}")
+    if order > MAX_ORDER:
+        raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
+    if int(order) != order:
+        raise DomainError(f"order must be an integer, got {order!r}")
+    return int(order)
+
+
+@lru_cache(maxsize=None)
+def half_binomial(n: int) -> float:
+    """Generalized binomial coefficient (-1/2 choose n).
+
+    Equals (-1)^n C(2n, n) / 4^n; computed as one integer quotient, which
+    Python rounds correctly, so the value is correct to the last bit.
+    """
+    if n < 0:
+        raise DomainError("half_binomial requires n >= 0")
+    sign = -1 if n % 2 else 1
+    return sign * math.comb(2 * n, n) / 4**n
+
+
+def _pair_sum(xi: float, order: int, first: int = 0) -> float:
+    """Pair sum sum_{first<=j<=order} (-1)^j hb(j) hb(2j) xi^(2j).
+
+    It is the series for Delta = xi cos(k theta): the theta-mean of cos^(2j)
+    is (-1)^j hb(j) and odd powers average to zero, so only even terms
+    survive, and pair j is the Delta-order-2j term times omega/pi.  The
+    quartic, cubic and precession families all reduce to it at their
+    stationary frequencies.  first = 1 gives S - 1 without forming S.  Pair
+    indices above MAX_ORDER are refused.
+    """
+    order = _check_order(order)
+    return math.fsum(
+        (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
+        for j in range(first, order + 1)
+    )
+
+
+class _Record:
+    """Base of the records that check or cache on construction.
+
+    Each subclass keeps its attributes in __slots__ and sets them in its own
+    __init__ through object.__setattr__, and names in _fields those that its
+    repr, equality, hash and pickling read.  Assigning or deleting an
+    attribute raises AttributeError.  The other records are NamedTuples, which have the same
+    _fields, the same form of repr and the same AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild a record through its constructor, since
+        # the slots refuse assignment.
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class ReferenceValue(NamedTuple):

@@ -5,7 +5,7 @@ that tests and the CLI can map them to exit codes without string matching.
 
 The one convergence signal, DivergentExpansion, is warned in one place:
 _warn_divergent, once the convergence margin q (max |Delta|, |xi| or |kappa|,
-formed by each series) reaches 1.
+formed by each series) reaches 1, with q in exponent form from 1e6 on.
 """
 
 import warnings
@@ -74,7 +74,12 @@ class DivergentExpansion(UserWarning):
 def _warn_divergent(q: float, message: str, *args: object) -> None:
     """Warn DivergentExpansion with message % (q, *args) when q >= 1.
 
-    stacklevel=3 blames the caller of the series that calls this.
+    Each message writes q as %.6f.  A q of 1e6 or more is written as %.6e
+    instead, so that a huge q, which %.6f writes out to its last integer
+    digit, keeps the warning one short line.  stacklevel=3 blames the caller
+    of the series that calls this.
     """
     if q >= 1.0:
+        if q >= 1e6:
+            message = message.replace("%.6f", "%.6e", 1)
         warnings.warn(message % (q, *args), DivergentExpansion, stacklevel=3)

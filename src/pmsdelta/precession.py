@@ -6,6 +6,10 @@ square root.  The quadratic part factors against the turning points exactly
 as for the oscillators, leaving the linear factor R(z) = 1 - 2GM(z + z- + z+)
 to expand.  Everything is in geometrized length units: GM stands for
 (G/c^2) * M and is a length.
+
+The series is the pair sum of constants and the exact value the AGM of
+oracle, so the precession loads neither the oscillator families nor the
+expansion engine.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import math
 
 from . import _names
+from .constants import _Record, _check_order, _pair_sum
 from .errors import BeyondCritical, DomainError, ThirdRootInsideInterval, _warn_divergent
 from .oracle import _agm_integral
-from .series_core import _Record, _check_order, _pair_sum
 
 __all__ = _names(__name__)
 

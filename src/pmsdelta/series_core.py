@@ -38,6 +38,10 @@ node values made by math.cos, which numpy sees as a read-only view.  The
 pure kernel runs while numpy is not loaded and the process's pure work stays
 within _PURE_BUDGET (see there), otherwise the numpy kernel; each term has
 the same bits whichever kernel forms it.
+
+The order cap, its check, the half-integer binomial and the record base
+live in constants, beside the pair sum that the closed forms share, so that
+a closed form loads none of this module.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import _names
-from .errors import DomainError, NonPositiveMean, OrderTooHigh
+from .constants import MAX_ORDER, _Record, _check_order, half_binomial
+from .errors import DomainError, NonPositiveMean
 
 if TYPE_CHECKING:
     from array import array
@@ -58,30 +63,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = _names(__name__)
-
-# Expansion orders beyond this are refused: the binomial weights and the
-# polynomial degrees grow without buying accuracy at 64-bit precision.
-MAX_ORDER = 64
-# Even-power half-exponents K beyond this are refused: the factor, its
-# positivity check and the stationary kappa grow linearly in K, and a period
-# at K = 1024 already takes 25-50 ms at any order on a 2-vCPU host.
-MAX_EXPONENT = 1024
-
-
-def _check_order(order: int) -> int:
-    """The expansion order as an int.
-
-    A negative, non-integral or NaN order raises DomainError, one above
-    MAX_ORDER OrderTooHigh; an integral float such as 4.0 is accepted.
-    """
-    if not order >= 0:
-        raise DomainError(f"order must be an integer >= 0, got {order!r}")
-    if order > MAX_ORDER:
-        raise OrderTooHigh(f"order {order} exceeds the cap of {MAX_ORDER}")
-    if int(order) != order:
-        raise DomainError(f"order must be an integer, got {order!r}")
-    return int(order)
-
 
 # The pure kernels run while numpy is not loaded and the process's pure work,
 # this call's included, stays within this many element operations (one
@@ -193,19 +174,6 @@ def _positive_on_grid(coeffs: Sequence[float]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def half_binomial(n: int) -> float:
-    """Generalized binomial coefficient (-1/2 choose n).
-
-    Equals (-1)^n C(2n, n) / 4^n; computed as one integer quotient, which
-    Python rounds correctly, so the value is correct to the last bit.
-    """
-    if n < 0:
-        raise DomainError("half_binomial requires n >= 0")
-    sign = -1 if n % 2 else 1
-    return sign * math.comb(2 * n, n) / 4**n
-
-
-@lru_cache(maxsize=None)
 def cos_moment(k: int) -> float:
     """Exact moment integral of cos^k(theta) over [0, pi].
 
@@ -225,46 +193,6 @@ def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
     if not out:
         out = [0.0]
     return tuple(out)
-
-
-class _Record:
-    """Base of the records that check or cache on construction.
-
-    Each subclass keeps its attributes in __slots__ and sets them in its own
-    __init__ through object.__setattr__, and names in _fields those that its
-    repr, equality, hash and pickling read.  Assigning or deleting an
-    attribute raises AttributeError.  The other records are NamedTuples, which have the same
-    _fields, the same form of repr and the same AttributeError.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy rebuild a record through its constructor, since
-        # the slots refuse assignment.
-        return self.__class__, self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class TrigPolynomial(_Record):
@@ -610,23 +538,6 @@ def expand(spec: IntegrandSpec, order: int) -> SeriesExpansion:
     math.fsum sums of the terms.  Orders above MAX_ORDER are refused.
     """
     return SeriesExpansion(omega=spec.omega, terms=_series_terms(spec, order))
-
-
-def _pair_sum(xi: float, order: int, first: int = 0) -> float:
-    """Pair sum sum_{first<=j<=order} (-1)^j hb(j) hb(2j) xi^(2j).
-
-    It is the series for Delta = xi cos(k theta): the theta-mean of cos^(2j)
-    is (-1)^j hb(j) and odd powers average to zero, so only even terms
-    survive, and pair j is the Delta-order-2j term times omega/pi.  The
-    quartic, cubic and precession families all reduce to it at their
-    stationary frequencies.  first = 1 gives S - 1 without forming S.  Pair
-    indices above MAX_ORDER are refused.
-    """
-    order = _check_order(order)
-    return math.fsum(
-        (-1.0) ** j * half_binomial(j) * half_binomial(2 * j) * xi ** (2 * j)
-        for j in range(first, order + 1)
-    )
 
 
 def pms_derivative_check(spec: IntegrandSpec, order: int) -> float:

@@ -17,17 +17,14 @@ import pytest
 
 from pmsdelta.analysis import duffing_b0_study, sextic_c0_study
 from pmsdelta.errors import DivergentExpansion
-from pmsdelta.oracle import integrate
+from pmsdelta.models import OscillatorModel, even_power_series, pendulum_approx
 from pmsdelta.oscillators import (
-    OscillatorModel,
     duffing_exact_period,
     duffing_nayfeh_series,
     duffing_period_series,
     even_power_exact_period,
     even_power_kappa_balanced,
     even_power_kappa_pms,
-    even_power_series,
-    pendulum_approx,
     pendulum_exact,
     sextic_exact_period,
     sextic_t4,
@@ -171,7 +168,7 @@ def test_criterion_09_nonconvergence_witness():
 
 
 def test_criterion_10_k5_balancing():
-    from pmsdelta.oscillators import _even_power_spec
+    from pmsdelta.models import _even_power_spec
 
     def max_abs_delta(kappa: float) -> float:
         spec = _even_power_spec(5, math.inf, kappa)

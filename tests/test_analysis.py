@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pmsdelta import analysis
+from pmsdelta import models, oscillators, precession
 from pmsdelta.analysis import (
     ConvergenceStudy,
     StudyPoint,
@@ -19,7 +19,7 @@ from pmsdelta.analysis import (
     precession_error_table,
     sextic_c0_study,
 )
-from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM
+from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, MAX_ORDER
 from pmsdelta.errors import (
     DivergentExpansion,
     DomainError,
@@ -27,16 +27,15 @@ from pmsdelta.errors import (
     PmsDeltaError,
     ThirdRootInsideInterval,
 )
+from pmsdelta.models import even_power_series
 from pmsdelta.oracle import elliptic_k
 from pmsdelta.oscillators import (
     duffing_b0,
     duffing_exact_period,
     duffing_period_series,
     even_power_kappa_pms,
-    even_power_series,
 )
 from pmsdelta.precession import critical_semimajor_axis
-from pmsdelta.series_core import MAX_ORDER
 
 
 def test_duffing_b0_study_shape():
@@ -293,9 +292,13 @@ def test_an_order_above_the_cap_is_refused_before_any_work(monkeypatch, study):
     def no_work(*args):
         raise AssertionError("a study worked before checking its orders")
 
-    for name in ("duffing_b0", "even_power_exact_period", "even_power_series",
-                 "precession_exact", "precession_series"):
-        monkeypatch.setattr(analysis, name, no_work)
+    # Each study imports its families when it runs, so the patches are read.
+    for module, name in (
+        (oscillators, "duffing_b0"), (oscillators, "even_power_exact_period"),
+        (models, "even_power_series"), (precession, "precession_exact"),
+        (precession, "precession_series"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
     with pytest.raises(OrderTooHigh, match="^order 70 exceeds the cap of 64$"):
         study()
 
@@ -313,8 +316,11 @@ def test_an_order_below_the_minimum_is_refused_before_any_work(monkeypatch, stud
     def no_work(*args):
         raise AssertionError("a study worked before checking its orders")
 
-    for name in ("duffing_b0", "even_power_exact_period", "even_power_series"):
-        monkeypatch.setattr(analysis, name, no_work)
+    for module, name in (
+        (oscillators, "duffing_b0"), (oscillators, "even_power_exact_period"),
+        (models, "even_power_series"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
     with pytest.raises(DomainError, match=f"^max_order must be >= {minimum}"):
         study()
 

@@ -18,12 +18,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsdelta import analysis, oscillators
+from pmsdelta import models, oscillators, precession
 from pmsdelta.analysis import negative_rho_study, sextic_c0_study
 from pmsdelta.cli import _geometric_grid, build_parser, main
 from pmsdelta.errors import DomainError
-from pmsdelta.oscillators import _even_power_spec, _pendulum_spec
-from pmsdelta.series_core import MAX_ORDER
+from pmsdelta.constants import MAX_ORDER
+from pmsdelta.models import _even_power_spec, _pendulum_spec
 
 ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,6 +173,30 @@ def test_unreadable_orders_exit_2_naming_the_option(capsys, orders, message):
     assert run_cli(capsys, "convergence", "precession", "--orders", orders) == (2, "", message)
 
 
+@pytest.mark.parametrize("kappa", ["abc", ""])
+def test_unreadable_kappa_exits_2_naming_the_option(capsys, kappa):
+    assert run_cli(capsys, "period", "even-power", "--kappa", kappa) == (
+        2, "", f"kappa must be pms, balanced or a number, got {kappa!r}\n"
+    )
+
+
+def test_a_huge_divergence_margin_keeps_the_warning_one_short_line(capsys):
+    # max |Delta| = 5e299 is written in exponent form, not as its 300 digits;
+    # the refusal that follows is unchanged.
+    code, out, err = run_cli(
+        capsys, "period", "even-power", "--exponent", "3", "--rho", "1e300",
+        "--kappa", "1e-300", "--order", "3",
+    )
+    warning, refusal = err.splitlines()
+    assert (code, out) == (2, "")
+    assert warning == (
+        "DivergentExpansion: max |Delta| = 5.000000e+299 >= 1 at kappa = 1e-300: "
+        "the expansion need not converge"
+    )
+    assert len(warning) < 120
+    assert refusal == "a term through order 2 leaves the float range at omega = 1.0"
+
+
 @pytest.mark.parametrize(
     "argv, requested",
     [
@@ -187,10 +211,14 @@ def test_an_order_above_the_cap_is_refused_before_any_work(capsys, monkeypatch, 
     def no_work(*args):
         raise AssertionError("a command worked before checking its order")
 
-    for name in ("duffing_period_series", "pendulum_approx"):
-        monkeypatch.setattr(oscillators, name, no_work)
-    for name in ("even_power_exact_period", "even_power_series", "precession_exact"):
-        monkeypatch.setattr(analysis, name, no_work)
+    # Each command and study imports its families when it runs, so the
+    # patches are read.
+    for module, name in (
+        (oscillators, "duffing_period_series"), (models, "pendulum_approx"),
+        (oscillators, "even_power_exact_period"), (models, "even_power_series"),
+        (precession, "precession_exact"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
     assert run_cli(capsys, *argv) == (2, "", f"order {requested} exceeds the cap of 64\n")
 
 
@@ -347,6 +375,24 @@ def test_precession_below_critical_exits_3(capsys):
     assert err.startswith("below critical semimajor axis a_c=")
     quoted = float(err.strip().split("a_c=")[1])
     assert quoted == pytest.approx(101.46683122925656, rel=1e-10)
+
+
+@pytest.mark.parametrize("series_only", [False, True], ids=["exact", "series-only"])
+@pytest.mark.parametrize("a", ["0", "-5"])
+def test_precession_nonpositive_axis_exits_2(capsys, a, series_only):
+    # An axis that is not positive is refused as an input, with or without
+    # --series-only, before it is compared with the critical axis.
+    argv = ["precession", "--a", a, *["--series-only"] * series_only]
+    assert run_cli(capsys, *argv) == (
+        2, "", f"semimajor axis must be positive, got {float(a)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("a", ["20", "50", "100"])
+def test_precession_positive_subcritical_axis_still_exits_3(capsys, a):
+    assert run_cli(capsys, "precession", "--a", a) == (
+        3, "", "below critical semimajor axis a_c=101.46683122925654\n"
+    )
 
 
 def test_precession_tiny_mass_is_finite(capsys):
@@ -1051,6 +1097,52 @@ def test_a_cold_table_loads_numpy_only_past_the_pure_budget(child_env, K, numpy)
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-1] == str(numpy)
+
+
+# The package modules each command loads, besides cli, constants and errors,
+# with its exit code.  A command compiles every module it loads, so one that
+# prints only closed forms (a pair sum, the sextic weights, an AGM period)
+# loads no sampled engine (series_core), no spec-built family (models) and no
+# quadrature rule; a K <= 3 even power or a pendulum loads the engine but no
+# quadrature rule, which only the even powers K >= 4 need.
+_CLOSED_FORMS = ("oracle", "oscillators")
+_SAMPLED = ("models", "oracle", "oscillators", "series_core")
+LOADED_MODULES = [
+    ("period duffing --rho 0.5 --order 6 --exact", 0, _CLOSED_FORMS),
+    ("period sextic --rho -0.9 --order 8 --exact", 0, _CLOSED_FORMS),
+    ("period cubic --x-minus -0.8 --x-plus 1.3 --order 10 --exact", 0, _CLOSED_FORMS),
+    ("precession --a 500", 0, ("oracle", "precession")),
+    ("precession --a 50", 3, ("oracle", "precession")),
+    ("convergence duffing-b0", 0, ("analysis", *_CLOSED_FORMS)),
+    ("convergence duffing-rho", 0, ("analysis", *_CLOSED_FORMS)),
+    ("convergence precession", 0, ("analysis", "oracle", "precession")),
+    ("period even-power --exponent 3 --exact", 0, _SAMPLED),
+    ("period even-power --exponent 5 --exact", 0, (*_SAMPLED, "quadrature")),
+    ("period pendulum --taylor 6 --exact", 0, _SAMPLED),
+    ("convergence sextic-c0", 0, ("analysis", *_SAMPLED)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded", LOADED_MODULES, ids=[argv for argv, _, _ in LOADED_MODULES]
+)
+def test_each_command_loads_only_the_modules_it_runs(child_env, argv, code, loaded):
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import pmsdelta.cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = pmsdelta.cli.main(sys.argv[1:])
+        print(code, *sorted(m for m in sys.modules if m.startswith("pmsdelta.")))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = sorted(f"pmsdelta.{m}" for m in ("cli", "constants", "errors", *loaded))
+    assert result.stdout.split() == [str(code), *expected]
 
 
 def test_csv_scalar_commands_load_neither_json_nor_heapq(child_env):

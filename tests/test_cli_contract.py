@@ -21,11 +21,8 @@ from pmsdelta.analysis import (
 )
 from pmsdelta.cli import main
 from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, REFERENCE
-from pmsdelta.oscillators import (
-    duffing_exact_period,
-    duffing_period_series,
-    pendulum_approx,
-)
+from pmsdelta.models import pendulum_approx
+from pmsdelta.oscillators import duffing_exact_period, duffing_period_series
 from pmsdelta.precession import (
     OrbitParams,
     critical_semimajor_axis,

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmsdelta.errors import DegenerateFit, DomainError, NonFiniteIntegrand, ToleranceNotMet
-from pmsdelta import oracle
-from pmsdelta.oracle import elliptic_k, fit_log_linear, integrate
+from pmsdelta import oracle, quadrature
+from pmsdelta.oracle import elliptic_k, fit_log_linear
+from pmsdelta.quadrature import integrate
 
 
 def _newton_zeros(mpmath, coeffs, guesses):
@@ -71,12 +72,12 @@ def test_gauss_kronrod_literals_are_correctly_rounded():
         kronrod_weights = _interpolatory_weights(mpmath, nodes)
         gauss_weights = _interpolatory_weights(mpmath, gauss)
 
-        assert oracle._NODES == tuple(float(x) for x in nodes)
-        assert oracle._KRONROD_WEIGHTS == tuple(float(w) for w in kronrod_weights)
+        assert quadrature._NODES == tuple(float(x) for x in nodes)
+        assert quadrature._KRONROD_WEIGHTS == tuple(float(w) for w in kronrod_weights)
         expected_gauss = [0.0] * 21
         expected_gauss[1::2] = [float(w) for w in gauss_weights]
-        assert oracle._GAUSS_WEIGHTS == tuple(expected_gauss)
-        assert oracle._PANEL_COST == 21
+        assert quadrature._GAUSS_WEIGHTS == tuple(expected_gauss)
+        assert quadrature._PANEL_COST == 21
 
 
 def test_integrate_known_values():
@@ -92,7 +93,7 @@ def test_integrate_known_values():
         print(f"integral over [{a:g}, {b:g}]: {res.value:.15f}  |err| = {err:.2e}")
         assert err < 1e-12
         assert res.error_estimate <= 1e-13
-        assert res.evaluations >= oracle._PANEL_COST
+        assert res.evaluations >= quadrature._PANEL_COST
 
 
 def test_integrate_polynomials_near_exact():
@@ -196,9 +197,9 @@ def test_integrate_overflow_is_typed():
 
 def test_two_pi_numerator_is_within_1e_76_of_two_pi():
     mpmath = pytest.importorskip("mpmath")
-    assert oracle._TWO_PI_DENOMINATOR == 10**76
+    assert quadrature._TWO_PI_DENOMINATOR == 10**76
     with mpmath.workdps(90):
-        scaled = mpmath.mpf(oracle._TWO_PI_NUMERATOR) / mpmath.mpf(10) ** 76
+        scaled = mpmath.mpf(quadrature._TWO_PI_NUMERATOR) / mpmath.mpf(10) ** 76
         assert abs(scaled - 2 * mpmath.pi) < mpmath.mpf("1e-76")
 
 
@@ -214,7 +215,7 @@ def test_times_two_pi_is_correctly_rounded(x, t):
     low = t * math.ulp(x)
     with mpmath.workdps(50):
         exact = 2 * mpmath.pi * (mpmath.mpf(x) + mpmath.mpf(low))
-        assert oracle._times_two_pi(x, low) == float(exact)
+        assert quadrature._times_two_pi(x, low) == float(exact)
 
 
 @pytest.mark.parametrize("s", [0.5, 3.0, 30.0])
@@ -228,7 +229,7 @@ def test_periodic_trapezoid_matches_a_closed_form(s):
         nodes.append((c, u))
         return 1.0 / (1.0 + s * c)
 
-    result = oracle._periodic_trapezoid(f, rel_tol=1e-14)
+    result = quadrature._periodic_trapezoid(f, rel_tol=1e-14)
     with mpmath.workdps(50):
         exact = 2 * mpmath.pi / mpmath.sqrt(1 + mpmath.mpf(s))
         assert abs(result.value - exact) <= 1e-15 * exact
@@ -256,16 +257,16 @@ def test_trapezoid_levels_square_cos_and_sin_of_their_nodes():
     for panels in (16, 32, 64, 128, 1024):
         thetas[panels] = [quarter * (2 * j + 1) / panels for j in range(panels // 2)]
     for panels, nodes in thetas.items():
-        cs, ss = oracle._trapezoid_level(panels)
+        cs, ss = quadrature._trapezoid_level(panels)
         assert cs == tuple(math.cos(t) * math.cos(t) for t in nodes)
         assert ss == tuple(math.sin(t) * math.sin(t) for t in nodes)
-        assert oracle._trapezoid_level(panels) is oracle._trapezoid_level(panels)
+        assert quadrature._trapezoid_level(panels) is quadrature._trapezoid_level(panels)
 
 
 def test_periodic_trapezoid_budget_and_non_finite_values():
     # Poles 1e-3 from the real axis would need about 15000 samples.
     with pytest.raises(ToleranceNotMet):
-        oracle._periodic_trapezoid(
+        quadrature._periodic_trapezoid(
             lambda c, u: 1.0 / (1.0 + 1e6 * c), rel_tol=1e-14, max_evals=1000
         )
     for f in (
@@ -274,7 +275,7 @@ def test_periodic_trapezoid_budget_and_non_finite_values():
         lambda c, u: math.inf if c == 1.0 else -math.inf,
     ):
         with pytest.raises(NonFiniteIntegrand):
-            oracle._periodic_trapezoid(f, rel_tol=1e-14)
+            quadrature._periodic_trapezoid(f, rel_tol=1e-14)
 
 
 def test_elliptic_k_special_values():

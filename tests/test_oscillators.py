@@ -18,9 +18,18 @@ from pmsdelta.errors import (
     OrderTooHigh,
     PmsDeltaError,
 )
-from pmsdelta.oracle import elliptic_k, integrate
-from pmsdelta.oscillators import (
+from pmsdelta.constants import MAX_EXPONENT, MAX_ORDER
+from pmsdelta.models import (
     OscillatorModel,
+    _even_power_spec,
+    _pendulum_spec,
+    even_power_series,
+    pendulum_approx,
+    quartic_cubic_exact_period,
+    quartic_cubic_pms,
+)
+from pmsdelta.oracle import elliptic_k
+from pmsdelta.oscillators import (
     cubic_exact_period,
     cubic_series,
     duffing_b0,
@@ -31,11 +40,7 @@ from pmsdelta.oscillators import (
     even_power_exact_period,
     even_power_kappa_balanced,
     even_power_kappa_pms,
-    even_power_series,
-    pendulum_approx,
     pendulum_exact,
-    quartic_cubic_exact_period,
-    quartic_cubic_pms,
     sextic_exact_period,
     sextic_series,
     sextic_t4,
@@ -43,18 +48,12 @@ from pmsdelta.oscillators import (
     virial_omega_check,
     _even_power_integrand,
     _even_power_quadrature,
-    _even_power_spec,
     _in_theta,
-    _pendulum_spec,
     _sextic_weight,
 )
 from pmsdelta.precession import OrbitParams, precession_series
-from pmsdelta.series_core import (
-    MAX_EXPONENT,
-    MAX_ORDER,
-    expand,
-    pms_first_order,
-)
+from pmsdelta.quadrature import integrate
+from pmsdelta.series_core import expand, pms_first_order
 from trig_extrema import extrema
 
 
@@ -645,10 +644,10 @@ def test_even_power_exact_matches_mpmath(K, rho):
 
 
 def _count_evaluations(monkeypatch):
-    """Route the oscillators' two quadrature rules through a counting
-    integrand; the returned list receives (rule name, integrand calls) for
-    each call of either rule."""
-    from pmsdelta import oscillators
+    """Route the two quadrature rules through a counting integrand; the
+    returned list receives (rule name, integrand calls) for each call of
+    either rule."""
+    from pmsdelta import quadrature
 
     counts = []
 
@@ -669,7 +668,7 @@ def _count_evaluations(monkeypatch):
         return counted_rule
 
     for name in ("integrate", "_periodic_trapezoid"):
-        monkeypatch.setattr(oscillators, name, counting(getattr(oscillators, name)))
+        monkeypatch.setattr(quadrature, name, counting(getattr(quadrature, name)))
     return counts
 
 
@@ -813,7 +812,7 @@ def _theta_even_power_integrand(K, rho):
 def _theta_trapezoid(f, rel_tol):
     """(value, evaluations) of the periodic trapezoidal rule in its theta
     form, each sample forming its node: the reference for the node tables."""
-    from pmsdelta.oracle import _FIRST_PANELS, _times_two_pi
+    from pmsdelta.quadrature import _FIRST_PANELS, _times_two_pi
 
     quarter = 0.5 * math.pi
     panels = _FIRST_PANELS

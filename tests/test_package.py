@@ -14,7 +14,10 @@ import pmsdelta
 
 
 # The library modules: every name in _EXPORTS lives in one of them.
-LIBRARY = ("analysis", "constants", "errors", "oracle", "oscillators", "precession", "series_core")
+LIBRARY = (
+    "analysis", "constants", "errors", "models", "oracle", "oscillators", "precession",
+    "quadrature", "series_core",
+)
 
 
 def _tree(module: str) -> ast.Module:
@@ -95,11 +98,20 @@ def _package_imports(module: str) -> set[str]:
 
 
 def test_engine_and_oracle_share_no_code():
-    # The oracle is the engine's independent check, so neither may import the
-    # other.  The families import both, which shows the parse finds imports.
-    assert "oracle" not in _package_imports("series_core")
-    assert "series_core" not in _package_imports("oracle")
-    assert {"errors", "oracle", "series_core"} <= _package_imports("oscillators")
+    # The oracle and the quadrature rules are the engine's independent check,
+    # so neither side may import the other.  The closed forms load neither
+    # the engine nor the spec-built families, and constants, which every
+    # command loads, imports no package module but the leaf errors, which
+    # imports none.  An import inside a function counts too.  The families
+    # import the engine and the closed forms, and the closed forms the AGM and,
+    # inside a function, the quadrature rules, which shows the parse finds both.
+    assert not {"oracle", "quadrature"} & _package_imports("series_core")
+    for module in ("oracle", "quadrature", "oscillators"):
+        assert not {"series_core", "models"} & _package_imports(module), module
+    assert _package_imports("constants") == {"_names", "errors"}
+    assert _package_imports("errors") == {"_names"}
+    assert {"errors", "oscillators", "series_core"} <= _package_imports("models")
+    assert {"oracle", "quadrature"} <= _package_imports("oscillators")
 
 
 def _lru_caches() -> dict[str, tuple[object, ast.FunctionDef]]:
@@ -141,8 +153,8 @@ def test_float_keyed_caches_are_bounded():
         )
     }
     # The parse finds the known caches of each kind.
-    assert {"oscillators._even_power_spec", "oscillators._pendulum_spec"} <= set(float_keyed)
-    assert "series_core.half_binomial" in caches and "series_core.half_binomial" not in float_keyed
+    assert {"models._even_power_spec", "models._pendulum_spec"} <= set(float_keyed)
+    assert "constants.half_binomial" in caches and "constants.half_binomial" not in float_keyed
     for name, maxsize in float_keyed.items():
         assert type(maxsize) is int, f"{name} caches float keys without an integer maxsize"
 
@@ -159,7 +171,7 @@ def test_array_caches_keyed_on_a_size_are_bounded():
         and any(arg.arg != "order" for arg in _arguments(node))
     }
     assert set(sized) == {
-        "series_core._node_cosines", "series_core._node_table", "oracle._trapezoid_level",
+        "series_core._node_cosines", "series_core._node_table", "quadrature._trapezoid_level",
     }
     for name, maxsize in sized.items():
         assert type(maxsize) is int, f"{name} caches one array per size without an integer maxsize"
@@ -229,7 +241,7 @@ def test_no_module_imports_dataclasses():
 # needs heapq, and only the engine's node tables need array.
 LAZY_STDLIB = {
     "json": {"constants": {"_json"}},
-    "heapq": {"oracle": {"integrate"}},
+    "heapq": {"quadrature": {"integrate"}},
     "array": {"series_core": {"_node_table", "_positivity_table"}},
 }
 

@@ -9,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM
+from pmsdelta.constants import DEFAULT_ECCENTRICITY, DEFAULT_GM, MAX_ORDER
 from pmsdelta.errors import (
     BeyondCritical,
     DivergentExpansion,
@@ -17,14 +17,13 @@ from pmsdelta.errors import (
     PmsDeltaError,
     ThirdRootInsideInterval,
 )
-from pmsdelta.oracle import integrate
 from pmsdelta.precession import (
     OrbitParams,
     critical_semimajor_axis,
     precession_exact,
     precession_series,
 )
-from pmsdelta.series_core import MAX_ORDER
+from pmsdelta.quadrature import integrate
 
 
 def test_orbit_params_derived_quantities():

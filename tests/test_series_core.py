@@ -14,19 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pmsdelta.constants import MAX_ORDER, half_binomial
 from pmsdelta.errors import DomainError, NonPositiveMean, OrderTooHigh
-from pmsdelta.oracle import elliptic_k, integrate
+from pmsdelta.models import OscillatorModel, _even_power_spec, even_power_series, pendulum_approx
+from pmsdelta.oracle import elliptic_k
 from pmsdelta import series_core
-from pmsdelta.oscillators import (
-    OscillatorModel,
-    _even_power_spec,
-    even_power_kappa_balanced,
-    even_power_kappa_pms,
-    even_power_series,
-    pendulum_approx,
-)
+from pmsdelta.oscillators import even_power_kappa_balanced, even_power_kappa_pms
+from pmsdelta.quadrature import integrate
 from pmsdelta.series_core import (
-    MAX_ORDER,
     IntegrandSpec,
     TrigPolynomial,
     _horner,
@@ -35,7 +30,6 @@ from pmsdelta.series_core import (
     _term_weights,
     cos_moment,
     expand,
-    half_binomial,
     pms_derivative_check,
     pms_first_order,
     term,
